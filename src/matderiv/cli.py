@@ -10,6 +10,7 @@ generator per run.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -306,7 +307,7 @@ def run_odegrad(steps: int = 2000, seed: int = 0, want_csv: bool = False):
 # jacdet
 
 def _jacdet_case(f, f_prime, s):
-    jac = kron.jacobian_matrix_function(f, s)
+    jac = kron.jacobian_matrix_function_fd(f, s)
     fd_det = core.det(jac)
     lam = core.jacobi_eigen(s).lam
     formula = kron.theoretical_jacdet(f, f_prime, lam)
@@ -401,6 +402,7 @@ def run_hessian_demo(seed: int = 0):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process: building costs more than a small run
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matderiv",

@@ -1,22 +1,28 @@
 """Dense and tridiagonal real linear algebra.
 
 The numeric substrate for everything else: partial-pivot LU, the banded
-Thomas solve, a cyclic Jacobi eigensolver for symmetric matrices, LU-based
-determinants, and a Newton root finder driven by forward-mode Jacobians.
-Factorizations and the eigensolver are written out here; numpy arrays are
-used purely as storage and for elementwise/block arithmetic.
+Thomas solve, a Jacobi eigensolver for symmetric matrices (Brent-Luk
+round-robin ordering: each sweep is a sequence of rounds of disjoint
+rotations applied as one batched update), LU-based determinants, and a
+Newton root finder driven by forward-mode Jacobians.  Factorizations and the
+eigensolver are written out here; numpy arrays are used purely as storage
+and for elementwise/block arithmetic.
 
 Conventions fixed by this module:
   - vectors are 1-D float64 arrays, matrices 2-D float64 arrays;
   - eigenvalues are returned ascending, with each eigenvector column signed
     so its largest-magnitude entry is positive;
-  - every pivot test uses the single tolerance ``PIVOT_RTOL * ||A||_F``.
+  - every pivot test uses the single tolerance ``PIVOT_RTOL * ||A||_F``;
+  - the symmetry contract (``require_symmetric``, SYM_RTOL) and the
+    eigenvalue-gap guard (``require_gaps``, GAP_RTOL) live here once and are
+    shared by every module that needs them.
 
 All returned objects are treated as immutable; operations are pure.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +31,17 @@ from . import counting
 from .errors import ( # noqa: F401  (re-exported for convenience)
     ContractError,
     ConvergenceError,
+    DegenerateEigenvaluesError,
     ShapeError,
     SingularMatrixError,
 )
 
 PIVOT_RTOL = 1e-12      # pivot threshold relative to the Frobenius norm
+SYM_RTOL = 1e-12        # symmetry tolerance: ||A - A^T||_F <= SYM_RTOL * ||A||_F
+GAP_RTOL = 1e-8         # eigenvalue gaps at or below this * max(scale, 1) are degenerate
 JACOBI_MAX_SWEEPS = 100
 JACOBI_OFF_RTOL = 1e-12  # stop when off-diagonal norm falls below this * ||S||_F
+_TINY = np.finfo(float).smallest_subnormal
 
 
 def as_vector(x) -> np.ndarray:
@@ -62,7 +72,51 @@ def as_square(x) -> np.ndarray:
 def frob(x) -> float:
     """Frobenius norm: sqrt of the sum of squared entries (any shape)."""
     a = np.asarray(x, dtype=float)
-    return float(np.sqrt(np.sum(a * a)))
+    # np.add.reduce is the sum np.sum computes, without its Python-level
+    # dispatch, which costs about as much as the sum itself on small matrices.
+    return float(np.sqrt(np.add.reduce(a * a, axis=None)))
+
+
+def is_symmetric(a) -> bool:
+    """True when ||A - A^T||_F <= SYM_RTOL * ||A||_F (so the zero matrix is)."""
+    return frob(a - a.T) <= SYM_RTOL * frob(a)
+
+
+def require_symmetric(a, what: str) -> None:
+    """The symmetry contract: raise ``ContractError`` naming ``what`` unless
+    ``a`` is symmetric to SYM_RTOL."""
+    if not is_symmetric(a):
+        raise ContractError(f"{what} needs a symmetric matrix")
+
+
+def min_gap(lam) -> float:
+    """Smallest distance between two eigenvalues (inf for fewer than two)."""
+    lam = np.sort(as_vector(lam))
+    if len(lam) < 2:
+        return np.inf
+    return float(np.min(np.diff(lam)))
+
+
+def require_gaps(lam, scale: float, what: str) -> None:
+    """The gap guard: raise ``DegenerateEigenvaluesError`` naming ``what``
+    when two eigenvalues are within GAP_RTOL * max(scale, 1)."""
+    gap = min_gap(lam)
+    if gap <= GAP_RTOL * max(scale, 1.0):
+        raise DegenerateEigenvaluesError(
+            f"{what}: eigenvalues too close (min gap {gap:.3e})"
+        )
+
+
+def divided_differences(num, lam, diag) -> np.ndarray:
+    """M[i, j] = num[i, j] / (lam[i] - lam[j]) off the diagonal, with
+    ``diag`` (a scalar or one value per row) on it.  The eigenvalues must be
+    distinct (see ``require_gaps``)."""
+    lam = np.asarray(lam, dtype=float)
+    diff = lam[:, None] - lam[None, :]
+    np.fill_diagonal(diff, 1.0)
+    out = np.asarray(num, dtype=float) / diff
+    np.fill_diagonal(out, diag)
+    return out
 
 
 def matmul(a, b) -> np.ndarray:
@@ -263,68 +317,86 @@ def thomas_solve(t: TridiagSym, b) -> np.ndarray:
     return x
 
 
-def jacobi_eigen(s) -> EigenDecomp:
-    """Cyclic Jacobi eigensolver for symmetric matrices.
+@functools.cache
+def _jacobi_schedule(n: int) -> np.ndarray:
+    """Brent-Luk round-robin schedule for n x n Jacobi sweeps, built once per n.
 
-    Sweeps 2x2 rotations until the off-diagonal Frobenius norm falls below
-    JACOBI_OFF_RTOL * ||S||_F.  Asymmetric input (beyond 1e-12 relative) is a
-    contract violation; failure to converge within JACOBI_MAX_SWEEPS raises
-    ``ConvergenceError``.
+    Shape (rounds, 2, m): round k pairs index [k, 0, i] with [k, 1, i], the
+    first always the smaller, and no index repeats within a round, so its
+    rotations commute.  Over one sweep every off-diagonal pair appears exactly
+    once: n - 1 rounds of n/2 pairs for even n, n rounds of (n - 1)/2 pairs
+    for odd n (a phantom index n pairs with the index sitting out, and that
+    pair is dropped).
+    """
+    m = n + (n % 2)
+    ring = list(range(1, m))
+    rounds = []
+    for _ in range(m - 1):
+        seats = [0] + ring
+        pairs = [(seats[i], seats[m - 1 - i]) for i in range(m // 2)]
+        pairs = sorted((min(i, j), max(i, j)) for i, j in pairs if max(i, j) < n)
+        rounds.append(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
+        ring = ring[-1:] + ring[:-1]
+    return np.array(rounds)
+
+
+def _rotate_column_pairs(m, pr, rot) -> None:
+    """In place, for every pair i = (p, r) of the round pr = [p; r]:
+    [col_p, col_r] <- [col_p, col_r] @ rot[:, :, i]."""
+    m[:, pr] = np.einsum("xki,kji->xji", m[:, pr], rot)
+
+
+def jacobi_eigen(s) -> EigenDecomp:
+    """Jacobi eigensolver for symmetric matrices, Brent-Luk round-robin order.
+
+    Each sweep visits every off-diagonal pair once, in rounds of disjoint
+    pairs.  The rotations of a round commute, so they are all computed from
+    the same matrix and applied together as batched 2x2 updates of the column
+    pairs, the row pairs and the eigenvector columns.  Sweeps run until the
+    off-diagonal Frobenius norm falls below JACOBI_OFF_RTOL * ||S||_F.
+    Asymmetric input (beyond SYM_RTOL relative) is a contract violation;
+    failure to converge within JACOBI_MAX_SWEEPS raises ``ConvergenceError``.
     """
     s = as_square(s)
     n = s.shape[0]
     norm = frob(s)
     if norm == 0.0:
         return EigenDecomp(q=np.eye(n), lam=np.zeros(n))
-    if frob(s - s.T) > 1e-12 * norm:
-        raise ContractError("jacobi_eigen requires a symmetric matrix")
-    a = 0.5 * (s + s.T)
-    q = np.eye(n)
+    require_symmetric(s, "jacobi_eigen")
+    aq = np.concatenate((0.5 * (s + s.T), np.eye(n)))  # [A; Q], rotated together
+    a = aq[:n]  # views: the updates below write through them
+    diag = a.diagonal()
     off_tol = JACOBI_OFF_RTOL * norm
     for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off <= off_tol:
+        if frob(a - np.diag(diag)) <= off_tol:
             break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                if apr == 0.0:
-                    continue
-                theta = (a[r, r] - a[p, p]) / (2.0 * apr)
-                if abs(theta) > 1e12:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = np.sign(theta) if theta != 0 else 1.0
-                    t /= abs(theta) + np.sqrt(theta * theta + 1.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                sn = t * c
-                for m in (a,):  # two-sided rotation of a
-                    colp = m[:, p].copy()
-                    colr = m[:, r].copy()
-                    m[:, p] = c * colp - sn * colr
-                    m[:, r] = sn * colp + c * colr
-                    rowp = m[p, :].copy()
-                    rowr = m[r, :].copy()
-                    m[p, :] = c * rowp - sn * rowr
-                    m[r, :] = sn * rowp + c * rowr
-                a[p, r] = 0.0
-                a[r, p] = 0.0
-                colp = q[:, p].copy()
-                colr = q[:, r].copy()
-                q[:, p] = c * colp - sn * colr
-                q[:, r] = sn * colp + c * colr
+        for pr in _jacobi_schedule(n):
+            p, r = pr
+            # Rotation [[c, s], [-s, c]] on (p, r), with t = s/c the smaller
+            # root of t^2 + (d / a_pr) t - 1 = 0, d = a_rr - a_pp:
+            #   t = sign(d) 2 a_pr / (|d| + hypot(d, 2 a_pr)),  sign(0) = 1.
+            # It cannot overflow, and is 0 (the identity) when a_pr = 0; the
+            # _TINY floor only replaces the 0/0 of a_pr = d = 0.
+            apr2 = 2.0 * a[p, r]
+            d = diag[r] - diag[p]
+            t = apr2 / np.copysign(np.fmax(np.abs(d) + np.hypot(d, apr2), _TINY), d)
+            c = 1.0 / np.hypot(t, 1.0)
+            sn = t * c
+            rot = np.array([[c, sn], [-sn, c]])  # rot[:, :, i] rotates pair i
+            _rotate_column_pairs(aq, pr, rot)  # A J and Q J
+            _rotate_column_pairs(a.T, pr, rot)  # J^T (A J): the rows of A
+            a[pr, pr[::-1]] = 0.0  # a_pr = a_rp = 0
     else:
         raise ConvergenceError(
             f"jacobi_eigen: off-diagonal norm not reduced in {JACOBI_MAX_SWEEPS} sweeps"
         )
-    lam = np.diag(a).copy()
+    lam = diag.copy()
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
-    q = q[:, order]
-    for j in range(n):  # deterministic column signs
-        i = int(np.argmax(np.abs(q[:, j])))
-        if q[i, j] < 0:
-            q[:, j] = -q[:, j]
+    q = aq[n:, order]
+    # deterministic column signs: each column's largest-magnitude entry > 0
+    lead = q[np.argmax(np.abs(q), axis=0), np.arange(n)]
+    q = np.where(lead < 0.0, -q, q)
     if frob(q.T @ q - np.eye(n)) > 1e-10 * n:
         raise ContractError("jacobi_eigen: orthogonality invariant violated")
     if frob(q @ np.diag(lam) @ q.T - 0.5 * (s + s.T)) > 1e-8 * norm:

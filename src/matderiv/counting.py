@@ -42,11 +42,14 @@ def _stack() -> list[Counter]:
 @contextmanager
 def tally():
     c = Counter()
-    _stack().append(c)
+    stack = _stack()
+    stack.append(c)
     try:
         yield c
     finally:
-        _stack().remove(c)
+        # by identity: Counters compare by value, so list.remove could pop
+        # an equal (e.g. still empty) outer tally instead
+        del stack[next(i for i, x in enumerate(stack) if x is c)]
 
 
 def add_flops(n: int) -> None:

@@ -20,37 +20,16 @@ import numpy as np
 
 from . import core
 from .core import EigenDecomp, as_square, as_vector, frob
-from .errors import ContractError, DegenerateEigenvaluesError
-
-GAP_RTOL = 1e-8
-
-
-def _require_symmetric(m: np.ndarray, what: str) -> None:
-    norm = frob(m)
-    if norm > 0 and frob(m - m.T) > 1e-12 * norm:
-        raise ContractError(f"{what} needs a symmetric matrix")
-
-
-def min_gap(lam) -> float:
-    lam = np.sort(as_vector(lam))
-    if len(lam) < 2:
-        return np.inf
-    return float(np.min(np.diff(lam)))
-
-
-def _require_gaps(lam, scale: float, what: str) -> None:
-    if min_gap(lam) <= GAP_RTOL * max(scale, 1.0):
-        raise DegenerateEigenvaluesError(
-            f"{what}: eigenvalues too close (min gap {min_gap(lam):.3e})"
-        )
+from .core import min_gap  # noqa: F401  (re-exported as part of this module's API)
+from .errors import ContractError
 
 
 def decompose(s) -> EigenDecomp:
     """Eigendecomposition with the gap gate applied (scale = ||S||_F)."""
     s = as_square(s)
-    _require_symmetric(s, "decompose")
+    core.require_symmetric(s, "decompose")
     dec = core.jacobi_eigen(s)
-    _require_gaps(dec.lam, frob(s), "decompose")
+    core.require_gaps(dec.lam, frob(s), "decompose")
     return dec
 
 
@@ -61,7 +40,7 @@ def _scale(dec: EigenDecomp) -> float:
 
 def _conjugated(dec: EigenDecomp, ds) -> np.ndarray:
     ds = as_square(ds)
-    _require_symmetric(ds, "perturbation")
+    core.require_symmetric(ds, "perturbation")
     if ds.shape[0] != dec.q.shape[0]:
         raise ContractError("perturbation size mismatch")
     return dec.q.T @ ds @ dec.q
@@ -69,7 +48,7 @@ def _conjugated(dec: EigenDecomp, ds) -> np.ndarray:
 
 def dlambda(dec: EigenDecomp, ds) -> np.ndarray:
     """First-order eigenvalue changes: diag(Q^T dS Q)."""
-    _require_gaps(dec.lam, _scale(dec), "dlambda")
+    core.require_gaps(dec.lam, _scale(dec), "dlambda")
     return np.diag(_conjugated(dec, ds)).copy()
 
 
@@ -78,7 +57,7 @@ def grad_lambda(dec: EigenDecomp, i: int) -> np.ndarray:
     n = dec.q.shape[0]
     if not 0 <= i < n:
         raise IndexError(f"eigenvalue index {i} out of range")
-    _require_gaps(dec.lam, _scale(dec), "grad_lambda")
+    core.require_gaps(dec.lam, _scale(dec), "grad_lambda")
     q = dec.q[:, i]
     return np.outer(q, q)
 
@@ -88,13 +67,8 @@ def dq(dec: EigenDecomp, ds) -> np.ndarray:
     to first order because W is antisymmetric)."""
     b = _conjugated(dec, ds)
     lam = dec.lam
-    _require_gaps(lam, _scale(dec), "dq")
-    n = len(lam)
-    w = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                w[i, j] = b[i, j] / (lam[j] - lam[i])
+    core.require_gaps(lam, _scale(dec), "dq")
+    w = core.divided_differences(-b, lam, 0.0)  # b_ij / (lam_j - lam_i)
     return dec.q @ w
 
 
@@ -111,13 +85,8 @@ def perturbation(dec: EigenDecomp, ds) -> EigPerturbation:
     """Both first-order responses in one conjugation."""
     b = _conjugated(dec, ds)
     lam = dec.lam
-    _require_gaps(lam, _scale(dec), "perturbation")
-    n = len(lam)
-    w = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                w[i, j] = b[i, j] / (lam[j] - lam[i])
+    core.require_gaps(lam, _scale(dec), "perturbation")
+    w = core.divided_differences(-b, lam, 0.0)  # b_ij / (lam_j - lam_i)
     return EigPerturbation(dlambda=np.diag(b).copy(), qt_dq=w)
 
 
@@ -128,10 +97,10 @@ def second_order_taylor(lam, e, eps: float) -> np.ndarray:
     """
     lam = as_vector(lam)
     e = as_square(e)
-    _require_symmetric(e, "second_order_taylor")
+    core.require_symmetric(e, "second_order_taylor")
     if e.shape[0] != len(lam):
         raise ContractError("perturbation size mismatch")
-    _require_gaps(lam, float(np.sqrt(np.sum(lam * lam))), "second_order_taylor")
+    core.require_gaps(lam, float(np.sqrt(np.sum(lam * lam))), "second_order_taylor")
     n = len(lam)
     out = np.empty(n)
     for i in range(n):

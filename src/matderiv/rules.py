@@ -91,8 +91,7 @@ def d_charpoly(a, x: float) -> float:
     """
     a = as_square(a)
     n = a.shape[0]
-    norm = frob(a)
-    if norm > 0 and frob(a - a.T) <= 1e-12 * norm:
+    if frob(a) > 0 and core.is_symmetric(a):
         lam = core.jacobi_eigen(a).lam
         if np.min(np.abs(lam - x)) <= 1e-10:
             raise SingularMatrixError(
@@ -199,8 +198,7 @@ def grad_diagm_quadratic(a, x) -> np.ndarray:
     x = as_vector(x)
     if a.shape[0] != len(x):
         raise ShapeError("grad_diagm_quadratic: size mismatch")
-    if frob(a) > 0 and frob(a - a.T) > 1e-12 * frob(a):
-        raise ContractError("grad_diagm_quadratic needs a symmetric matrix")
+    core.require_symmetric(a, "grad_diagm_quadratic")
     d = np.diag(x)
     return 2.0 * (a + 2.0 * d) @ ((a + d) @ x)
 

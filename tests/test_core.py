@@ -91,6 +91,16 @@ class TestCountedArithmetic:
         assert inner.flops == 4
         assert outer.flops == 2 + 4
 
+    def test_empty_nested_tallies_exit_by_identity(self):
+        """Two tallies opened with nothing counted between them compare
+        equal; leaving the inner one must still pop the inner one."""
+        with counting.tally() as outer:
+            with counting.tally() as inner:
+                pass
+            core.dot([1.0], [1.0])
+        assert inner.flops == 0
+        assert outer.flops == 2
+
     def test_no_tally_is_a_noop(self):
         core.dot([1.0], [1.0])  # must not raise without an active tally
 
@@ -238,7 +248,7 @@ class TestThomas:
 
 
 class TestJacobiEigen:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, 31, 60])
     def test_matches_numpy_eigh(self, n):
         rng = np.random.default_rng(40 + n)
         raw = rng.standard_normal((n, n))
@@ -246,6 +256,53 @@ class TestJacobiEigen:
         dec = core.jacobi_eigen(s)
         np.testing.assert_allclose(dec.lam, np.linalg.eigvalsh(s),
                                    rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 31])
+    def test_round_robin_covers_every_pair_once(self, n):
+        """Each round pairs disjoint indices; a sweep visits every (p, r),
+        p < r, exactly once in n - 1 rounds (even n) or n rounds (odd n)."""
+        rounds = core._jacobi_schedule(n)
+        assert len(rounds) == (n - 1 if n % 2 == 0 else n)
+        seen = []
+        for p, r in rounds:
+            assert np.all(p < r)
+            assert len(set(p) | set(r)) == 2 * len(p)
+            seen += list(zip(p.tolist(), r.tolist()))
+        assert sorted(seen) == [(p, r) for p in range(n) for r in range(p + 1, n)]
+
+    def test_zero_pair_with_equal_diagonal(self):
+        """a_pr = 0 with a_pp = a_rr (d = 0) must give the identity
+        rotation, not 0/0."""
+        s = np.array([[2.0, 0.0, 1.0, 0.0],
+                      [0.0, 2.0, 0.0, 0.5],
+                      [1.0, 0.0, 2.0, 0.0],
+                      [0.0, 0.5, 0.0, 2.0]])
+        dec = core.jacobi_eigen(s)
+        assert np.all(np.isfinite(dec.q))
+        np.testing.assert_allclose(dec.lam, np.linalg.eigvalsh(s),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dec.q @ np.diag(dec.lam) @ dec.q.T, s,
+                                   atol=1e-12)
+
+    def test_tiny_coupling_next_to_large_diagonal_gap(self):
+        """Pair (0, 2) has |d / (2 a_pr)| = 5e12: its rotation angle is
+        about a_pr / d = 1e-13, which must survive in the eigenvectors."""
+        s = np.array([[1.0, 0.5, 1e-10],
+                      [0.5, 2.0, 0.0],
+                      [1e-10, 0.0, 1e3]])
+        dec = core.jacobi_eigen(s)
+        lam_ref, q_ref = np.linalg.eigh(s)
+        np.testing.assert_allclose(dec.lam, lam_ref, rtol=1e-14, atol=1e-12)
+        np.testing.assert_allclose(np.abs(dec.q), np.abs(q_ref),
+                                   rtol=1e-6, atol=1e-16)
+        assert abs(dec.q[0, 2]) == pytest.approx(1e-13, rel=1e-2)
+
+    def test_sweep_budget_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(core, "JACOBI_MAX_SWEEPS", 1)
+        rng = np.random.default_rng(45)
+        raw = rng.standard_normal((6, 6))
+        with pytest.raises(ConvergenceError):
+            core.jacobi_eigen(0.5 * (raw + raw.T))
 
     def test_eigenvalues_ascending(self):
         rng = np.random.default_rng(41)

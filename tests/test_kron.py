@@ -221,6 +221,39 @@ class TestMatrixFunctionJacobian:
         with pytest.raises(DegenerateEigenvaluesError):
             kron.jacobian_matrix_function(math.exp, np.eye(3))
 
+    def test_fd_route_keeps_the_guards(self):
+        with pytest.raises(ContractError):
+            kron.jacobian_matrix_function_fd(
+                math.exp, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(DegenerateEigenvaluesError):
+            kron.jacobian_matrix_function_fd(math.exp, np.eye(3))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("f", [math.exp, np.exp, math.sin,
+                                   lambda v: v**3 + v],
+                             ids=["math.exp", "np.exp", "math.sin", "cubic"])
+    def test_closed_form_matches_fd_jacobian(self, n, f):
+        """Daleckii-Krein against the finite-difference Jacobian on a
+        symmetric matrix with eigenvalue gaps of at least 0.6."""
+        rng = np.random.default_rng(100 + n)
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        lam = 0.8 * (np.arange(n) - 0.5 * (n - 1)) + rng.uniform(-0.1, 0.1, n)
+        s = (q * lam) @ q.T
+        s = 0.5 * (s + s.T)
+        jac = kron.jacobian_matrix_function(f, s)
+        fd = kron.jacobian_matrix_function_fd(f, s)
+        assert np.max(np.abs(jac - fd)) <= 1e-6
+
+    @pytest.mark.parametrize("f, fp", [
+        (lambda t: t * t, lambda t: 2 * t),
+        (math.exp, math.exp),
+        (math.sin, math.cos),
+    ])
+    def test_closed_form_determinant_matches_formula(self, f, fp):
+        jac = kron.jacobian_matrix_function(f, GOLDEN)
+        formula = kron.theoretical_jacdet(f, fp, np.linalg.eigvalsh(GOLDEN))
+        assert float(np.linalg.det(jac)) == pytest.approx(formula, rel=1e-6)
+
 
 class TestJacobianDeterminants:
     def _lam(self):
@@ -261,7 +294,7 @@ class TestJacobianDeterminants:
         (math.sin, math.cos, 1e-2),
     ])
     def test_fd_determinant_matches_formula(self, f, fp, tol):
-        jac = kron.jacobian_matrix_function(f, GOLDEN)
+        jac = kron.jacobian_matrix_function_fd(f, GOLDEN)
         fd_det = float(np.linalg.det(jac))
         formula = kron.theoretical_jacdet(f, fp, self._lam())
         assert fd_det == pytest.approx(formula, rel=tol)
