@@ -76,11 +76,6 @@ def _write(text: str, out_path) -> None:
 # ---------------------------------------------------------------------------
 # check: every module's fast invariant suite
 
-def _squares_matrix(seed):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((4, 4))
-
-
 def _suite_kron(seed):
     worst = kron.kron_identity_suite(seed=seed, trials=50)
     return max(worst.values()), 1e-10, worst
@@ -118,16 +113,9 @@ def _suite_matrix_rules(seed):
 
 
 def _suite_tridiag(seed):
-    prob = linsys_adjoint.random_instance(64, seed=seed)
-    with counting.tally() as counted:
-        grad = linsys_adjoint.grad_g(prob)
-    rng = np.random.default_rng(seed + 1)
-    dp = rng.uniform(-1.0, 1.0, size=prob.n - 1) * 1e-6 * (1.0 + np.abs(prob.p))
-    directional = float(grad @ dp)
-    actual = linsys_adjoint.fd_directional(prob, dp)
-    rel = abs(directional - actual) / abs(directional)
-    ok_solves = 0.0 if counted.solves == 2 else 1.0
-    return max(rel, ok_solves), 1e-3, {"fd_rel_err": rel, "solves": counted.solves}
+    _, _, _, _, rel, solves = _tridiag_gradient_check(64, seed)
+    ok_solves = 0.0 if solves == 2 else 1.0
+    return max(rel, ok_solves), 1e-3, {"fd_rel_err": rel, "solves": solves}
 
 
 def _suite_ode(seed):
@@ -158,29 +146,12 @@ def _suite_eig(seed):
 
 
 def _suite_second_order(seed):
-    f = lambda xs: sf.sin(xs[0]) + xs[0] * xs[0] * sf.powi(xs[1], 3)
-    x = np.array([0.7, 1.3])
-    h, defect = second_order.hessian(f, x, return_defect=True)
-    x1, x2 = x
-    exact = np.array(
-        [
-            [-math.sin(x1) + 2.0 * x2**3, 6.0 * x1 * x2**2],
-            [6.0 * x1 * x2**2, 6.0 * x1**2 * x2],
-        ]
-    )
-    r = fdcheck.relative_error(h, exact)
+    _, _, _, r, defect = _hessian_vs_closed_form()
     return max(r, defect), 1e-10, {"closed_form": r, "symmetry_defect": defect}
 
 
 def _suite_fd_sweep(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((4, 4))
-    d = fdcheck.gaussian_direction(rng, (4, 4))
-    scales = [10.0 ** (-k) for k in range(0, 17)]
-    rows = fdcheck.error_sweep(
-        lambda m: m @ m, lambda dm: a @ dm + dm @ a, a, d, scales
-    )
-    argmin = fdcheck.best_scale(rows)
+    argmin = fdcheck.best_scale(run_fdsweep(seed))
     ok = 1e-10 <= argmin <= 1e-6
     return (0.0 if ok else 1.0), 0.5, {"argmin_scale": argmin}
 
@@ -234,9 +205,11 @@ def run_fdsweep(seed: int = 0):
 # ---------------------------------------------------------------------------
 # tridiag
 
-def run_tridiag(n: int = 100, seed: int = 0):
+def _tridiag_gradient_check(n: int, seed: int):
+    """Adjoint gradient of the seeded size-n tridiagonal instance, checked
+    along a random direction against a forward difference; returns (prob,
+    grad, directional, fd, rel_err, solve_count)."""
     prob = linsys_adjoint.random_instance(n, seed=seed)
-    g = linsys_adjoint.g_eval(prob)
     with counting.tally() as counted:
         grad = linsys_adjoint.grad_g(prob)
     rng = np.random.default_rng(seed + 1)
@@ -244,7 +217,13 @@ def run_tridiag(n: int = 100, seed: int = 0):
     directional = float(grad @ dp)
     fd = linsys_adjoint.fd_directional(prob, dp)
     rel = abs(directional - fd) / abs(directional)
-    ok = rel <= 1e-3 and counted.solves == 2
+    return prob, grad, directional, fd, rel, counted.solves
+
+
+def run_tridiag(n: int = 100, seed: int = 0):
+    prob, grad, directional, fd, rel, solves = _tridiag_gradient_check(n, seed)
+    g = linsys_adjoint.g_eval(prob)
+    ok = rel <= 1e-3 and solves == 2
     report = _report(
         seed,
         {"subcommand": "tridiag", "n": n},
@@ -254,7 +233,7 @@ def run_tridiag(n: int = 100, seed: int = 0):
         fd_directional=fd,
         directional=directional,
         rel_err=rel,
-        solve_count=counted.solves,
+        solve_count=solves,
         passed=ok,
     )
     return (0 if ok else 1), report
@@ -371,7 +350,9 @@ def eig_csv(rows) -> str:
 # ---------------------------------------------------------------------------
 # hessian-demo
 
-def run_hessian_demo(seed: int = 0):
+def _hessian_vs_closed_form():
+    """Assembled Hessian of sin(x1) + x1^2 x2^3 at (0.7, 1.3) beside its
+    closed form; returns (x, hessian, exact, rel_err, symmetry_defect)."""
     f = lambda xs: sf.sin(xs[0]) + xs[0] * xs[0] * sf.powi(xs[1], 3)
     x = np.array([0.7, 1.3])
     h, defect = second_order.hessian(f, x, return_defect=True)
@@ -382,7 +363,11 @@ def run_hessian_demo(seed: int = 0):
             [6.0 * x1 * x2**2, 6.0 * x1**2 * x2],
         ]
     )
-    rel = fdcheck.relative_error(h, exact)
+    return x, h, exact, fdcheck.relative_error(h, exact), defect
+
+
+def run_hessian_demo(seed: int = 0):
+    x, h, exact, rel, defect = _hessian_vs_closed_form()
     bowl = lambda xs: xs[0] * xs[0] + 2.0 * xs[1] * xs[1]
     step = second_order.newton_min_step(bowl, np.array([1.0, -1.0]))
     ok = rel <= 1e-10 and defect <= 1e-10 and step.classification == "minimum"

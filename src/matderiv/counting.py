@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -27,7 +27,6 @@ class Counter:
     solves: int = 0             # linear-system solve events
     rhs_components: int = 0     # ODE right-hand-side component evaluations
     integrations: int = 0       # full ODE integration passes
-    extra: dict = field(default_factory=dict)
 
 
 _local = threading.local()

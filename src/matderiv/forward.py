@@ -27,8 +27,9 @@ _NUM = (int, float, np.integer, np.floating)
 class Dual:
     """Dual number val + deriv*eps with eps**2 = 0.
 
-    Promoting a constant r gives (r, 0).  Comparisons order by the primal
-    value only, so branches behave exactly as they would on plain floats.
+    Promoting a constant r gives (r, 0).  Comparisons, equality included,
+    read the primal value only, so branches behave exactly as they would on
+    plain floats.
     """
 
     __slots__ = ("val", "deriv")
@@ -90,6 +91,11 @@ class Dual:
     # comparisons read the primal only ------------------------------------
     def _cmp_val(self, other) -> float:
         return other.val if isinstance(other, Dual) else float(other)
+
+    def __eq__(self, other):
+        if not isinstance(other, (Dual, *_NUM)):
+            return NotImplemented
+        return self.val == self._cmp_val(other)
 
     def __lt__(self, other):
         return self.val < self._cmp_val(other)

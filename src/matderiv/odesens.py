@@ -10,9 +10,11 @@ du/dt = f(u, p, t), u(0) = u0(p):
   dv/dt = (dg/du)^T - (df/du)^T v, then
   grad G = -(du0/dp)^T v(0) + int [(dg/dp)^T - (df/dp)^T v] dt.
 
-Both use classical RK4 on a fixed grid; the backward pass reconstructs u(t)
-between stored nodes by cubic Hermite interpolation from the stored states
-and slopes.  Quadratures are composite Simpson (even step count required).
+Every pass -- the plain trajectory, the augmented forward system
+y = [u, vec S] and the backward adjoint sweeps -- runs through one classical
+RK4 stepper on a fixed grid.  The backward sweeps read u(t) at interval
+midpoints from cubic Hermite interpolation of the stored states and slopes.
+Quadratures are composite Simpson (even step count required).
 
 A third variant handles sums of point-in-time data misfits: the adjoint
 jumps by (dg_k/du)^T at each data time while an accumulator integrates the
@@ -76,9 +78,10 @@ class Trajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def interp_state(self, i: int, s: float) -> np.ndarray:
+    def interp_state(self, i: int | np.ndarray, s: float) -> np.ndarray:
         """Cubic Hermite reconstruction of u at times[i] + s * dt, s in
-        [0, 1], matching values and slopes at both ends of the interval."""
+        [0, 1], matching values and slopes at both ends of the interval.
+        ``i`` may be an index array, giving one row per interval."""
         dt = self.dt
         h00 = 2 * s**3 - 3 * s**2 + 1
         h10 = s**3 - 2 * s**2 + s
@@ -92,51 +95,76 @@ class Trajectory:
         )
 
 
-def _check_steps(n_steps: int) -> None:
+def _grid(prob: OdeProblem, n_steps: int):
+    """(times, dt) of the uniform n_steps grid on [0, t_final]."""
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ContractError(f"n_steps must be a positive integer, got {n_steps!r}")
+    return np.linspace(0.0, prob.t_final, n_steps + 1), prob.t_final / n_steps
+
+
+def _check_finite(y, step_index: int, what: str) -> None:
+    if not np.isfinite(y).all():
+        raise BlowUpError(f"{what} became non-finite", step_index=step_index)
+
+
+def _rk4(rhs, y, times, dt: float, what: str, backward: bool = False, kicks=None):
+    """Classical RK4 over the grid ``times`` with step dt, from the first
+    node to the last, or from the last to the first when ``backward``.
+
+    ``rhs(y, t, k)`` gets the stage's half-step position k: node i is 2i and
+    the midpoint of interval i is 2i + 1, for right-hand sides that read a
+    stored trajectory there.  ``kicks[i]`` is added to y on arrival at node
+    i (the starting node included).  A non-finite y raises BlowUpError with
+    the index of the node the step started from.  Returns (ys, k1s), both
+    indexed by node: y at every node and the first-stage slope of the step
+    leaving each node (the row of the final node is left to the caller).
+    """
+    m = len(times) - 1
+    nodes, h = (range(m, -1, -1), -dt) if backward else (range(m + 1), dt)
+    kicks = kicks or {}
+    ys = np.empty((m + 1,) + y.shape)
+    k1s = np.empty_like(ys)
+    if nodes[0] in kicks:
+        y = y + kicks[nodes[0]]
+    ys[nodes[0]] = y
+    for a, b in zip(nodes, nodes[1:]):
+        ta = times[a]
+        k1 = rhs(y, ta, 2 * a)
+        k2 = rhs(y + 0.5 * h * k1, ta + 0.5 * h, a + b)
+        k3 = rhs(y + 0.5 * h * k2, ta + 0.5 * h, a + b)
+        k4 = rhs(y + h * k3, times[b], 2 * b)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        _check_finite(y, a, what)
+        if b in kicks:
+            y = y + kicks[b]
+        k1s[a] = k1
+        ys[b] = y
+    counting.add_integration(1)
+    return ys, k1s
 
 
 def integrate_rk4(prob: OdeProblem, n_steps: int) -> Trajectory:
     """Classical 4-stage Runge-Kutta on a uniform grid."""
-    _check_steps(n_steps)
+    times, dt = _grid(prob, n_steps)
     p = prob.p
     u = as_vector(prob.u0(p))
     n = len(u)
-    dt = prob.t_final / n_steps
-    times = np.linspace(0.0, prob.t_final, n_steps + 1)
-    states = np.empty((n_steps + 1, n))
-    slopes = np.empty((n_steps + 1, n))
-    states[0] = u
 
-    def fcall(u, t):
+    def f(u, t, _k):
         counting.add_rhs_components(n)
         return np.asarray(prob.f(u, p, t), dtype=float)
 
-    for i in range(n_steps):
-        t = times[i]
-        k1 = fcall(u, t)
-        slopes[i] = k1
-        k2 = fcall(u + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = fcall(u + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = fcall(u + dt * k3, t + dt)
-        u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(u)):
-            raise BlowUpError("state became non-finite", step_index=i)
-        states[i + 1] = u
-    slopes[n_steps] = fcall(u, times[n_steps])
-    counting.add_integration(1)
+    states, slopes = _rk4(f, u, times, dt, "state")
+    slopes[n_steps] = f(states[n_steps], times[n_steps], None)
     return Trajectory(times, states, slopes)
 
 
 def integrate_euler(prob: OdeProblem, n_steps: int) -> Trajectory:
     """Explicit Euler on the same grid (the order-1 yardstick)."""
-    _check_steps(n_steps)
+    times, dt = _grid(prob, n_steps)
     p = prob.p
     u = as_vector(prob.u0(p))
     n = len(u)
-    dt = prob.t_final / n_steps
-    times = np.linspace(0.0, prob.t_final, n_steps + 1)
     states = np.empty((n_steps + 1, n))
     slopes = np.empty((n_steps + 1, n))
     states[0] = u
@@ -145,8 +173,7 @@ def integrate_euler(prob: OdeProblem, n_steps: int) -> Trajectory:
         k = np.asarray(prob.f(u, p, times[i]), dtype=float)
         slopes[i] = k
         u = u + dt * k
-        if not np.all(np.isfinite(u)):
-            raise BlowUpError("state became non-finite", step_index=i)
+        _check_finite(u, i, "state")
         states[i + 1] = u
     counting.add_rhs_components(n)
     slopes[n_steps] = np.asarray(prob.f(u, p, times[n_steps]), dtype=float)
@@ -155,11 +182,11 @@ def integrate_euler(prob: OdeProblem, n_steps: int) -> Trajectory:
 
 
 def forward_sensitivity(prob: OdeProblem, n_steps: int):
-    """RK4 on the augmented system (u, S); returns (Trajectory, S_nodes)
-    with S_nodes of shape (n_steps + 1, n, N).  Differentiating *inside* the
-    integrator this way makes the result the exact derivative of the
-    discrete trajectory."""
-    _check_steps(n_steps)
+    """RK4 on the augmented system y = [u, vec S]; returns (Trajectory,
+    S_nodes) with S_nodes of shape (n_steps + 1, n, N).  Differentiating
+    *inside* the integrator this way makes the result the exact derivative
+    of the discrete trajectory."""
+    times, dt = _grid(prob, n_steps)
     p = prob.p
     n_par = len(p)
     u = as_vector(prob.u0(p))
@@ -167,37 +194,20 @@ def forward_sensitivity(prob: OdeProblem, n_steps: int):
     s = np.asarray(prob.du0dp(p), dtype=float)
     if s.shape != (n, n_par):
         raise ShapeError(f"du0dp must be {n}x{n_par}, got {s.shape}")
-    dt = prob.t_final / n_steps
-    times = np.linspace(0.0, prob.t_final, n_steps + 1)
-    states = np.empty((n_steps + 1, n))
-    slopes = np.empty((n_steps + 1, n))
-    sens = np.empty((n_steps + 1, n, n_par))
-    states[0] = u
-    sens[0] = s
 
-    def aug(u, s, t):
+    def aug(y, t, _k):
         counting.add_rhs_components(n * (1 + n_par))
+        u = y[:n]
         fu = np.asarray(prob.f(u, p, t), dtype=float)
         a = np.asarray(prob.dfdu(u, p, t), dtype=float)
         b = np.asarray(prob.dfdp(u, p, t), dtype=float)
-        return fu, a @ s + b
+        return np.concatenate((fu, (a @ y[n:].reshape(n, n_par) + b).ravel()))
 
-    for i in range(n_steps):
-        t = times[i]
-        k1u, k1s = aug(u, s, t)
-        slopes[i] = k1u
-        k2u, k2s = aug(u + 0.5 * dt * k1u, s + 0.5 * dt * k1s, t + 0.5 * dt)
-        k3u, k3s = aug(u + 0.5 * dt * k2u, s + 0.5 * dt * k2s, t + 0.5 * dt)
-        k4u, k4s = aug(u + dt * k3u, s + dt * k3s, t + dt)
-        u = u + (dt / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        s = s + (dt / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(s))):
-            raise BlowUpError("state or sensitivity became non-finite", step_index=i)
-        states[i + 1] = u
-        sens[i + 1] = s
-    slopes[n_steps], _ = aug(u, s, times[n_steps])
-    counting.add_integration(1)
-    return Trajectory(times, states, slopes), sens
+    ys, slopes = _rk4(aug, np.concatenate((u, s.ravel())), times, dt,
+                      "state or sensitivity")
+    slopes[n_steps] = aug(ys[n_steps], times[n_steps], None)
+    sens = ys[:, n:].reshape(n_steps + 1, n, n_par)
+    return Trajectory(times, ys[:, :n], slopes[:, :n]), sens
 
 
 def simpson(vals, dt: float):
@@ -233,39 +243,14 @@ def grad_G_forward(prob: OdeProblem, n_steps: int) -> np.ndarray:
     return simpson(vals, traj.dt)
 
 
-def _backward_rk4(traj: Trajectory, rhs, y_final, jumps=None):
-    """RK4 backward over the trajectory grid; ``rhs(y, u, t)`` gets the
-    Hermite-reconstructed state at stage times.  ``jumps`` maps node index
-    to a list of callables y -> y applied on arrival at that node (latest
-    time first).  Returns y at every node."""
-    times = traj.times
-    n_steps = traj.n_steps
-    dt = traj.dt
-    y = np.array(y_final, dtype=float)
-    ys = np.empty((n_steps + 1,) + y.shape)
-    if jumps and n_steps in jumps:
-        for j in jumps[n_steps]:
-            y = j(y)
-    ys[n_steps] = y
-    h = -dt
-    for i in range(n_steps, 0, -1):
-        t1 = times[i]
-        u1 = traj.states[i]
-        um = traj.interp_state(i - 1, 0.5)
-        u0 = traj.states[i - 1]
-        k1 = rhs(y, u1, t1)
-        k2 = rhs(y + 0.5 * h * k1, um, t1 + 0.5 * h)
-        k3 = rhs(y + 0.5 * h * k2, um, t1 + 0.5 * h)
-        k4 = rhs(y + h * k3, u0, times[i - 1])
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise BlowUpError("adjoint state became non-finite", step_index=i)
-        if jumps and (i - 1) in jumps:
-            for j in jumps[i - 1]:
-                y = j(y)
-        ys[i - 1] = y
-    counting.add_integration(1)
-    return ys
+def _stage_states(traj: Trajectory) -> np.ndarray:
+    """u at the half-step positions of ``_rk4``: row 2i is node i, row
+    2i + 1 the Hermite midpoint of interval i."""
+    m = traj.n_steps
+    u = np.empty((2 * m + 1, traj.states.shape[1]))
+    u[0::2] = traj.states
+    u[1::2] = traj.interp_state(np.arange(m), 0.5)
+    return u
 
 
 def adjoint_solve(prob: OdeProblem, traj: Trajectory) -> np.ndarray:
@@ -273,14 +258,17 @@ def adjoint_solve(prob: OdeProblem, traj: Trajectory) -> np.ndarray:
     integrated backward."""
     p = prob.p
     n = traj.states.shape[1]
+    u_at = _stage_states(traj)
 
-    def rhs(v, u, t):
+    def rhs(v, t, k):
         counting.add_rhs_components(n)
+        u = u_at[k]
         return np.asarray(prob.dgdu(u, p, t), dtype=float) - np.asarray(
             prob.dfdu(u, p, t), dtype=float
         ).T @ v
 
-    return _backward_rk4(traj, rhs, np.zeros(n))
+    return _rk4(rhs, np.zeros(n), traj.times, traj.dt, "adjoint state",
+                backward=True)[0]
 
 
 def grad_G_adjoint(prob: OdeProblem, n_steps: int) -> np.ndarray:
@@ -326,36 +314,31 @@ def grad_G_discrete_data(prob: OdeProblem, data_times, g_k_list, n_steps: int) -
     p = prob.p
     n = traj.states.shape[1]
     n_par = len(p)
-    jumps: dict[int, list] = {}
+    # v gains +(dg_k/du)^T across t_k in forward time; marching backward
+    # we arrive with v(t_k+) and leave with v(t_k-), so subtract on arrival.
+    kicks: dict[int, np.ndarray] = {}
+    direct = np.zeros(n_par)
     for t_k, term in zip(data_times, g_k_list):
         idx = _node_index(float(t_k), traj.dt, n_steps)
+        u_k = traj.states[idx]
+        kick = kicks.setdefault(idx, np.zeros(n + n_par))
+        kick[:n] -= np.asarray(term.dgdu(u_k, p), dtype=float)
+        if term.dgdp is not None:
+            direct += np.asarray(term.dgdp(u_k, p), dtype=float)
+    u_at = _stage_states(traj)
 
-        # v gains +(dg_k/du)^T across t_k in forward time; marching backward
-        # we arrive with v(t_k+) and leave with v(t_k-), so subtract here.
-        def jump(y, term=term, idx=idx):
-            y = y.copy()
-            y[:n] -= np.asarray(term.dgdu(traj.states[idx], p), dtype=float)
-            return y
-
-        jumps.setdefault(idx, []).append(jump)
-
-    def rhs(y, u, t):
+    def rhs(y, t, k):
         counting.add_rhs_components(n)
+        u = u_at[k]
         v = y[:n]
         a = np.asarray(prob.dfdu(u, p, t), dtype=float)
         b = np.asarray(prob.dfdp(u, p, t), dtype=float)
         return np.concatenate([-a.T @ v, b.T @ v])
 
-    ys = _backward_rk4(traj, rhs, np.zeros(n + n_par), jumps=jumps)
-    v0 = ys[0, :n]
-    w0 = ys[0, n:]
+    ys, _ = _rk4(rhs, np.zeros(n + n_par), traj.times, traj.dt,
+                 "adjoint state", backward=True, kicks=kicks)
     s0 = np.asarray(prob.du0dp(p), dtype=float)
-    grad = -s0.T @ v0 + w0
-    for t_k, term in zip(data_times, g_k_list):
-        if term.dgdp is not None:
-            idx = _node_index(float(t_k), traj.dt, n_steps)
-            grad = grad + np.asarray(term.dgdp(traj.states[idx], p), dtype=float)
-    return grad
+    return -s0.T @ ys[0, :n] + ys[0, n:] + direct
 
 
 def loss_discrete(prob: OdeProblem, data_times, g_k_list, n_steps: int) -> float:
@@ -371,10 +354,9 @@ def loss_discrete(prob: OdeProblem, data_times, g_k_list, n_steps: int) -> float
     return total
 
 
-def grad_G_fd(prob: OdeProblem, n_steps: int, rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of the Simpson-discretized loss; the slow
-    reference route (one pair of integrations per parameter)."""
-    p = prob.p
+def _central_difference(loss, p: np.ndarray, rel_step: float) -> np.ndarray:
+    """Central-difference gradient of loss(p), one pair of evaluations per
+    parameter."""
     grad = np.empty(len(p))
     for k in range(len(p)):
         h = rel_step * (1.0 + abs(p[k]))
@@ -382,28 +364,26 @@ def grad_G_fd(prob: OdeProblem, n_steps: int, rel_step: float = 1e-6) -> np.ndar
         pp[k] += h
         pm = p.copy()
         pm[k] -= h
-        up = prob.with_p(pp)
-        um = prob.with_p(pm)
-        gp = loss_G(up, integrate_rk4(up, n_steps))
-        gm = loss_G(um, integrate_rk4(um, n_steps))
-        grad[k] = (gp - gm) / (2.0 * h)
+        grad[k] = (loss(pp) - loss(pm)) / (2.0 * h)
     return grad
+
+
+def grad_G_fd(prob: OdeProblem, n_steps: int, rel_step: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of the Simpson-discretized loss; the slow
+    reference route (one pair of integrations per parameter)."""
+    def loss(p):
+        q = prob.with_p(p)
+        return loss_G(q, integrate_rk4(q, n_steps))
+
+    return _central_difference(loss, prob.p, rel_step)
 
 
 def grad_discrete_fd(prob: OdeProblem, data_times, g_k_list, n_steps: int,
                      rel_step: float = 1e-6):
-    p = prob.p
-    grad = np.empty(len(p))
-    for k in range(len(p)):
-        h = rel_step * (1.0 + abs(p[k]))
-        pp = p.copy()
-        pp[k] += h
-        pm = p.copy()
-        pm[k] -= h
-        gp = loss_discrete(prob.with_p(pp), data_times, g_k_list, n_steps)
-        gm = loss_discrete(prob.with_p(pm), data_times, g_k_list, n_steps)
-        grad[k] = (gp - gm) / (2.0 * h)
-    return grad
+    return _central_difference(
+        lambda p: loss_discrete(prob.with_p(p), data_times, g_k_list, n_steps),
+        prob.p, rel_step,
+    )
 
 
 def reference_instance(p=(1.0, 0.5, -0.2), t_final: float = 1.0) -> OdeProblem:

@@ -96,8 +96,8 @@ class Var:
         if not isinstance(k, (int, np.integer)):
             raise ContractError(f"integer powers only, got exponent {k!r}")
         k = int(k)
-        if fwd.primal(self.val) == 0.0 and k < 1:
-            raise DomainError("power of a zero primal with exponent < 1")
+        if fwd.primal(self.val) == 0.0 and k < 0:
+            raise DomainError("negative power of a zero primal")
         if k == 0:
             return self.tape.lift(1.0)
         val = self.val**k
@@ -109,6 +109,11 @@ class Var:
         if isinstance(other, Var):
             return fwd.primal(other.val)
         return fwd.primal(other)
+
+    def __eq__(self, other):
+        if not isinstance(other, (Var, *_SCALARLIKE)):
+            return NotImplemented
+        return fwd.primal(self.val) == self._cmp_val(other)
 
     def __lt__(self, other):
         return fwd.primal(self.val) < self._cmp_val(other)

@@ -93,6 +93,95 @@ class TestIntegrators:
         assert c.integrations == 1
 
 
+class TestExactCounts:
+    """The nominal cost model at n = 20 steps, N = 3 parameters."""
+
+    N = 20
+
+    def test_forward_sensitivity(self):
+        with counting.tally() as c:
+            odesens.forward_sensitivity(reference_instance(), self.N)
+        assert (c.rhs_components, c.integrations) == \
+            ((4 * self.N + 1) * (1 + 3), 1) == (324, 1)
+
+    def test_discrete_data_adjoint(self):
+        g_k = [DataTerm(dgdu=lambda u, p: np.array([2.0 * u[0]]))]
+        with counting.tally() as c:
+            odesens.grad_G_discrete_data(reference_instance(), [0.5], g_k, self.N)
+        assert (c.rhs_components, c.integrations) == \
+            ((4 * self.N + 1) + 4 * self.N, 2) == (161, 2)
+
+    def test_fd_routes(self):
+        prob = reference_instance()
+        g_k = [DataTerm(dgdu=lambda u, p: np.array([2.0 * u[0]]),
+                        g=lambda u, p: u[0] ** 2)]
+        with counting.tally() as c_int:
+            odesens.grad_G_fd(prob, self.N)
+        with counting.tally() as c_data:
+            odesens.grad_discrete_fd(prob, [0.5], g_k, self.N)
+        for c in (c_int, c_data):
+            assert (c.rhs_components, c.integrations) == \
+                (6 * (4 * self.N + 1), 6) == (486, 6)
+
+
+class TestBlowUpStepIndex:
+    """An rhs that turns nan from a chosen time on pins the reported step.
+
+    On the 10-step grid of [0, 1], forward step i has stages at 0.1 i,
+    0.1 i + 0.05 (twice) and 0.1 (i + 1); backward step i (from node i to
+    i - 1) at 0.1 i, 0.1 i - 0.05 (twice) and 0.1 (i - 1)."""
+
+    @staticmethod
+    def _problem(**over):
+        base = dict(
+            f=lambda u, p, t: np.array([p[0] * u[0]]),
+            dfdu=lambda u, p, t: np.array([[p[0]]]),
+            dfdp=lambda u, p, t: np.array([[u[0]]]),
+            u0=lambda p: np.ones(1),
+            du0dp=lambda p: np.zeros((1, 1)),
+            g=lambda u, p, t: u[0],
+            dgdu=lambda u, p, t: np.ones(1),
+            dgdp=lambda u, p, t: np.zeros(1),
+            t_final=1.0,
+            p=np.array([0.5]),
+        )
+        base.update(over)
+        return odesens.OdeProblem(**base)
+
+    def test_integrate_rk4(self):
+        """Stage 2 of step 4 sits at t = 0.45, the first stage past 0.42."""
+        prob = self._problem(f=lambda u, p, t: np.array(
+            [u[0] * (np.nan if t > 0.42 else 1.0)]))
+        with pytest.raises(BlowUpError) as err:
+            odesens.integrate_rk4(prob, 10)
+        assert err.value.step_index == 4
+
+    def test_forward_sensitivity_state(self):
+        prob = self._problem(f=lambda u, p, t: np.array(
+            [u[0] * (np.nan if t > 0.62 else 1.0)]))
+        with pytest.raises(BlowUpError) as err:
+            odesens.forward_sensitivity(prob, 10)
+        assert err.value.step_index == 6
+
+    def test_forward_sensitivity_columns(self):
+        """Only S goes non-finite; the state stays finite."""
+        prob = self._problem(dfdp=lambda u, p, t: np.array(
+            [[u[0] * (np.nan if t > 0.22 else 1.0)]]))
+        with pytest.raises(BlowUpError) as err:
+            odesens.forward_sensitivity(prob, 10)
+        assert err.value.step_index == 2
+
+    def test_adjoint_solve(self):
+        """Backward from t = 1: the step leaving node 6 has a stage at 0.55,
+        the first one below 0.58."""
+        prob = self._problem(dgdu=lambda u, p, t: np.array(
+            [np.nan if t < 0.58 else 1.0]))
+        traj = odesens.integrate_rk4(prob, 10)
+        with pytest.raises(BlowUpError) as err:
+            odesens.adjoint_solve(prob, traj)
+        assert err.value.step_index == 6
+
+
 class TestTrajectory:
     def test_grid_properties(self):
         traj = odesens.integrate_rk4(_exponential_problem(), 8)
@@ -105,6 +194,14 @@ class TestTrajectory:
                                    rtol=1e-15)
         np.testing.assert_allclose(traj.interp_state(3, 1.0), traj.states[4],
                                    rtol=1e-15)
+
+    def test_hermite_index_array_matches_per_interval_calls(self):
+        """The backward sweeps build every midpoint in one call; each row is
+        bitwise the one-interval reconstruction."""
+        traj = odesens.integrate_rk4(reference_instance(), 12)
+        rows = traj.interp_state(np.arange(12), 0.5)
+        for i in range(12):
+            np.testing.assert_array_equal(rows[i], traj.interp_state(i, 0.5))
 
     def test_hermite_midpoint_accuracy(self):
         """Cubic Hermite reconstruction is 4th-order accurate between
@@ -281,6 +378,28 @@ class TestDiscreteData:
                         g=lambda u, p: u[0] ** 2)]
         got = odesens.grad_G_discrete_data(prob, [1.0], g_k, n_steps)
         fd = odesens.grad_discrete_fd(prob, [1.0], g_k, n_steps)
+        np.testing.assert_allclose(got, fd, rtol=1e-6)
+
+    def test_misfit_at_the_initial_time(self):
+        """A data point at t = 0 jumps v(0), which reaches the gradient
+        through du0/dp."""
+        prob = odesens.OdeProblem(
+            f=lambda u, p, t: np.array([p[0] * u[0]]),
+            dfdu=lambda u, p, t: np.array([[p[0]]]),
+            dfdp=lambda u, p, t: np.array([[u[0], 0.0]]),
+            u0=lambda p: np.array([p[1]]),
+            du0dp=lambda p: np.array([[0.0, 1.0]]),
+            g=lambda u, p, t: 0.0,
+            dgdu=lambda u, p, t: np.zeros(1),
+            dgdp=lambda u, p, t: np.zeros(2),
+            t_final=1.0,
+            p=np.array([0.3, 1.2]),
+        )
+        g_k = [DataTerm(dgdu=lambda u, p, y=y: np.array([2.0 * (u[0] - y)]),
+                        g=lambda u, p, y=y: (u[0] - y) ** 2)
+               for y in (0.5, 2.0)]
+        got = odesens.grad_G_discrete_data(prob, [0.0, 1.0], g_k, 64)
+        fd = odesens.grad_discrete_fd(prob, [0.0, 1.0], g_k, 64)
         np.testing.assert_allclose(got, fd, rtol=1e-6)
 
     def test_explicit_parameter_dependence(self):

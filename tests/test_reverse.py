@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import progen
-from matderiv import forward, reverse, scalarfn as sf
+from matderiv import forward, reverse, scalarfn as sf, second_order
 from matderiv.errors import ContractError, DomainError, ShapeError
 from matderiv.reverse import Tape, Var, gradient, vjp
 
@@ -182,3 +182,39 @@ class TestCrossMode:
             g = gradient(prog, prog.x0)
             fwd_dir = forward.directional_derivative(prog, prog.x0, v)[0]
             assert g @ v == pytest.approx(fwd_dir, rel=1e-9, abs=1e-11)
+
+
+class TestModesAgree:
+    """Float evaluation, forward mode, reverse mode and forward-over-reverse
+    give the same value and derivative on the same program text."""
+
+    @staticmethod
+    def _all_modes(f, x):
+        return (
+            f(x),
+            forward.derivative(f, x),
+            float(gradient(lambda xs: f(xs[0]), [x])[0]),
+            float(second_order.hessian(lambda xs: f(xs[0]), [x])[0, 0]),
+        )
+
+    def test_zeroth_power_of_zero(self):
+        """x**0 = 1 with derivative 0 everywhere, x = 0 included."""
+        f = lambda x: sf.powi(x, 0)
+        assert self._all_modes(f, 0.0) == (1.0, 0.0, 0.0, 0.0)
+
+    def test_equality_reads_the_primal(self):
+        """``==`` and ``!=`` branch on the primal, as ``<`` and ``>`` do:
+        at x = 1 every mode takes the x*x branch (value 1, slope 2,
+        curvature 2)."""
+        f_eq = lambda x: x * x if x == 1.0 else 3.0 * x
+        f_ne = lambda x: 3.0 * x if x != 1.0 else x * x
+        for f in (f_eq, f_ne):
+            assert self._all_modes(f, 1.0) == (1.0, 2.0, 2.0, 2.0)
+            assert self._all_modes(f, 2.0) == (6.0, 3.0, 3.0, 0.0)
+
+    def test_equality_between_variables(self):
+        tape = Tape()
+        a, b = tape.input(2.0), tape.input(2.0)
+        assert a == b and not a != b
+        assert forward.Dual(2.0, 1.0) == forward.Dual(2.0, -1.0) == 2.0
+        assert forward.Dual(2.0, 1.0) != 3.0
