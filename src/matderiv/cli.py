@@ -1,5 +1,12 @@
 """Command-line driver: verification suites and reproducible experiment runs.
 
+Every subcommand is one entry of the ``_COMMANDS`` table: its name and help,
+the formats it can write (the first is the default ``--format``), its extra
+integer flag (``--n`` or ``--steps``, validated by its argparse type), and a
+runner mapping the parsed arguments to (exit code, JSON report, CSV text or
+None).  The parser is built from the table and ``main`` is one generic body,
+so parsing, validation, dispatch and output live in one place.
+
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 numeric error
 (singularity / degeneracy / blow-up).  JSON reports always carry
 tool_version, seed, config, and residuals; CSV outputs always start with a
@@ -15,6 +22,7 @@ import io
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,6 +81,11 @@ def _write(text: str, out_path) -> None:
             sys.stdout.write("\n")
 
 
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row of numbers written by repr."""
+    return header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # check: every module's fast invariant suite
 
@@ -127,11 +140,7 @@ def _suite_ode(seed):
 
 
 def _suite_eig(seed):
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((5, 5))
-    s = 0.5 * (raw + raw.T) + np.diag(np.arange(5, dtype=float))
-    ds_raw = rng.standard_normal((5, 5))
-    ds = 0.5 * (ds_raw + ds_raw.T)
+    s, ds = _symmetric_instance(5, seed)
     dec = eigsens.decompose(s)
     dl = eigsens.dlambda(dec, ds)
     r1 = abs(float(np.sum(dl)) - float(np.trace(ds)))
@@ -151,7 +160,7 @@ def _suite_second_order(seed):
 
 
 def _suite_fd_sweep(seed):
-    argmin = fdcheck.best_scale(run_fdsweep(seed))
+    argmin = fdcheck.best_scale(_fdsweep_rows(seed))
     ok = 1e-10 <= argmin <= 1e-6
     return (0.0 if ok else 1.0), 0.5, {"argmin_scale": argmin}
 
@@ -168,12 +177,12 @@ _SUITES = [
 ]
 
 
-def run_check(seed: int = 0):
-    """Run every module's invariant suite; returns (exit_code, report)."""
+def run_check(args):
+    """Run every module's invariant suite; exit 1 if any misses its tolerance."""
     suites = {}
     all_ok = True
     for name, fn in _SUITES:
-        worst, tol, detail = fn(seed)
+        worst, tol, detail = fn(args.seed)
         ok = worst <= tol
         all_ok = all_ok and ok
         suites[name] = {
@@ -183,23 +192,37 @@ def run_check(seed: int = 0):
             "detail": detail,
         }
     residuals = {name: s["worst_residual"] for name, s in suites.items()}
-    report = _report(seed, {"subcommand": "check"}, residuals, suites=suites,
+    report = _report(args.seed, {"subcommand": "check"}, residuals, suites=suites,
                      passed=all_ok)
-    return (0 if all_ok else 1), report
+    return (0 if all_ok else 1), report, None
 
 
 # ---------------------------------------------------------------------------
 # fdsweep
 
-def run_fdsweep(seed: int = 0):
+def _fdsweep_rows(seed: int):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((4, 4))
     d = fdcheck.gaussian_direction(rng, (4, 4))
     scales = [10.0 ** (-k) for k in range(0, 17)]
-    rows = fdcheck.error_sweep(
+    return fdcheck.error_sweep(
         lambda m: m @ m, lambda dm: a @ dm + dm @ a, a, d, scales
     )
-    return rows
+
+
+def run_fdsweep(args):
+    rows = _fdsweep_rows(args.seed)
+    report = _report(
+        args.seed, {"subcommand": "fdsweep"},
+        {"min_rel_err": min(r.relative_error for r in rows)},
+        rows=[[r.scale, r.perturbation_norm, r.relative_error] for r in rows],
+    )
+    csv_text = None
+    if args.format == "csv":
+        buf = io.StringIO()
+        fdcheck.sweep_to_csv(rows, buf)
+        csv_text = buf.getvalue()
+    return 0, report, csv_text
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +230,24 @@ def run_fdsweep(seed: int = 0):
 
 def _tridiag_gradient_check(n: int, seed: int):
     """Adjoint gradient of the seeded size-n tridiagonal instance, checked
-    along a random direction against a forward difference; returns (prob,
-    grad, directional, fd, rel_err, solve_count)."""
+    along a random direction dp against the central difference
+    [g(p + dp) - g(p - dp)] / 2 (a forward difference's O(|dp|) error raises
+    false alarms at the 1e-3 tolerance); returns (prob, grad, directional,
+    fd, rel_err, solve_count)."""
     prob = linsys_adjoint.random_instance(n, seed=seed)
     with counting.tally() as counted:
         grad = linsys_adjoint.grad_g(prob)
     rng = np.random.default_rng(seed + 1)
     dp = rng.uniform(-1.0, 1.0, size=n - 1) * 1e-6 * (1.0 + np.abs(prob.p))
     directional = float(grad @ dp)
-    fd = linsys_adjoint.fd_directional(prob, dp)
+    g_at = lambda q: linsys_adjoint.g_eval(prob.with_p(q))
+    fd = fdcheck.central_diff(g_at, prob.p, dp)
     rel = abs(directional - fd) / abs(directional)
     return prob, grad, directional, fd, rel, counted.solves
 
 
-def run_tridiag(n: int = 100, seed: int = 0):
+def run_tridiag(args):
+    n, seed = args.n, args.seed
     prob, grad, directional, fd, rel, solves = _tridiag_gradient_check(n, seed)
     g = linsys_adjoint.g_eval(prob)
     ok = rel <= 1e-3 and solves == 2
@@ -236,13 +263,14 @@ def run_tridiag(n: int = 100, seed: int = 0):
         solve_count=solves,
         passed=ok,
     )
-    return (0 if ok else 1), report
+    return (0 if ok else 1), report, None
 
 
 # ---------------------------------------------------------------------------
 # odegrad
 
-def run_odegrad(steps: int = 2000, seed: int = 0, want_csv: bool = False):
+def run_odegrad(args):
+    steps = args.steps
     prob = odesens.reference_instance()
     traj = odesens.integrate_rk4(prob, steps)
     loss = odesens.loss_G(prob, traj)
@@ -257,7 +285,7 @@ def run_odegrad(steps: int = 2000, seed: int = 0, want_csv: bool = False):
     }
     ok = all(v <= 1e-3 for v in pair.values()) and counted.integrations == 2
     report = _report(
-        seed,
+        args.seed,
         {"subcommand": "odegrad", "steps": steps},
         pair,
         p=prob.p,
@@ -271,14 +299,12 @@ def run_odegrad(steps: int = 2000, seed: int = 0, want_csv: bool = False):
         passed=ok,
     )
     csv_text = None
-    if want_csv:
+    if args.format == "csv":  # the adjoint trajectory costs one more pass
         v = odesens.adjoint_solve(prob, traj)
-        buf = io.StringIO()
-        buf.write("t,u,v\n")
-        for i, t in enumerate(traj.times):
-            buf.write(f"{float(t)!r},{float(traj.states[i, 0])!r},"
-                      f"{float(v[i, 0])!r}\n")
-        csv_text = buf.getvalue()
+        csv_text = _csv("t,u,v", (
+            (float(t), float(traj.states[i, 0]), float(v[i, 0]))
+            for i, t in enumerate(traj.times)
+        ))
     return (0 if ok else 1), report, csv_text
 
 
@@ -294,7 +320,7 @@ def _jacdet_case(f, f_prime, s):
     return fd_det, formula, rel
 
 
-def run_jacdet(seed: int = 0):
+def run_jacdet(args):
     s = np.array([[float((i - j) ** 2) for j in range(3)] for i in range(3)])
     cases = {
         "square": (lambda t: t * t, lambda t: 2.0 * t),
@@ -309,20 +335,27 @@ def run_jacdet(seed: int = 0):
         out[name] = {"fd_det": fd_det, "formula": formula, "rel_diff": rel}
         residuals[name] = rel
         ok = ok and rel <= 1e-2 and (fd_det * formula > 0)
-    report = _report(seed, {"subcommand": "jacdet"}, residuals, cases=out,
+    report = _report(args.seed, {"subcommand": "jacdet"}, residuals, cases=out,
                      passed=ok)
-    return (0 if ok else 1), report
+    return (0 if ok else 1), report, None
 
 
 # ---------------------------------------------------------------------------
 # eig
 
-def run_eig(n: int = 5, seed: int = 0):
+def _symmetric_instance(n: int, seed: int):
+    """The seeded symmetric S, shifted by diag(0..n-1) to spread its
+    spectrum, and a symmetric direction dS."""
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n, n))
     s = 0.5 * (raw + raw.T) + np.diag(np.arange(n, dtype=float))
     ds_raw = rng.standard_normal((n, n))
-    ds = 0.5 * (ds_raw + ds_raw.T)
+    return s, 0.5 * (ds_raw + ds_raw.T)
+
+
+def run_eig(args):
+    n = args.n
+    s, ds = _symmetric_instance(n, args.seed)
     dec = eigsens.decompose(s)
     dl = eigsens.dlambda(dec, ds)
     h = 1e-6
@@ -336,15 +369,14 @@ def run_eig(n: int = 5, seed: int = 0):
         worst = max(worst, rel)
         rows.append((i, float(dl[i]), float(fd[i]), float(rel)))
     ok = worst <= 1e-4
-    return (0 if ok else 1), rows, worst
-
-
-def eig_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write("index,dlambda,fd,rel_err\n")
-    for i, dl, fd, rel in rows:
-        buf.write(f"{i},{dl!r},{fd!r},{rel!r}\n")
-    return buf.getvalue()
+    report = _report(
+        args.seed, {"subcommand": "eig", "n": n}, {"worst_rel_err": worst},
+        rows=[list(row) for row in rows], passed=ok,
+    )
+    csv_text = None
+    if args.format == "csv":
+        csv_text = _csv("index,dlambda,fd,rel_err", rows)
+    return (0 if ok else 1), report, csv_text
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +398,13 @@ def _hessian_vs_closed_form():
     return x, h, exact, fdcheck.relative_error(h, exact), defect
 
 
-def run_hessian_demo(seed: int = 0):
+def run_hessian_demo(args):
     x, h, exact, rel, defect = _hessian_vs_closed_form()
     bowl = lambda xs: xs[0] * xs[0] + 2.0 * xs[1] * xs[1]
     step = second_order.newton_min_step(bowl, np.array([1.0, -1.0]))
     ok = rel <= 1e-10 and defect <= 1e-10 and step.classification == "minimum"
     report = _report(
-        seed,
+        args.seed,
         {"subcommand": "hessian-demo"},
         {"closed_form_rel_err": rel, "symmetry_defect": defect},
         point=x,
@@ -382,10 +414,58 @@ def run_hessian_demo(seed: int = 0):
         newton_classification=step.classification,
         passed=ok,
     )
-    return (0 if ok else 1), report
+    return (0 if ok else 1), report, None
 
 
 # ---------------------------------------------------------------------------
+# the command table
+
+class _Size(NamedTuple):
+    """A subcommand's extra integer flag; its value must be >= 2 (and even)."""
+
+    flag: str
+    default: int
+    help: str
+    even: bool = False
+
+
+class _Command(NamedTuple):
+    """One subcommand; ``run`` maps the parsed arguments to (exit code, JSON
+    report, CSV text or None)."""
+
+    name: str
+    help: str
+    run: Callable[[argparse.Namespace], tuple[int, dict, str | None]]
+    formats: tuple[str, ...] = ("json",)  # the first is the default
+    size: _Size | None = None
+
+
+_COMMANDS = (
+    _Command("check", "run every module's invariant suite", run_check),
+    _Command("fdsweep", "error-vs-scale sweep for f(A)=A^2", run_fdsweep,
+             ("csv", "json")),
+    _Command("tridiag", "tridiagonal adjoint gradient report", run_tridiag,
+             size=_Size("--n", 100, "problem size")),
+    _Command("odegrad", "ODE gradient three-way comparison", run_odegrad,
+             ("json", "csv"), _Size("--steps", 2000, "integration steps (even)",
+                                    even=True)),
+    _Command("jacdet", "matrix-function Jacobian determinants", run_jacdet),
+    _Command("eig", "eigenvalue perturbation vs FD table", run_eig,
+             ("csv", "json"), _Size("--n", 5, "problem size")),
+    _Command("hessian-demo", "Hessian assembly demonstration", run_hessian_demo),
+)
+
+
+def _at_least(lo: int, even: bool = False):
+    """argparse type: an integer >= lo, and even when asked."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError by this function's name
+        if value < lo or (even and value % 2):
+            raise argparse.ArgumentTypeError(
+                f"must be {'even and ' if even else ''}>= {lo}, got {value}")
+        return value
+    return integer
+
 
 @functools.cache  # built once per process: building costs more than a small run
 def _build_parser() -> argparse.ArgumentParser:
@@ -396,100 +476,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def common(p, steps_default=None, n_default=None):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (PCG64)")
+    for cmd in _COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        p.add_argument("--seed", type=_at_least(0), default=0,
+                       help="RNG seed (PCG64), >= 0")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument(
-            "--format", choices=("json", "csv"), default=None,
-            help="output format (default: json for reports, csv for tables)",
-        )
-        if n_default is not None:
-            p.add_argument("--n", type=int, default=n_default, help="problem size")
-        if steps_default is not None:
-            p.add_argument("--steps", type=int, default=steps_default,
-                           help="integration steps (even)")
-
-    common(sub.add_parser("check", help="run every module's invariant suite"))
-    common(sub.add_parser("fdsweep", help="error-vs-scale sweep for f(A)=A^2"))
-    common(sub.add_parser("tridiag", help="tridiagonal adjoint gradient report"),
-           n_default=100)
-    common(sub.add_parser("odegrad", help="ODE gradient three-way comparison"),
-           steps_default=2000)
-    common(sub.add_parser("jacdet", help="matrix-function Jacobian determinants"))
-    common(sub.add_parser("eig", help="eigenvalue perturbation vs FD table"),
-           n_default=5)
-    common(sub.add_parser("hessian-demo", help="Hessian assembly demonstration"))
+        p.add_argument("--format", choices=cmd.formats, default=cmd.formats[0],
+                       help=f"output format (default {cmd.formats[0]})")
+        if cmd.size is not None:
+            p.add_argument(cmd.size.flag, type=_at_least(2, cmd.size.even),
+                           default=cmd.size.default, help=cmd.size.help)
+        p.set_defaults(run=cmd.run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.cmd == "check":
-            code, report = run_check(seed=args.seed)
-            _write(json.dumps(report, indent=2), args.out)
-            return code
-        if args.cmd == "fdsweep":
-            rows = run_fdsweep(seed=args.seed)
-            if args.format == "json":
-                payload = _report(
-                    args.seed, {"subcommand": "fdsweep"},
-                    {"min_rel_err": min(r.relative_error for r in rows)},
-                    rows=[[r.scale, r.perturbation_norm, r.relative_error]
-                          for r in rows],
-                )
-                _write(json.dumps(payload, indent=2), args.out)
-            else:
-                buf = io.StringIO()
-                fdcheck.sweep_to_csv(rows, buf)
-                _write(buf.getvalue(), args.out)
-            return 0
-        if args.cmd == "tridiag":
-            if args.n < 2:
-                parser.error("--n must be at least 2")
-            code, report = run_tridiag(n=args.n, seed=args.seed)
-            _write(json.dumps(report, indent=2), args.out)
-            return code
-        if args.cmd == "odegrad":
-            if args.steps < 2 or args.steps % 2 != 0:
-                parser.error("--steps must be even and >= 2")
-            code, report, csv_text = run_odegrad(
-                steps=args.steps, seed=args.seed, want_csv=args.format == "csv"
-            )
-            if args.format == "csv":
-                _write(csv_text, args.out)
-            else:
-                _write(json.dumps(report, indent=2), args.out)
-            return code
-        if args.cmd == "jacdet":
-            code, report = run_jacdet(seed=args.seed)
-            _write(json.dumps(report, indent=2), args.out)
-            return code
-        if args.cmd == "eig":
-            if args.n < 2:
-                parser.error("--n must be at least 2")
-            code, rows, worst = run_eig(n=args.n, seed=args.seed)
-            if args.format == "json":
-                payload = _report(
-                    args.seed, {"subcommand": "eig", "n": args.n},
-                    {"worst_rel_err": worst},
-                    rows=[[i, dl, fd, rel] for i, dl, fd, rel in rows],
-                    passed=code == 0,
-                )
-                _write(json.dumps(payload, indent=2), args.out)
-            else:
-                _write(eig_csv(rows), args.out)
-            return code
-        if args.cmd == "hessian-demo":
-            code, report = run_hessian_demo(seed=args.seed)
-            _write(json.dumps(report, indent=2), args.out)
-            return code
+        code, report, csv_text = args.run(args)
     except MatDerivError as exc:
         sys.stderr.write(f"matderiv: numeric failure: {exc}\n")
         return 3
-    raise AssertionError("unreachable")  # pragma: no cover
+    _write(csv_text if args.format == "csv" else json.dumps(report, indent=2),
+           args.out)
+    return code
 
 
 if __name__ == "__main__":

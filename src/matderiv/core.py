@@ -193,6 +193,30 @@ class EigenDecomp:
     lam: np.ndarray
 
 
+def _eliminate(a: np.ndarray, tol: float):
+    """Partial-pivot elimination on a copy of square ``a``.
+
+    Returns (packed LU, row permutation, pivot sign, k), where k is the
+    first step whose best pivot is at or below ``tol`` (elimination stops
+    there), or None when every step found a pivot above it.
+    """
+    n = a.shape[0]
+    lu = a.copy()
+    perm = np.arange(n)
+    sign = 1.0
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if abs(lu[p, k]) <= tol:
+            return lu, perm, sign, k
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            perm[k], perm[p] = perm[p], perm[k]
+            sign = -sign
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    return lu, perm, sign, None
+
+
 def lu_factor(a) -> tuple[np.ndarray, np.ndarray, float]:
     """Partial-pivot LU.  Returns (packed LU, row permutation, pivot sign).
 
@@ -201,28 +225,13 @@ def lu_factor(a) -> tuple[np.ndarray, np.ndarray, float]:
     step) when the best available pivot is at or below PIVOT_RTOL*||A||_F.
     """
     a = as_square(a)
-    n = a.shape[0]
-    tol = PIVOT_RTOL * frob(a)
-    lu = a.copy()
-    perm = np.arange(n)
-    sign = 1.0
-    flops = 0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) <= tol:
-            raise SingularMatrixError(
-                f"matrix singular to tolerance at elimination step {k}",
-                pivot_index=k,
-            )
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            sign = -sign
-        r = n - k - 1
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-        flops += r + 2 * r * r
-    counting.add_flops(flops)
+    lu, perm, sign, k = _eliminate(a, PIVOT_RTOL * frob(a))
+    if k is not None:
+        raise SingularMatrixError(
+            f"matrix singular to tolerance at elimination step {k}",
+            pivot_index=k,
+        )
+    counting.add_flops(sum(r + 2 * r * r for r in range(a.shape[0])))
     return lu, perm, sign
 
 
@@ -260,22 +269,12 @@ def lu_solve(a, b) -> np.ndarray:
 def det(a) -> float:
     """Determinant as the signed product of LU pivots.
 
-    Unlike ``lu_solve`` this does not raise on singular input: a zero pivot
-    column simply yields 0.0.
+    Unlike ``lu_solve`` this does not raise on singular input: an exactly
+    zero pivot column simply yields 0.0.  Nothing is counted.
     """
-    a = as_square(a)
-    n = a.shape[0]
-    lu = a.copy()
-    sign = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if lu[p, k] == 0.0:
-            return 0.0
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            sign = -sign
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    lu, _, sign, k = _eliminate(as_square(a), 0.0)
+    if k is not None:
+        return 0.0
     return float(sign * np.prod(np.diag(lu)))
 
 

@@ -15,6 +15,7 @@ scalar-likes to a sequence of scalar-likes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,25 +90,23 @@ class Dual:
         return powi(self, k)
 
     # comparisons read the primal only ------------------------------------
-    def _cmp_val(self, other) -> float:
-        return other.val if isinstance(other, Dual) else float(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, (Dual, *_NUM)):
+    def _primal_cmp(op):
+        # NotImplemented for other types, so Python tries the mirrored
+        # method (a tape variable compares against a Dual)
+        def cmp(self, other):
+            if isinstance(other, Dual):
+                return op(self.val, other.val)
+            if isinstance(other, _NUM):
+                return op(self.val, float(other))
             return NotImplemented
-        return self.val == self._cmp_val(other)
+        return cmp
 
-    def __lt__(self, other):
-        return self.val < self._cmp_val(other)
-
-    def __le__(self, other):
-        return self.val <= self._cmp_val(other)
-
-    def __gt__(self, other):
-        return self.val > self._cmp_val(other)
-
-    def __ge__(self, other):
-        return self.val >= self._cmp_val(other)
+    __eq__ = _primal_cmp(operator.eq)
+    __lt__ = _primal_cmp(operator.lt)
+    __le__ = _primal_cmp(operator.le)
+    __gt__ = _primal_cmp(operator.gt)
+    __ge__ = _primal_cmp(operator.ge)
+    del _primal_cmp
 
 
 def primal(x) -> float:
@@ -171,19 +170,6 @@ def powi(x, k):
             return Dual(1.0, 0.0)
         return Dual(x.val**k, k * x.val ** (k - 1) * x.deriv)
     return float(x) ** k
-
-
-_ELEM = {"sin": sin, "cos": cos, "exp": exp, "log": log, "sqrt": sqrt}
-
-
-def dual_elem(kind: str, x, k: int | None = None):
-    """Apply a named elementary primitive: (f(val), f'(val)*deriv)."""
-    if kind == "pow_int":
-        return powi(x, k)
-    try:
-        return _ELEM[kind](x)
-    except KeyError:
-        raise ContractError(f"unknown elementary primitive {kind!r}") from None
 
 
 @dataclass

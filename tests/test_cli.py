@@ -68,6 +68,8 @@ class TestUsageErrors:
         ["eig", "--n", "1"],
         ["no-such-command"],
         [],
+        *[[cmd.name, "--seed", "-1"] for cmd in cli._COMMANDS],
+        ["check", "--format", "csv"],
     ])
     def test_exit_code_two(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
@@ -80,6 +82,26 @@ class TestUsageErrors:
             cli.main(["--version"])
         assert info.value.code == 0
         assert capsys.readouterr().out.strip()
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("cmd, fmt", [
+        (cmd, fmt) for cmd in cli._COMMANDS for fmt in cmd.formats
+    ], ids=lambda v: getattr(v, "name", v))
+    def test_every_format_at_smallest_size(self, cmd, fmt, capsys):
+        argv = [cmd.name, "--format", fmt]
+        if cmd.size is not None:
+            argv += [cmd.size.flag, "2"]
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert code in (0, 1)
+        if fmt == "json":
+            report = json.loads(out)
+            for key in ("tool_version", "seed", "config", "residuals"):
+                assert key in report
+        else:
+            header = out.splitlines()[0].split(",")
+            assert all(name.isidentifier() for name in header)
 
 
 class TestNumericFailureExit:
@@ -122,6 +144,15 @@ class TestTridiag:
         assert report["rel_err"] <= 1e-3
         assert len(report["grad"]) == 49
         assert report["config"]["n"] == 50
+
+    @pytest.mark.parametrize("seed", [42, 58])
+    def test_central_difference_clears_false_alarm(self, seed, capsys):
+        """A forward difference misjudged these right gradients (rel_err
+        1.3e-3 and 3.1e-3 against the 1e-3 tolerance)."""
+        code, report = _run_json(capsys, ["tridiag", "--n", "300", "--seed",
+                                          str(seed)])
+        assert code == 0
+        assert report["rel_err"] <= 1e-3
 
 
 class TestOdegrad:

@@ -181,6 +181,12 @@ class TestDet:
     def test_singular_gives_zero(self):
         assert core.det(np.array([[1.0, 2.0], [2.0, 4.0]])) == 0.0
 
+    def test_counts_nothing(self):
+        a = np.random.default_rng(24).standard_normal((5, 5))
+        with counting.tally() as c:
+            core.det(a)
+        assert c == counting.Counter()
+
     def test_triangular_is_diagonal_product(self):
         a = np.triu(np.arange(1.0, 10.0).reshape(3, 3))
         assert core.det(a) == pytest.approx(1.0 * 5.0 * 9.0, rel=1e-14)

@@ -1,6 +1,7 @@
 """Tests for dual-number forward-mode differentiation."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from matderiv import forward
 from matderiv.errors import ContractError, DomainError, ShapeError
 from matderiv.forward import Dual, DualVector, babylonian, derivative, primal
+from matderiv.reverse import Tape
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -58,6 +60,16 @@ class TestDualArithmetic:
         assert Dual(1.0, 99.0) < Dual(2.0, -99.0)
         assert Dual(2.0, 0.0) >= 2.0
         assert not Dual(1.0, 5.0) > 1.0
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt,
+                                    operator.ge])
+    def test_ordering_against_tape_variable(self, op):
+        """A Dual defers to the tape variable's mirrored comparison, so
+        both operand orders give the comparison of the primals."""
+        tape = Tape()
+        for a, b in [(1.0, 2.0), (2.0, 2.0), (3.0, 2.0)]:
+            assert op(Dual(a, 7.0), tape.input(b)) is op(a, b)
+            assert op(tape.input(b), Dual(a, 7.0)) is op(b, a)
 
     def test_negation(self):
         d = -Dual(2.0, 3.0)
