@@ -2,10 +2,13 @@
 
 A :class:`Dual` carries (val, deriv) through a program; arithmetic follows
 the calculus rules with ``eps**2 = 0``, and the primal value never depends
-on the tangent.  The supported primitive set is fixed: ``+ - * /``, ``sin``,
-``cos``, ``exp``, ``log``, ``sqrt``, integer powers, and comparisons (which
-read only the primal).  The elementary functions in this module accept plain
-numbers as well, so one program text runs both with and without derivatives.
+on the tangent.  A tangent is a float or a 1-D ndarray block holding one
+component per seed direction, so one pass carries a block of directions
+(``jacobian_forward`` seeds I_n).  The primitive set is fixed:
+``+ - * /``, ``sin``, ``cos``, ``exp``, ``log``, ``sqrt``, integer powers,
+and comparisons (which read only the primal).  The elementary functions
+here accept plain numbers as well, so one program text runs both with and
+without derivatives.
 
 Program convention used by the drivers: a scalar program maps one
 scalar-like to one scalar-like; a vector program maps a sequence of
@@ -23,12 +26,27 @@ import numpy as np
 from .errors import ContractError, DomainError, ShapeError
 
 _NUM = (int, float, np.integer, np.floating)
+_TANGENT = (float, np.ndarray)  # kept as is; any other tangent goes through float()
+
+
+def primal_cmp(op):
+    """A comparison method for Dual and tape variables reading primals only;
+    NotImplemented for an operand that is not a number, a Dual or of the
+    receiver's class, so Python tries the mirrored method or raises."""
+    def cmp(self, other):
+        if isinstance(other, (Dual, type(self))):
+            return op(primal(self), primal(other))
+        if isinstance(other, _NUM):
+            return op(primal(self), float(other))
+        return NotImplemented
+    return cmp
 
 
 class Dual:
     """Dual number val + deriv*eps with eps**2 = 0.
 
-    Promoting a constant r gives (r, 0).  Comparisons, equality included,
+    deriv is a float or an ndarray block of tangent components.  Promoting
+    a constant r gives (r, 0).  Comparisons, equality included,
     read the primal value only, so branches behave exactly as they would on
     plain floats.
     """
@@ -37,7 +55,7 @@ class Dual:
 
     def __init__(self, val, deriv=0.0):
         self.val = float(val)
-        self.deriv = float(deriv)
+        self.deriv = deriv if type(deriv) in _TANGENT else float(deriv)
 
     def __repr__(self):
         return f"Dual({self.val!r}, {self.deriv!r})"
@@ -50,15 +68,23 @@ class Dual:
             return Dual(float(x), 0.0)
         raise TypeError(f"cannot lift {type(x).__name__} to Dual")
 
-    # arithmetic -----------------------------------------------------------
+    # arithmetic: NotImplemented for an operand lift rejects, so Python tries
+    # its reflected method (a tape variable records the operation); the
+    # reflected methods here have no such fallback and let lift raise
     def __add__(self, other):
-        o = Dual.lift(other)
+        try:
+            o = Dual.lift(other)
+        except TypeError:
+            return NotImplemented
         return Dual(self.val + o.val, self.deriv + o.deriv)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = Dual.lift(other)
+        try:
+            o = Dual.lift(other)
+        except TypeError:
+            return NotImplemented
         return Dual(self.val - o.val, self.deriv - o.deriv)
 
     def __rsub__(self, other):
@@ -66,13 +92,19 @@ class Dual:
         return Dual(o.val - self.val, o.deriv - self.deriv)
 
     def __mul__(self, other):
-        o = Dual.lift(other)
+        try:
+            o = Dual.lift(other)
+        except TypeError:
+            return NotImplemented
         return Dual(self.val * o.val, self.deriv * o.val + self.val * o.deriv)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = Dual.lift(other)
+        try:
+            o = Dual.lift(other)
+        except TypeError:
+            return NotImplemented
         if o.val == 0.0:
             raise DomainError("dual division by a zero primal")
         return Dual(
@@ -90,31 +122,21 @@ class Dual:
         return powi(self, k)
 
     # comparisons read the primal only ------------------------------------
-    def _primal_cmp(op):
-        # NotImplemented for other types, so Python tries the mirrored
-        # method (a tape variable compares against a Dual)
-        def cmp(self, other):
-            if isinstance(other, Dual):
-                return op(self.val, other.val)
-            if isinstance(other, _NUM):
-                return op(self.val, float(other))
-            return NotImplemented
-        return cmp
-
-    __eq__ = _primal_cmp(operator.eq)
-    __lt__ = _primal_cmp(operator.lt)
-    __le__ = _primal_cmp(operator.le)
-    __gt__ = _primal_cmp(operator.gt)
-    __ge__ = _primal_cmp(operator.ge)
-    del _primal_cmp
+    __eq__ = primal_cmp(operator.eq)
+    __lt__ = primal_cmp(operator.lt)
+    __le__ = primal_cmp(operator.le)
+    __gt__ = primal_cmp(operator.gt)
+    __ge__ = primal_cmp(operator.ge)
 
 
 def primal(x) -> float:
     """The value part of a scalar-like, unwrapped all the way down (a tape
     variable's value may itself be a dual)."""
-    while hasattr(x, "val"):
+    while type(x) is not float:
+        if not hasattr(x, "val"):
+            return float(x)
         x = x.val
-    return float(x)
+    return x
 
 
 # elementary functions, generic over float | Dual ---------------------------
@@ -174,7 +196,8 @@ def powi(x, k):
 
 @dataclass
 class DualVector:
-    """A vector of duals kept as parallel (vals, derivs) arrays."""
+    """A vector of duals kept as parallel (vals, derivs) arrays; derivs of
+    shape (n, k) give dual i the tangent block derivs[i]."""
 
     vals: np.ndarray
     derivs: np.ndarray
@@ -182,17 +205,22 @@ class DualVector:
     def __post_init__(self):
         self.vals = np.asarray(self.vals, dtype=float)
         self.derivs = np.asarray(self.derivs, dtype=float)
-        if self.vals.shape != self.derivs.shape or self.vals.ndim != 1:
-            raise ShapeError("DualVector needs equal-length 1-D vals and derivs")
+        if (self.vals.ndim != 1 or self.derivs.ndim > 2
+                or self.derivs.shape[:1] != self.vals.shape):
+            raise ShapeError("DualVector needs 1-D vals and derivs of shape "
+                             "(n,) or (n, k)")
 
     def seeds(self) -> list[Dual]:
         return [Dual(v, d) for v, d in zip(self.vals, self.derivs)]
 
 
-def _outputs(out) -> list:
-    if isinstance(out, (Dual, *_NUM)):
-        return [out]
-    return list(out)
+def stack_rows(rows, shape=()) -> np.ndarray:
+    """Array of shape (len(rows), *shape) with row i = rows[i], a block of
+    that shape or a float filling the row (e.g. a plain number's 0.0)."""
+    out = np.empty((len(rows), *shape))
+    for i, r in enumerate(rows):
+        out[i] = r
+    return out
 
 
 def derivative(f, x: float) -> float:
@@ -218,30 +246,18 @@ def babylonian(x, n_steps: int = 10):
 
 
 def directional_derivative(f, x, v) -> np.ndarray:
-    """f'(x)[v] in one dual pass with tangent v."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x.shape != v.shape:
-        raise ShapeError("directional_derivative: x and v lengths differ")
-    out = _outputs(f(DualVector(x, v).seeds()))
-    return np.asarray(
-        [o.deriv if isinstance(o, Dual) else 0.0 for o in out], dtype=float
-    )
+    """f'(x) v from one dual pass seeded with x + eps*v.
+
+    A direction v of shape (n,) gives the m output tangents; a block v of
+    shape (n, k) carries k directions at once and gives the (m, k) block.
+    An output that is a plain number has a zero row.
+    """
+    out = f(DualVector(x, v).seeds())
+    outs = [out] if isinstance(out, (Dual, *_NUM)) else list(out)
+    return stack_rows([o.deriv if isinstance(o, Dual) else 0.0 for o in outs],
+                      np.shape(v)[1:])
 
 
 def jacobian_forward(f, x) -> np.ndarray:
-    """m-by-n Jacobian built column-by-column from n unit-tangent passes."""
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    cols = []
-    m = None
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        col = directional_derivative(f, x, e)
-        if m is None:
-            m = len(col)
-        elif len(col) != m:
-            raise ShapeError("program output length changed between passes")
-        cols.append(col)
-    return np.stack(cols, axis=1) if n else np.zeros((0, 0))
+    """m-by-n Jacobian from one dual pass with the tangent block I_n."""
+    return directional_derivative(f, x, np.eye(len(x)))

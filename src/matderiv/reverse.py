@@ -19,6 +19,7 @@ contract violation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,27 +106,11 @@ class Var:
         return self.tape.record("powi", (self,), (part,), val)
 
     # comparisons read the primal only ------------------------------------
-    def _cmp_val(self, other):
-        if isinstance(other, Var):
-            return fwd.primal(other.val)
-        return fwd.primal(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, (Var, *_SCALARLIKE)):
-            return NotImplemented
-        return fwd.primal(self.val) == self._cmp_val(other)
-
-    def __lt__(self, other):
-        return fwd.primal(self.val) < self._cmp_val(other)
-
-    def __le__(self, other):
-        return fwd.primal(self.val) <= self._cmp_val(other)
-
-    def __gt__(self, other):
-        return fwd.primal(self.val) > self._cmp_val(other)
-
-    def __ge__(self, other):
-        return fwd.primal(self.val) >= self._cmp_val(other)
+    __eq__ = fwd.primal_cmp(operator.eq)
+    __lt__ = fwd.primal_cmp(operator.lt)
+    __le__ = fwd.primal_cmp(operator.le)
+    __gt__ = fwd.primal_cmp(operator.gt)
+    __ge__ = fwd.primal_cmp(operator.ge)
 
 
 class Tape:
@@ -245,7 +230,9 @@ def gradient(f, x) -> np.ndarray:
 
 
 def vjp(f, x, w) -> np.ndarray:
-    """w^T f'(x) for a vector program: one recording, one multi-seed sweep."""
+    """w^T f'(x) for a vector program: one recording, one multi-seed sweep.
+    A weight block w of shape (m, k) seeds output i with the row w[i] and
+    gives the (n, k) block f'(x)^T w, each adjoint a row of k components."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     tape = Tape()
@@ -255,8 +242,9 @@ def vjp(f, x, w) -> np.ndarray:
     if len(outs) != len(w):
         raise ShapeError(f"vjp: {len(outs)} outputs but len(w) == {len(w)}")
     seeds: dict[int, object] = {}
-    for o, wi in zip(outs, w):
+    # a weight vector seeds plain floats, keeping the scalar sweep's cost
+    for o, wi in zip(outs, w.tolist() if w.ndim == 1 else w):
         if isinstance(o, Var):
-            seeds[o.index] = seeds.get(o.index, 0.0) + float(wi)
+            seeds[o.index] = seeds.get(o.index, 0.0) + wi
     adj = tape.backward(seeds)
-    return np.asarray([adj[v.index] for v in in_vars], dtype=float)
+    return fwd.stack_rows([adj[v.index] for v in in_vars], w.shape[1:])

@@ -3,6 +3,7 @@
 A Hessian-vector product costs one reverse pass whose arithmetic is carried
 on dual numbers: seed the inputs with duals (value, direction), run the
 taped gradient generically, and read the derivative part of each adjoint.
+Seeding the block of directions I_n gives the Hessian from one recording.
 No second-order dual type and no nested tapes are involved — the tape's
 arithmetic is simply generic over the scalar type.
 """
@@ -10,13 +11,13 @@ arithmetic is simply generic over the scalar type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import core, reverse
+from . import core, forward, reverse
 from .core import frob
 from .errors import ContractError
-from .forward import Dual
 
 HESSIAN_MAX_N = 50
 
@@ -35,29 +36,22 @@ def hvp(f, x, v) -> np.ndarray:
     v = _as_float_vec(v)
     if x.shape != v.shape:
         raise ContractError("hvp: x and v sizes differ")
-    seeds = [Dual(float(a), float(b)) for a, b in zip(x, v)]
-    adjoints = reverse.gradient_generic(f, seeds)
-    out = np.empty(len(x))
-    for i, a in enumerate(adjoints):
-        out[i] = a.deriv if isinstance(a, Dual) else 0.0
-    return out
+    return forward.directional_derivative(partial(reverse.gradient_generic, f), x, v)
 
 
 def hessian(f, x, return_defect: bool = False):
-    """Dense Hessian column by column from n Hessian-vector products; the
-    returned matrix is explicitly symmetrized and the pre-symmetrization
-    defect ||H - H^T||_F / ||H||_F is available for diagnostics."""
+    """Dense Hessian from one forward-over-reverse pass whose tangent block
+    is I_n (column j is H e_j); the returned matrix is explicitly
+    symmetrized and the pre-symmetrization defect ||H - H^T||_F / ||H||_F
+    is available for diagnostics."""
     x = _as_float_vec(x)
     n = len(x)
     if n > HESSIAN_MAX_N:
         raise ContractError(
             f"dense Hessian capped at n = {HESSIAN_MAX_N}; got n = {n}"
         )
-    cols = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        cols[:, j] = hvp(f, x, e)
+    grad = partial(reverse.gradient_generic, f)
+    cols = forward.directional_derivative(grad, x, np.eye(n))
     norm = frob(cols)
     defect = 0.0 if norm == 0.0 else frob(cols - cols.T) / norm
     h = 0.5 * (cols + cols.T)

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from matderiv import fdcheck
+import progen
+from matderiv import fdcheck, reverse
 from matderiv.errors import ContractError, DomainError
 from matderiv.fdcheck import (
     best_scale,
@@ -216,7 +217,47 @@ class TestTripleCheck:
                               "forward", x, n_directions=4, seed=1)
         assert report.passed
 
+    @pytest.mark.parametrize("mode", ["forward", "reverse"])
+    def test_exact_derivative_of_tiny_quadratic_passes(self, mode):
+        """x0^2 at x0 = 1e-5 with the exact candidate: a forward difference
+        is off by h/x0 (7.45e-4 relative) and failed it; the central
+        difference of a quadratic is exact up to roundoff."""
+        report = triple_check(lambda xs: xs[0] * xs[0], lambda d: 2e-5 * d,
+                              mode, [1e-5])
+        assert report.passed
+        assert max(r.fd_vs_analytic for r in report.rows) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["forward", "reverse"])
+    def test_candidate_off_by_one_percent_fails_the_difference(self, mode):
+        report = triple_check(lambda xs: xs[0] * xs[0], lambda d: 1.01 * 2e-5 * d,
+                              mode, [1e-5])
+        assert not report.passed
+        assert all(r.fd_vs_analytic > report.fd_tol for r in report.rows)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ContractError):
             triple_check(lambda xs: xs[0], lambda d: d, "sideways",
                          np.ones(1))
+
+
+class TestJacobianReverse:
+    @pytest.mark.parametrize("m", [1, 5, 40])
+    def test_one_recording(self, m):
+        """One float evaluation to learn m and one recording, whatever m."""
+        calls = []
+
+        def f(xs):
+            calls.append(type(xs[0]))
+            return [xs[0] * (i + 1) + xs[1] for i in range(m)]
+
+        jac = fdcheck._jacobian_reverse(f, np.array([0.5, -1.0]))
+        np.testing.assert_array_equal(jac, np.column_stack([np.arange(1.0, m + 1), np.ones(m)]))
+        assert len(calls) <= 2 and calls.count(reverse.Var) == 1
+
+    def test_rows_equal_vector_jacobian_products(self):
+        """Row i of the one-recording Jacobian is bitwise vjp(e_i)."""
+        for seed in range(30):
+            prog = progen.make_vector_program(800 + seed)
+            jac = fdcheck._jacobian_reverse(prog, prog.x0)
+            for i, e in enumerate(np.eye(prog.n_outputs)):
+                np.testing.assert_array_equal(jac[i], reverse.vjp(prog, prog.x0, e))

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import progen
 from matderiv import forward
 from matderiv.errors import ContractError, DomainError, ShapeError
 from matderiv.forward import Dual, DualVector, babylonian, derivative, primal
-from matderiv.reverse import Tape
+from matderiv.reverse import Tape, Var
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -70,6 +71,44 @@ class TestDualArithmetic:
         for a, b in [(1.0, 2.0), (2.0, 2.0), (3.0, 2.0)]:
             assert op(Dual(a, 7.0), tape.input(b)) is op(a, b)
             assert op(tape.input(b), Dual(a, 7.0)) is op(b, a)
+
+    # (op, d op(dual, x)/dx, d op(x, dual)/dx) for a Dual and a tape variable x
+    _MIXED = [
+        (operator.add, lambda d, x: 1.0, lambda d, x: 1.0),
+        (operator.sub, lambda d, x: -1.0, lambda d, x: 1.0),
+        (operator.mul, lambda d, x: d, lambda d, x: d),
+        (operator.truediv, lambda d, x: -d / (x * x), lambda d, x: 1.0 / d),
+    ]
+
+    @pytest.mark.parametrize("op, dx_dual_left, dx_var_left", _MIXED,
+                             ids=["add", "sub", "mul", "truediv"])
+    def test_arithmetic_with_tape_variable(self, op, dx_dual_left, dx_var_left):
+        """A Dual returns NotImplemented for a tape variable, so Python runs
+        the variable's reflected method: both operand orders record a node
+        whose primal is the dual result and whose adjoint is the partial."""
+        d = Dual(1.5, 0.5)
+        for dual_left, dx in ((True, dx_dual_left), (False, dx_var_left)):
+            tape = Tape()
+            x = tape.input(2.0)
+            out = op(d, x) if dual_left else op(x, d)
+            assert isinstance(out, Var)
+            want = op(d, 2.0) if dual_left else op(2.0, d)
+            assert (out.val.val, out.val.deriv) == pytest.approx((want.val, want.deriv))
+            adj = Dual.lift(tape.backward({out.index: 1.0})[x.index])
+            want_adj = Dual.lift(dx(d, 2.0))
+            assert (adj.val, adj.deriv) == pytest.approx((want_adj.val, want_adj.deriv))
+
+    def test_block_tangent(self):
+        """An ndarray tangent is kept as a block; each component follows the
+        scalar rule.  Any other tangent is converted to a float."""
+        a = Dual(2.0, np.array([1.0, 0.0, 3.0]))
+        b = Dual(-0.5, np.array([0.0, 1.0, 2.0]))
+        e = math.exp(-0.5)
+        for got, want in ((a * b, [-0.5, 2.0, 2.5]), (a + 1.0, [1.0, 0.0, 3.0]),
+                          (forward.exp(b), [0.0, e, 2.0 * e])):
+            np.testing.assert_allclose(got.deriv, want, rtol=1e-15)
+        assert type(Dual(1.0, 2).deriv) is float
+        assert type(Dual(1.0, np.float64(2.0)).deriv) is float
 
     def test_negation(self):
         d = -Dual(2.0, 3.0)
@@ -250,3 +289,25 @@ class TestJacobianForward:
     def test_empty_input(self):
         jac = forward.jacobian_forward(lambda xs: [], np.zeros(0))
         assert jac.shape == (0, 0)
+
+    @pytest.mark.parametrize("n", [1, 4, 40])
+    def test_one_program_call(self, n):
+        """The whole Jacobian comes from a single dual pass, whatever n."""
+        calls = []
+
+        def f(xs):
+            calls.append(len(xs))
+            return [xs[0] * xs[-1], forward.sin(xs[0])]
+
+        assert forward.jacobian_forward(f, np.linspace(0.1, 1.0, n)).shape == (2, n)
+        assert calls == [n]
+
+    def test_columns_equal_directional_derivatives(self):
+        """Column j of the block pass is bitwise the single-tangent pass
+        along e_j, on generated vector programs."""
+        for seed in range(30):
+            prog = progen.make_vector_program(700 + seed)
+            jac = forward.jacobian_forward(prog, prog.x0)
+            for j, e in enumerate(np.eye(prog.n_inputs)):
+                np.testing.assert_array_equal(
+                    jac[:, j], forward.directional_derivative(prog, prog.x0, e))

@@ -1,6 +1,7 @@
 """Tests for tape-based reverse-mode differentiation."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -81,6 +82,20 @@ class TestTapeMechanics:
         x = tape.input(1.0)
         assert x < 2.0 and x <= 1.0 and x > 0.0 and x >= 1.0
 
+    def test_ordering_against_variables_duals_and_numbers(self):
+        tape = Tape()
+        x, y = tape.input(1.0), tape.input(forward.Dual(2.0, -5.0))
+        assert x < y and y > x and x <= x and not x > y
+        assert y > forward.Dual(1.5, 9.0) and x >= np.float64(1.0) and y <= 2
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    @pytest.mark.parametrize("other", ["2.5", "a"])
+    def test_ordering_against_non_numbers_raises(self, op, other):
+        """A string is neither read as a number nor parsed: Python raises
+        its TypeError for unorderable types, as it does for a Dual."""
+        with pytest.raises(TypeError):
+            op(Tape().input(1.0), other)
+
 
 class TestGradient:
     def test_sum_of_squares(self):
@@ -160,6 +175,18 @@ class TestVjp:
         got = vjp(lambda xs: [xs[0], 3.0], np.array([2.0]),
                   np.array([1.0, 5.0]))
         np.testing.assert_allclose(got, [1.0])
+
+    def test_weight_block(self):
+        """Weights of shape (m, k) give f'(x)^T w of shape (n, k) from one
+        recording; column c is bitwise the vjp with weights w[:, c]."""
+        rng = np.random.default_rng(8)
+        for seed in range(20):
+            prog = progen.make_vector_program(900 + seed)
+            w = rng.standard_normal((prog.n_outputs, 3))
+            got = vjp(prog, prog.x0, w)
+            assert got.shape == (prog.n_inputs, 3)
+            for c in range(3):
+                np.testing.assert_array_equal(got[:, c], vjp(prog, prog.x0, w[:, c]))
 
 
 class TestCrossMode:

@@ -11,6 +11,7 @@ import pytest
 
 import progen
 from matderiv import reverse, scalarfn as sf, second_order
+from matderiv.core import frob
 from matderiv.errors import ContractError, SingularMatrixError
 from matderiv.second_order import (
     bilinear_identity_check,
@@ -116,6 +117,29 @@ class TestHessian:
     def test_size_cap(self):
         with pytest.raises(ContractError):
             hessian(lambda xs: sum(xs), np.zeros(51))
+
+    @pytest.mark.parametrize("n", [1, 3, 30])
+    def test_one_program_call(self, n):
+        """The whole Hessian comes from one forward-over-reverse recording."""
+        calls = []
+
+        def f(xs):
+            calls.append(len(xs))
+            return _inv_norm(xs)
+
+        assert hessian(f, np.linspace(0.5, 2.0, n)).shape == (n, n)
+        assert calls == [n]
+
+    def test_columns_equal_hessian_vector_products(self):
+        """The block pass gives bitwise the columns hvp(e_j): symmetrizing
+        those columns reproduces the Hessian and its defect exactly."""
+        for seed in range(20):
+            prog = progen.make_scalar_program(4000 + seed, need_hessian=True)
+            h, defect = hessian(prog, prog.x0, return_defect=True)
+            cols = np.column_stack([hvp(prog, prog.x0, e) for e in np.eye(prog.n_inputs)])
+            np.testing.assert_array_equal(h, 0.5 * (cols + cols.T))
+            norm = np.linalg.norm(cols)
+            assert defect == (0.0 if norm == 0.0 else frob(cols - cols.T) / frob(cols))
 
     def test_zero_function_defect_defined(self):
         h, defect = hessian(lambda xs: 0.0 * xs[0], np.ones(3),
