@@ -134,8 +134,9 @@ def _eval_outputs(program, xs) -> np.ndarray:
 
 
 def _jacobian_reverse(program, x: np.ndarray) -> np.ndarray:
-    m = len(_eval_outputs(program, x))
-    return reverse.vjp(program, x, np.eye(m)).T
+    """m-by-n Jacobian from one recording, swept with the seed block I_m."""
+    tape, in_vars, outs = reverse._record_outputs(program, x)
+    return reverse._pullback(tape, in_vars, outs, np.eye(len(outs))).T
 
 
 def triple_check(

@@ -34,11 +34,21 @@ def primal_cmp(op):
     NotImplemented for an operand that is not a number, a Dual or of the
     receiver's class, so Python tries the mirrored method or raises."""
     def cmp(self, other):
-        if isinstance(other, (Dual, type(self))):
-            return op(primal(self), primal(other))
-        if isinstance(other, _NUM):
-            return op(primal(self), float(other))
-        return NotImplemented
+        a = self.val
+        if other.__class__ is Dual:
+            b = other.val
+        elif other.__class__ is float:
+            b = other
+        elif isinstance(other, (Dual, type(self))):
+            b = other.val
+        elif isinstance(other, _NUM):
+            b = float(other)
+        else:
+            return NotImplemented
+        # a Dual's primal is always a float; a tape variable's may be a Dual
+        if a.__class__ is float and b.__class__ is float:
+            return op(a, b)
+        return op(primal(a), primal(b))
     return cmp
 
 

@@ -1,10 +1,13 @@
 """Tape-based reverse-mode automatic differentiation.
 
-A :class:`Tape` records every primitive application as a node holding the
-op kind, at most two parent indices, the local partial with respect to each
-parent (evaluated at the recorded primals), and the primal value.  Parents
-always precede children, so one append-only forward pass followed by one
-reverse sweep with ``+=`` accumulation yields all adjoints.
+A :class:`Tape` records every primitive application as one node, stored
+flat in parallel lists: the op kind, two parent indices (-1 where a parent
+is absent), the local partial with respect to each parent (evaluated at the
+recorded primals) and the primal value.  A :class:`Var` is a handle to one
+node that also keeps its primal.  Parents always precede children, so one
+append-only forward pass followed by one reverse sweep over the lists with
+``+=`` accumulation yields all adjoints.  ``Tape.nodes`` is a read-only
+view serving each node as a :class:`TapeNode`.
 
 Primal values are *scalar-like*: plain floats in ordinary use, or
 :class:`~matderiv.forward.Dual` when a gradient program is itself being
@@ -20,6 +23,7 @@ contract violation.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +35,11 @@ from .forward import Dual
 _SCALARLIKE = (int, float, np.integer, np.floating, Dual)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TapeNode:
+    """One recorded node as served by ``Tape.nodes``: parents and partials
+    hold one entry per parent present."""
+
     kind: str
     parents: tuple[int, ...]
     partials: tuple
@@ -40,58 +47,61 @@ class TapeNode:
 
 
 class Var:
-    """Handle to one tape node; arithmetic on handles records new nodes."""
+    """Handle to one tape node and its primal; arithmetic on handles records
+    new nodes.  An operand that is not a variable of the same tape goes
+    through ``Tape.lift``, which rejects what cannot be recorded."""
 
-    __slots__ = ("tape", "index")
+    __slots__ = ("tape", "index", "val")
 
-    def __init__(self, tape: "Tape", index: int):
+    def __init__(self, tape: "Tape", index: int, val):
         self.tape = tape
         self.index = index
-
-    @property
-    def val(self):
-        return self.tape.nodes[self.index].val
+        self.val = val
 
     def __repr__(self):
         return f"Var(#{self.index}={self.val!r})"
 
     # arithmetic: every op records exactly one node -----------------------
     def __add__(self, other):
-        o = self.tape.lift(other)
-        return self.tape.record("add", (self, o), (1.0, 1.0), self.val + o.val)
+        tape = self.tape
+        if other.__class__ is not Var or other.tape is not tape:
+            other = tape.lift(other)
+        return tape._push("add", self.index, other.index, 1.0, 1.0, self.val + other.val)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self.tape.lift(other)
-        return self.tape.record("sub", (self, o), (1.0, -1.0), self.val - o.val)
+        tape = self.tape
+        if other.__class__ is not Var or other.tape is not tape:
+            other = tape.lift(other)
+        return tape._push("sub", self.index, other.index, 1.0, -1.0, self.val - other.val)
 
     def __rsub__(self, other):
         return self.tape.lift(other).__sub__(self)
 
     def __mul__(self, other):
-        o = self.tape.lift(other)
-        return self.tape.record("mul", (self, o), (o.val, self.val), self.val * o.val)
+        tape = self.tape
+        if other.__class__ is not Var or other.tape is not tape:
+            other = tape.lift(other)
+        a, b = self.val, other.val
+        return tape._push("mul", self.index, other.index, b, a, a * b)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self.tape.lift(other)
-        ov = o.val
-        if fwd.primal(ov) == 0.0:
+        tape = self.tape
+        if other.__class__ is not Var or other.tape is not tape:
+            other = tape.lift(other)
+        a, b = self.val, other.val
+        if fwd.primal(b) == 0.0:
             raise DomainError("division by a zero primal")
-        return self.tape.record(
-            "div",
-            (self, o),
-            (1.0 / ov, -self.val / (ov * ov)),
-            self.val / ov,
-        )
+        return tape._push("div", self.index, other.index, 1.0 / b, -a / (b * b), a / b)
 
     def __rtruediv__(self, other):
         return self.tape.lift(other).__truediv__(self)
 
     def __neg__(self):
-        return self.tape.record("neg", (self,), (-1.0,), -self.val)
+        return self.tape._push("neg", self.index, -1, -1.0, None, -self.val)
 
     def __pow__(self, k):
         if not isinstance(k, (int, np.integer)):
@@ -103,7 +113,7 @@ class Var:
             return self.tape.lift(1.0)
         val = self.val**k
         part = k * self.val ** (k - 1)
-        return self.tape.record("powi", (self,), (part,), val)
+        return self.tape._push("powi", self.index, -1, part, None, val)
 
     # comparisons read the primal only ------------------------------------
     __eq__ = fwd.primal_cmp(operator.eq)
@@ -113,16 +123,53 @@ class Var:
     __ge__ = fwd.primal_cmp(operator.ge)
 
 
-class Tape:
-    def __init__(self):
-        self.nodes: list[TapeNode] = []
+class _NodeView(Sequence):
+    """Read-only view of a tape's nodes; each item is built on access."""
 
-    def _push(self, node: TapeNode) -> Var:
-        self.nodes.append(node)
-        return Var(self, len(self.nodes) - 1)
+    __slots__ = ("_tape",)
+
+    def __init__(self, tape: "Tape"):
+        self._tape = tape
+
+    def __len__(self):
+        return len(self._tape._val)
+
+    def __getitem__(self, i):
+        t = self._tape
+        parents = tuple(p for p in (t._p0[i], t._p1[i]) if p >= 0)
+        return TapeNode(t._kind[i], parents, (t._d0[i], t._d1[i])[:len(parents)], t._val[i])
+
+
+class Tape:
+    """Append-only record of primitive applications as parallel lists."""
+
+    __slots__ = ("_kind", "_p0", "_p1", "_d0", "_d1", "_val")
+
+    def __init__(self):
+        self._kind: list[str] = []
+        self._p0: list[int] = []
+        self._p1: list[int] = []
+        self._d0: list = []
+        self._d1: list = []
+        self._val: list = []
+
+    @property
+    def nodes(self) -> _NodeView:
+        return _NodeView(self)
+
+    def _push(self, kind: str, p0: int, p1: int, d0, d1, val) -> Var:
+        """Append one node; parents -1 where absent, already validated."""
+        i = len(self._val)
+        self._kind.append(kind)
+        self._p0.append(p0)
+        self._p1.append(p1)
+        self._d0.append(d0)
+        self._d1.append(d1)
+        self._val.append(val)
+        return Var(self, i, val)
 
     def input(self, val) -> Var:
-        return self._push(TapeNode("input", (), (), val))
+        return self._push("input", -1, -1, None, None, val)
 
     def lift(self, x) -> Var:
         """A Var on this tape: pass-through for own vars, a constant node
@@ -132,7 +179,7 @@ class Tape:
                 raise ContractError("cannot combine variables from different tapes")
             return x
         if isinstance(x, _SCALARLIKE):
-            return self._push(TapeNode("const", (), (), x))
+            return self._push("const", -1, -1, None, None, x)
         raise TypeError(f"cannot lift {type(x).__name__} onto a tape")
 
     def record(self, kind: str, parents: tuple, partials: tuple, val) -> Var:
@@ -148,30 +195,41 @@ class Tape:
             idx.append(p.index)
         if len(idx) > 2:
             raise ContractError("primitives take at most two parents")
-        return self._push(TapeNode(kind, tuple(idx), tuple(partials), val))
+        partials = tuple(partials)
+        if len(partials) != len(idx):
+            raise ContractError("record: one partial per parent")
+        p0, p1 = (*idx, -1, -1)[:2]
+        d0, d1 = (*partials, None, None)[:2]
+        return self._push(kind, p0, p1, d0, d1, val)
 
     @property
     def primitive_count(self) -> int:
         """Recorded primitive applications (inputs/constants excluded)."""
-        return sum(1 for n in self.nodes if n.kind not in ("input", "const"))
+        k = self._kind
+        return len(k) - k.count("input") - k.count("const")
 
     def backward(self, seeds: dict[int, object]) -> list:
         """Reverse accumulation sweep.
 
         ``seeds`` maps node index -> output adjoint.  Returns the adjoint of
         every node; each node is visited exactly once, children before
-        parents.
+        parents, and parent 0 takes its share before parent 1.
         """
-        adj: list = [0.0] * len(self.nodes)
+        n = len(self._val)
+        adj: list = [0.0] * n
         for i, s in seeds.items():
             adj[i] = adj[i] + s
-        for i in range(len(self.nodes) - 1, -1, -1):
+        for i, p0, p1, d0, d1 in zip(range(n - 1, -1, -1), reversed(self._p0),
+                                     reversed(self._p1), reversed(self._d0),
+                                     reversed(self._d1)):
+            if p0 < 0:
+                continue
             a = adj[i]
             if isinstance(a, float) and a == 0.0:
                 continue
-            node = self.nodes[i]
-            for p, d in zip(node.parents, node.partials):
-                adj[p] = adj[p] + d * a
+            adj[p0] = adj[p0] + d0 * a
+            if p1 >= 0:
+                adj[p1] = adj[p1] + d1 * a
         return adj
 
 
@@ -198,7 +256,7 @@ def _elem_pair(kind: str, v):
 
 def elem(kind: str, x: Var) -> Var:
     val, part = _elem_pair(kind, x.val)
-    return x.tape.record(kind, (x,), (part,), val)
+    return x.tape._push(kind, x.index, -1, part, None, val)
 
 
 # drivers -------------------------------------------------------------------
@@ -229,16 +287,17 @@ def gradient(f, x) -> np.ndarray:
                       dtype=float)
 
 
-def vjp(f, x, w) -> np.ndarray:
-    """w^T f'(x) for a vector program: one recording, one multi-seed sweep.
-    A weight block w of shape (m, k) seeds output i with the row w[i] and
-    gives the (n, k) block f'(x)^T w, each adjoint a row of k components."""
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
+def _record_outputs(f, x):
+    """Record a vector program at the float point x: the tape, its input
+    variables and the program's outputs as a list."""
     tape = Tape()
-    in_vars = [tape.input(float(v)) for v in x]
+    in_vars = [tape.input(float(v)) for v in np.asarray(x, dtype=float)]
     out = f(in_vars)
-    outs = [out] if isinstance(out, (Var, *_SCALARLIKE)) else list(out)
+    return tape, in_vars, [out] if isinstance(out, (Var, *_SCALARLIKE)) else list(out)
+
+
+def _pullback(tape: Tape, in_vars: list, outs: list, w: np.ndarray) -> np.ndarray:
+    """f'(x)^T w from one multi-seed sweep of a recording of f at x."""
     if len(outs) != len(w):
         raise ShapeError(f"vjp: {len(outs)} outputs but len(w) == {len(w)}")
     seeds: dict[int, object] = {}
@@ -248,3 +307,11 @@ def vjp(f, x, w) -> np.ndarray:
             seeds[o.index] = seeds.get(o.index, 0.0) + wi
     adj = tape.backward(seeds)
     return fwd.stack_rows([adj[v.index] for v in in_vars], w.shape[1:])
+
+
+def vjp(f, x, w) -> np.ndarray:
+    """w^T f'(x) for a vector program: one recording, one multi-seed sweep.
+    A weight block w of shape (m, k) seeds output i with the row w[i] and
+    gives the (n, k) block f'(x)^T w, each adjoint a row of k components."""
+    w = np.asarray(w, dtype=float)
+    return _pullback(*_record_outputs(f, x), w)

@@ -254,6 +254,19 @@ class TestJacobianReverse:
         np.testing.assert_array_equal(jac, np.column_stack([np.arange(1.0, m + 1), np.ones(m)]))
         assert len(calls) <= 2 and calls.count(reverse.Var) == 1
 
+    def test_one_program_call(self):
+        """The output count comes from the recording itself: the program
+        runs once, on tape variables."""
+        calls = []
+
+        def f(xs):
+            calls.append([type(v) for v in xs])
+            return [xs[0] * xs[1], xs[0] - 2.0, xs[1] * xs[1]]
+
+        jac = fdcheck._jacobian_reverse(f, np.array([0.5, -1.0]))
+        np.testing.assert_array_equal(jac, [[-1.0, 0.5], [1.0, 0.0], [0.0, -2.0]])
+        assert calls == [[reverse.Var, reverse.Var]]
+
     def test_rows_equal_vector_jacobian_products(self):
         """Row i of the one-recording Jacobian is bitwise vjp(e_i)."""
         for seed in range(30):

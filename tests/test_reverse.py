@@ -97,6 +97,126 @@ class TestTapeMechanics:
             op(Tape().input(1.0), other)
 
 
+def _covering_program(x0, y0):
+    """Every variable of a program with add, sub, mul, div, neg, powi and
+    sin, in recording order (no constants)."""
+    tape = Tape()
+    x, y = tape.input(x0), tape.input(y0)
+    a = x + y
+    b = a - x
+    c = b * y
+    d = c / x
+    e = -d
+    f = e**3
+    g = sf.sin(f)
+    return tape, [x, y, a, b, c, d, e, f, g]
+
+
+def _bits(v):
+    """Exact representation of a float, Dual or ndarray adjoint."""
+    if isinstance(v, forward.Dual):
+        return ("dual", _bits(v.val), _bits(v.deriv))
+    if isinstance(v, np.ndarray):
+        return ("array", v.shape, v.tobytes())
+    return ("float", float(v).hex())
+
+
+def _reference_backward(tape, seeds):
+    """The reverse sweep written node by node over ``tape.nodes``."""
+    adj = [0.0] * len(tape.nodes)
+    for i, s in seeds.items():
+        adj[i] = adj[i] + s
+    for i in range(len(tape.nodes) - 1, -1, -1):
+        a = adj[i]
+        if isinstance(a, float) and a == 0.0:
+            continue
+        node = tape.nodes[i]
+        for p, d in zip(node.parents, node.partials):
+            adj[p] = adj[p] + d * a
+    return adj
+
+
+class TestFlatTape:
+    def test_node_view(self):
+        x0, y0 = 0.7, -1.3
+        tape, vs = _covering_program(x0, y0)
+        a = x0 + y0
+        b = a - x0
+        c = b * y0
+        d = c / x0
+        e = -d
+        f = e**3
+        expected = [
+            ("input", (), ()), ("input", (), ()),
+            ("add", (0, 1), (1.0, 1.0)),
+            ("sub", (2, 0), (1.0, -1.0)),
+            ("mul", (3, 1), (y0, b)),
+            ("div", (4, 0), (1.0 / x0, -c / (x0 * x0))),
+            ("neg", (5,), (-1.0,)),
+            ("powi", (6,), (3 * e**2,)),
+            ("sin", (7,), (math.cos(f),)),
+        ]
+        assert len(tape.nodes) == len(expected) == 9
+        assert [(n.kind, n.parents, n.partials) for n in tape.nodes] == expected
+        assert tape.nodes[-1] == tape.nodes[8] and tape.nodes[-1].val == math.sin(f)
+        with pytest.raises(IndexError):
+            tape.nodes[9]
+        with pytest.raises(TypeError):
+            tape.nodes[0] = tape.nodes[1]
+
+    @pytest.mark.parametrize("x0, y0", [(0.7, -1.3), (forward.Dual(0.7, 1.0),
+                                                      forward.Dual(-1.3, 0.5))])
+    def test_variable_keeps_the_recorded_primal(self, x0, y0):
+        tape, vs = _covering_program(x0, y0)
+        _ = 2.0 * vs[-1]  # a const node and a mul node
+        assert len(tape.nodes) == 11
+        for v in vs:
+            assert v.val is tape.nodes[v.index].val
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv])
+    def test_foreign_variable_rejected_in_both_orders(self, op):
+        t1, t2 = Tape(), Tape()
+        a, b = t1.input(1.5), t2.input(2.5)
+        for lhs, rhs in ((a, b), (b, a)):
+            with pytest.raises(ContractError):
+                op(lhs, rhs)
+        assert len(t1.nodes) == len(t2.nodes) == 1
+
+    def test_record_contract(self):
+        tape, other = Tape(), Tape()
+        x, y, z = tape.input(1.0), tape.input(2.0), tape.input(3.0)
+        with pytest.raises(ContractError):
+            tape.record("f", (x, y, z), (1.0, 1.0, 1.0), 6.0)
+        with pytest.raises(ContractError):
+            tape.record("f", (x, other.input(1.0)), (1.0, 1.0), 2.0)
+        with pytest.raises(ContractError):
+            tape.record("f", (x, y), (1.0,), 2.0)
+        v = tape.record("f", (y,), (4.0,), 4.0)
+        assert v.val == 4.0 and tape.nodes[v.index] == reverse.TapeNode("f", (1,), (4.0,), 4.0)
+        assert tape.backward({v.index: 1.0})[y.index] == 4.0
+
+    @pytest.mark.parametrize("primals, seed", [
+        ((0.7, -1.3), 1.0),
+        ((0.7, -1.3), forward.Dual(1.0, 0.25)),
+        ((0.7, -1.3), np.array([1.0, -0.5, 2.0])),
+        ((forward.Dual(0.7, 1.0), forward.Dual(-1.3, 0.5)), 1.0),
+    ])
+    def test_backward_matches_the_node_sweep_bitwise(self, primals, seed):
+        """Both parents of one node, fan-out and a zero adjoint included:
+        parent 0 takes its share before parent 1 (u - u rounds differently
+        in the other order)."""
+        tape, vs = _covering_program(*primals)
+        x, y, a, b, c, d, e, f, g = vs
+        u = g * x + 0.1
+        _ = x * y  # never reaches the output: its adjoint stays 0
+        out = (u - u) + u * g + g / y
+        seeds = {out.index: seed, e.index: seed * 0.3}
+        got = tape.backward(seeds)
+        ref = _reference_backward(tape, seeds)
+        assert [_bits(v) for v in got] == [_bits(v) for v in ref]
+
+
 class TestGradient:
     def test_sum_of_squares(self):
         """grad of x.x is 2x."""
