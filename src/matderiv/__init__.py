@@ -31,6 +31,7 @@ from .errors import (  # noqa: F401
     ContractError,
     ConvergenceError,
     DegenerateEigenvaluesError,
+    DivisionByZeroError,
     DomainError,
     MatDerivError,
     ShapeError,

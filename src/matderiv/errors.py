@@ -26,6 +26,12 @@ class DomainError(MatDerivError):
     direction is required)."""
 
 
+class DivisionByZeroError(DomainError, ZeroDivisionError):
+    """Division by a zero primal in forward or reverse mode; also a
+    ZeroDivisionError, so one clause catches it as it catches float
+    division by zero."""
+
+
 class SingularMatrixError(MatDerivError):
     """Elimination hit a pivot below tolerance, or a denominator vanished.
 

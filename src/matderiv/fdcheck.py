@@ -126,8 +126,8 @@ class TripleCheckReport:
         return "\n".join(lines)
 
 
-def _eval_outputs(program, xs) -> np.ndarray:
-    out = program(list(xs))
+def _eval_outputs(program, xs: np.ndarray) -> np.ndarray:
+    out = program(xs.tolist())
     if isinstance(out, (list, tuple)):
         return np.array([forward.primal(v) for v in out], dtype=float)
     return np.array([forward.primal(out)], dtype=float)

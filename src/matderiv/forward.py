@@ -7,8 +7,9 @@ component per seed direction, so one pass carries a block of directions
 (``jacobian_forward`` seeds I_n).  The primitive set is fixed:
 ``+ - * /``, ``sin``, ``cos``, ``exp``, ``log``, ``sqrt``, integer powers,
 and comparisons (which read only the primal).  The elementary functions
-here accept plain numbers as well, so one program text runs both with and
-without derivatives.
+are built at import from one rule table and serve plain numbers, Duals and
+tape variables alike (a tape variable records through its ``_elem``
+method, so this module does not import ``reverse``).
 
 Program convention used by the drivers: a scalar program maps one
 scalar-like to one scalar-like; a vector program maps a sequence of
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ShapeError
+from .errors import ContractError, DivisionByZeroError, DomainError, ShapeError
 
 _NUM = (int, float, np.integer, np.floating)
 _TANGENT = (float, np.ndarray)  # kept as is; any other tangent goes through float()
@@ -115,8 +116,7 @@ class Dual:
             o = Dual.lift(other)
         except TypeError:
             return NotImplemented
-        if o.val == 0.0:
-            raise DomainError("dual division by a zero primal")
+        check_divisor(o.val)
         return Dual(
             self.val / o.val,
             (self.deriv * o.val - self.val * o.deriv) / (o.val * o.val),
@@ -139,6 +139,13 @@ class Dual:
     __ge__ = primal_cmp(operator.ge)
 
 
+def check_divisor(p: float) -> None:
+    """Reject a zero divisor primal, in every mode alike: the error is a
+    DomainError and, as for float division, a ZeroDivisionError."""
+    if p == 0.0:
+        raise DivisionByZeroError("division by a zero primal")
+
+
 def primal(x) -> float:
     """The value part of a scalar-like, unwrapped all the way down (a tape
     variable's value may itself be a dual)."""
@@ -149,59 +156,94 @@ def primal(x) -> float:
     return x
 
 
-# elementary functions, generic over float | Dual ---------------------------
+# the rule table of the elementary primitives ------------------------------
 
-def sin(x):
-    if isinstance(x, Dual):
-        return Dual(math.sin(x.val), math.cos(x.val) * x.deriv)
-    return math.sin(x)
-
-
-def cos(x):
-    if isinstance(x, Dual):
-        return Dual(math.cos(x.val), -math.sin(x.val) * x.deriv)
-    return math.cos(x)
+def _number(x, kind: str) -> float:
+    if isinstance(x, _NUM):
+        return float(x)
+    raise TypeError(f"{kind} needs a number, a Dual or a tape variable, "
+                    f"got {type(x).__name__}")
 
 
-def exp(x):
-    if isinstance(x, Dual):
-        e = math.exp(x.val)
-        return Dual(e, e * x.deriv)
-    return math.exp(x)
+def _elementary(kind: str, value, deriv, tangent=None):
+    """The primitive ``kind`` on every scalar kind, built from its rule:
+    ``value(v)`` at a float primal, raising DomainError outside the domain,
+    and the local derivative ``deriv(v, y)`` at a float or Dual primal v of
+    value y, checking the derivative's own domain (sqrt at 0).
+    ``tangent(v, t)``, where given, is a Dual's tangent in place of
+    deriv(v, y) * t."""
+    def f(x):
+        cls = x.__class__
+        if cls is Dual:
+            v, t = x.val, x.deriv
+            y = value(v)
+            return Dual(y, deriv(v, y) * t if tangent is None else tangent(v, t))
+        if cls is not float:
+            elem = getattr(x, "_elem", None)
+            if elem is not None:
+                v = x.val
+                y = f(v)
+                return elem(kind, y, deriv(v, y))
+            x = _number(x, kind)
+        return value(x)
+    f.__name__ = f.__qualname__ = kind
+    return f
 
 
-def log(x):
-    if primal(x) <= 0.0:
-        raise DomainError(f"log domain: need a positive primal, got {primal(x)}")
-    if isinstance(x, Dual):
-        return Dual(math.log(x.val), x.deriv / x.val)
-    return math.log(x)
+def _log(v: float) -> float:
+    if v <= 0.0:
+        raise DomainError(f"log domain: need a positive primal, got {v}")
+    return math.log(v)
 
 
-def sqrt(x):
-    p = primal(x)
-    if p < 0.0:
-        raise DomainError(f"sqrt domain: need a nonnegative primal, got {p}")
-    if isinstance(x, Dual):
-        if p == 0.0:
-            raise DomainError("sqrt is not differentiable at 0")
-        r = math.sqrt(x.val)
-        return Dual(r, 0.5 / r * x.deriv)
-    return math.sqrt(x)
+def _sqrt(v: float) -> float:
+    if v < 0.0:
+        raise DomainError(f"sqrt domain: need a nonnegative primal, got {v}")
+    return math.sqrt(v)
+
+
+def _sqrt_deriv(v, y):
+    if y == 0.0:
+        raise DomainError("sqrt is not differentiable at 0")
+    return 0.5 / y
+
+
+sin = _elementary("sin", math.sin, lambda v, y: cos(v))
+cos = _elementary("cos", math.cos, lambda v, y: -sin(v))
+exp = _elementary("exp", math.exp, lambda v, y: y)
+# a Dual's log tangent stays the quotient t / v, which rounds differently
+# from (1 / v) * t
+log = _elementary("log", _log, lambda v, y: 1.0 / v, lambda v, t: t / v)
+sqrt = _elementary("sqrt", _sqrt, _sqrt_deriv)
+
+
+def _powi(v: float, k: int) -> float:
+    if k < 0 and v == 0.0:
+        raise DomainError("negative power of a zero primal")
+    return v**k
+
+
+def _powi_deriv(v, k: int):
+    return k * v ** (k - 1)
 
 
 def powi(x, k):
-    """Integer power x**k with the analytic k*x**(k-1) tangent rule."""
+    """Integer power x**k with the analytic k*x**(k-1) tangent rule; x**0 is
+    the constant 1 in every mode (a const node on a tape)."""
     if not isinstance(k, (int, np.integer)):
         raise ContractError(f"powi exponent must be an integer, got {k!r}")
     k = int(k)
-    if primal(x) == 0.0 and k < 0:
-        raise DomainError("negative power of a zero primal")
-    if isinstance(x, Dual):
-        if k == 0:
-            return Dual(1.0, 0.0)
-        return Dual(x.val**k, k * x.val ** (k - 1) * x.deriv)
-    return float(x) ** k
+    cls = x.__class__
+    if cls is Dual:
+        v = x.val
+        return Dual(_powi(v, k), _powi_deriv(v, k) * x.deriv) if k else Dual(1.0, 0.0)
+    if cls is not float:
+        elem = getattr(x, "_elem", None)
+        if elem is not None:
+            v = x.val
+            return elem("powi", powi(v, k), _powi_deriv(v, k)) if k else x.tape.lift(1.0)
+        x = _number(x, "powi")
+    return _powi(x, k)
 
 
 @dataclass

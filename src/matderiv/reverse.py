@@ -7,7 +7,8 @@ recorded primals) and the primal value.  A :class:`Var` is a handle to one
 node that also keeps its primal.  Parents always precede children, so one
 append-only forward pass followed by one reverse sweep over the lists with
 ``+=`` accumulation yields all adjoints.  ``Tape.nodes`` is a read-only
-view serving each node as a :class:`TapeNode`.
+view serving each node as a :class:`TapeNode`.  The elementary primitives
+of :mod:`matderiv.forward` record through ``Var._elem``.
 
 Primal values are *scalar-like*: plain floats in ordinary use, or
 :class:`~matderiv.forward.Dual` when a gradient program is itself being
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forward as fwd
-from .errors import ContractError, DomainError, ShapeError
+from .errors import ContractError, ShapeError
 from .forward import Dual
 
 _SCALARLIKE = (int, float, np.integer, np.floating, Dual)
@@ -93,8 +94,7 @@ class Var:
         if other.__class__ is not Var or other.tape is not tape:
             other = tape.lift(other)
         a, b = self.val, other.val
-        if fwd.primal(b) == 0.0:
-            raise DomainError("division by a zero primal")
+        fwd.check_divisor(fwd.primal(b))
         return tape._push("div", self.index, other.index, 1.0 / b, -a / (b * b), a / b)
 
     def __rtruediv__(self, other):
@@ -103,17 +103,12 @@ class Var:
     def __neg__(self):
         return self.tape._push("neg", self.index, -1, -1.0, None, -self.val)
 
-    def __pow__(self, k):
-        if not isinstance(k, (int, np.integer)):
-            raise ContractError(f"integer powers only, got exponent {k!r}")
-        k = int(k)
-        if fwd.primal(self.val) == 0.0 and k < 0:
-            raise DomainError("negative power of a zero primal")
-        if k == 0:
-            return self.tape.lift(1.0)
-        val = self.val**k
-        part = k * self.val ** (k - 1)
-        return self.tape._push("powi", self.index, -1, part, None, val)
+    __pow__ = fwd.powi
+
+    def _elem(self, kind: str, val, partial) -> "Var":
+        """Record one elementary primitive of this variable: its value and
+        local derivative at this primal."""
+        return self.tape._push(kind, self.index, -1, partial, None, val)
 
     # comparisons read the primal only ------------------------------------
     __eq__ = fwd.primal_cmp(operator.eq)
@@ -231,32 +226,6 @@ class Tape:
             if p1 >= 0:
                 adj[p1] = adj[p1] + d1 * a
         return adj
-
-
-# elementary functions on Vars ----------------------------------------------
-
-def _elem_pair(kind: str, v):
-    """(value, local partial) of a named elementary primitive at primal v."""
-    if kind == "sin":
-        return fwd.sin(v), fwd.cos(v)
-    if kind == "cos":
-        return fwd.cos(v), -fwd.sin(v)
-    if kind == "exp":
-        e = fwd.exp(v)
-        return e, e
-    if kind == "log":
-        return fwd.log(v), 1.0 / v
-    if kind == "sqrt":
-        if fwd.primal(v) == 0.0:
-            raise DomainError("sqrt is not differentiable at 0")
-        r = fwd.sqrt(v)
-        return r, 0.5 / r
-    raise ContractError(f"unknown elementary primitive {kind!r}")
-
-
-def elem(kind: str, x: Var) -> Var:
-    val, part = _elem_pair(kind, x.val)
-    return x.tape._push(kind, x.index, -1, part, None, val)
 
 
 # drivers -------------------------------------------------------------------

@@ -3,35 +3,10 @@
 Programs written against this module run unchanged on plain numbers, dual
 numbers (forward mode), tape variables (reverse mode), and tape variables
 whose primals are duals (forward-over-reverse).  Arithmetic comes from
-operator overloading; the named functions below dispatch on the value kind.
+operator overloading; the named functions are those of
+:mod:`matderiv.forward`, built from its one rule table.
 """
 
 from __future__ import annotations
 
-from . import forward, reverse
-
-
-def sin(x):
-    return reverse.elem("sin", x) if isinstance(x, reverse.Var) else forward.sin(x)
-
-
-def cos(x):
-    return reverse.elem("cos", x) if isinstance(x, reverse.Var) else forward.cos(x)
-
-
-def exp(x):
-    return reverse.elem("exp", x) if isinstance(x, reverse.Var) else forward.exp(x)
-
-
-def log(x):
-    return reverse.elem("log", x) if isinstance(x, reverse.Var) else forward.log(x)
-
-
-def sqrt(x):
-    return reverse.elem("sqrt", x) if isinstance(x, reverse.Var) else forward.sqrt(x)
-
-
-def powi(x, k):
-    if isinstance(x, reverse.Var):
-        return x**k
-    return forward.powi(x, k)
+from .forward import cos, exp, log, powi, sin, sqrt  # noqa: F401

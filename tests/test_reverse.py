@@ -365,3 +365,54 @@ class TestModesAgree:
         assert a == b and not a != b
         assert forward.Dual(2.0, 1.0) == forward.Dual(2.0, -1.0) == 2.0
         assert forward.Dual(2.0, 1.0) != 3.0
+
+    @staticmethod
+    def _kinds(x0):
+        """x0 as a float, a Dual, a tape variable and a tape variable
+        holding a Dual."""
+        return {"float": x0, "dual": forward.Dual(x0, 1.0), "var": Tape().input(x0),
+                "var of dual": Tape().input(forward.Dual(x0, 1.0))}
+
+    @pytest.mark.parametrize("x0, f, error", [
+        (0.0, sf.log, DomainError),
+        (-1.0, sf.log, DomainError),
+        (-1.0, sf.sqrt, DomainError),
+        (0.0, lambda x: sf.powi(x, -1), DomainError),
+        (2.0, lambda x: sf.powi(x, 0.5), ContractError),
+        (2.0, lambda x: x + "a", TypeError),
+        (2.0, lambda x: "a" / x, TypeError),
+        *[(2.0, lambda x, fn=fn: x * fn("a"), TypeError)
+          for fn in (sf.sin, sf.cos, sf.exp, sf.log, sf.sqrt)],
+        (2.0, lambda x: x * sf.powi("a", 2), TypeError),
+        (2.0, lambda x: x * sf.powi("a", 0), TypeError),
+    ], ids=["log(0)", "log(-1)", "sqrt(-1)", "powi(0,-1)", "powi(x,0.5)",
+            "x+str", "str/x", "sin(str)", "cos(str)", "exp(str)", "log(str)",
+            "sqrt(str)", "powi(str,2)", "powi(str,0)"])
+    def test_every_kind_rejects_with_one_type(self, x0, f, error):
+        raised = {}
+        for kind, x in self._kinds(x0).items():
+            with pytest.raises(error) as info:
+                f(x)
+            raised[kind] = type(info.value)
+        assert len(set(raised.values())) == 1, raised
+
+    def test_sqrt_at_zero_has_no_derivative(self):
+        kinds = self._kinds(0.0)
+        assert sf.sqrt(kinds.pop("float")) == 0.0
+        for x in kinds.values():
+            with pytest.raises(DomainError):
+                sf.sqrt(x)
+
+    def test_zero_divisor_is_a_zero_division_in_every_kind(self):
+        """Float division by zero raises ZeroDivisionError; the derivative
+        kinds raise, from one check, a DomainError that is also one."""
+        messages = set()
+        for kind, zero in self._kinds(0.0).items():
+            one = zero + 1.0
+            for f in (lambda: one / zero, lambda: 1.0 / zero, lambda: zero / zero):
+                with pytest.raises(ZeroDivisionError) as info:
+                    f()
+                if kind != "float":
+                    assert isinstance(info.value, DomainError)
+                    messages.add(str(info.value))
+        assert len(messages) == 1
