@@ -284,33 +284,44 @@ def thomas_solve(t: TridiagSym, b) -> np.ndarray:
     Caller contract: the band must be nonsingular along the plain
     elimination order -- diagonally dominant systems always are.  A zero (to
     tolerance) eliminated diagonal entry raises ``SingularMatrixError``.
+
+    The sweeps are scalar loops, so they index memoryviews of the float64
+    arrays: an item read from a memoryview is a Python float, while one read
+    from an ndarray is a boxed numpy scalar whose arithmetic costs several
+    times more.  Views rather than ``tolist()`` copies keep the memory at the
+    arrays' own n doubles, and any stride or read-only flag is honoured as is.
+    The previous row's pivot and right-hand side stay in locals.
     """
     b = as_vector(b)
     n = t.n
     if len(b) != n:
         raise ShapeError(f"rhs length {len(b)} != system size {n}")
     tol = PIVOT_RTOL * t.norm()
-    d = t.diag.copy()
-    e = t.offdiag
-    rhs = b.copy()
+    diag, e, rhs = memoryview(t.diag), memoryview(t.offdiag), memoryview(b)
+    x = np.empty(n)
+    # d holds the eliminated diagonal; x holds the eliminated right-hand
+    # side until back substitution overwrites it with the solution
+    d, xv = memoryview(np.empty(n)), memoryview(x)
+    dp = d[0] = diag[0]
+    rp = xv[0] = rhs[0]
     for i in range(1, n):
-        if abs(d[i - 1]) <= tol:
+        if abs(dp) <= tol:
             raise SingularMatrixError(
                 f"tridiagonal elimination hit a zero diagonal at row {i - 1}",
                 pivot_index=i - 1,
             )
-        w = e[i - 1] / d[i - 1]
-        d[i] -= w * e[i - 1]
-        rhs[i] -= w * rhs[i - 1]
-    if abs(d[n - 1]) <= tol:
+        ei = e[i - 1]
+        w = ei / dp
+        dp = d[i] = diag[i] - w * ei
+        rp = xv[i] = rhs[i] - w * rp
+    if abs(dp) <= tol:
         raise SingularMatrixError(
             f"tridiagonal elimination hit a zero diagonal at row {n - 1}",
             pivot_index=n - 1,
         )
-    x = np.empty(n)
-    x[n - 1] = rhs[n - 1] / d[n - 1]
+    xp = xv[n - 1] = rp / dp
     for i in range(n - 2, -1, -1):
-        x[i] = (rhs[i] - e[i] * x[i + 1]) / d[i]
+        xp = xv[i] = (xv[i] - e[i] * xp) / d[i]
     counting.add_flops(8 * n - 7)
     counting.add_solve(1)
     return x

@@ -77,9 +77,7 @@ def grad_g(prob: TridiagProblem) -> np.ndarray:
     rhs = (-2.0 * s) * prob.c
     counting.add_flops(prob.n + 1)
     v = core.thomas_solve(t, rhs)
-    grad = np.empty(prob.n - 1)
-    for k in range(prob.n - 1):
-        grad[k] = v[k] * x[k + 1] + v[k + 1] * x[k]
+    grad = v[:-1] * x[1:] + v[1:] * x[:-1]
     counting.add_flops(3 * (prob.n - 1))
     return grad
 

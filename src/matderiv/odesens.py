@@ -16,6 +16,10 @@ RK4 stepper on a fixed grid.  The backward sweeps read u(t) at interval
 midpoints from cubic Hermite interpolation of the stored states and slopes.
 Quadratures are composite Simpson (even step count required).
 
+The problem's callables must be pure: the same arguments give the same
+value.  The backward sweeps evaluate the coefficients once per distinct
+stage position and reuse that value at the stage that repeats it.
+
 A third variant handles sums of point-in-time data misfits: the adjoint
 jumps by (dg_k/du)^T at each data time while an accumulator integrates the
 -(df/dp)^T v term.
@@ -36,7 +40,10 @@ from .errors import BlowUpError, ContractError, ShapeError
 @dataclass
 class OdeProblem:
     """du/dt = f(u, p, t) on [0, t_final], u(0) = u0(p), with running cost
-    g(u, p, t).  All callables take/return plain floats and ndarrays."""
+    g(u, p, t).  All callables take/return plain floats and ndarrays and must
+    be pure (same arguments, same value): the backward sweeps reuse a
+    coefficient evaluated at a stage position when a later stage sits there
+    again, instead of calling again."""
 
     f: Callable
     dfdu: Callable
@@ -103,11 +110,14 @@ def _grid(prob: OdeProblem, n_steps: int):
 
 
 def _check_finite(y, step_index: int, what: str) -> None:
-    if not np.isfinite(y).all():
+    # the ufunc reduction itself: ndarray.all() adds a Python-level wrapper
+    # that costs more than the test on these short vectors
+    if not np.logical_and.reduce(np.isfinite(y), axis=None):
         raise BlowUpError(f"{what} became non-finite", step_index=step_index)
 
 
-def _rk4(rhs, y, times, dt: float, what: str, backward: bool = False, kicks=None):
+def _rk4(rhs, y, times, dt: float, what: str, width: int, backward: bool = False,
+         kicks=None):
     """Classical RK4 over the grid ``times`` with step dt, from the first
     node to the last, or from the last to the first when ``backward``.
 
@@ -118,27 +128,36 @@ def _rk4(rhs, y, times, dt: float, what: str, backward: bool = False, kicks=None
     the index of the node the step started from.  Returns (ys, k1s), both
     indexed by node: y at every node and the first-stage slope of the step
     leaving each node (the row of the final node is left to the caller).
+
+    ``width`` is the rhs component count of one rhs call.  The stepper counts
+    4 * width for every step it began, the one that blows up included, in
+    one ``counting`` call when it stops, so the rhs itself counts nothing.
     """
     m = len(times) - 1
     nodes, h = (range(m, -1, -1), -dt) if backward else (range(m + 1), dt)
+    half, sixth = 0.5 * h, h / 6.0
     kicks = kicks or {}
     ys = np.empty((m + 1,) + y.shape)
     k1s = np.empty_like(ys)
     if nodes[0] in kicks:
         y = y + kicks[nodes[0]]
     ys[nodes[0]] = y
-    for a, b in zip(nodes, nodes[1:]):
-        ta = times[a]
-        k1 = rhs(y, ta, 2 * a)
-        k2 = rhs(y + 0.5 * h * k1, ta + 0.5 * h, a + b)
-        k3 = rhs(y + 0.5 * h * k2, ta + 0.5 * h, a + b)
-        k4 = rhs(y + h * k3, times[b], 2 * b)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        _check_finite(y, a, what)
-        if b in kicks:
-            y = y + kicks[b]
-        k1s[a] = k1
-        ys[b] = y
+    steps = 0
+    try:
+        for steps, (a, b) in enumerate(zip(nodes, nodes[1:]), 1):
+            ta = times[a]
+            k1 = rhs(y, ta, 2 * a)
+            k2 = rhs(y + half * k1, ta + half, a + b)
+            k3 = rhs(y + half * k2, ta + half, a + b)
+            k4 = rhs(y + h * k3, times[b], 2 * b)
+            y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            _check_finite(y, a, what)
+            if b in kicks:
+                y = y + kicks[b]
+            k1s[a] = k1
+            ys[b] = y
+    finally:
+        counting.add_rhs_components(4 * width * steps)
     counting.add_integration(1)
     return ys, k1s
 
@@ -151,10 +170,10 @@ def integrate_rk4(prob: OdeProblem, n_steps: int) -> Trajectory:
     n = len(u)
 
     def f(u, t, _k):
-        counting.add_rhs_components(n)
         return np.asarray(prob.f(u, p, t), dtype=float)
 
-    states, slopes = _rk4(f, u, times, dt, "state")
+    states, slopes = _rk4(f, u, times, dt, "state", n)
+    counting.add_rhs_components(n)
     slopes[n_steps] = f(states[n_steps], times[n_steps], None)
     return Trajectory(times, states, slopes)
 
@@ -196,15 +215,16 @@ def forward_sensitivity(prob: OdeProblem, n_steps: int):
         raise ShapeError(f"du0dp must be {n}x{n_par}, got {s.shape}")
 
     def aug(y, t, _k):
-        counting.add_rhs_components(n * (1 + n_par))
         u = y[:n]
         fu = np.asarray(prob.f(u, p, t), dtype=float)
         a = np.asarray(prob.dfdu(u, p, t), dtype=float)
         b = np.asarray(prob.dfdp(u, p, t), dtype=float)
         return np.concatenate((fu, (a @ y[n:].reshape(n, n_par) + b).ravel()))
 
+    width = n * (1 + n_par)
     ys, slopes = _rk4(aug, np.concatenate((u, s.ravel())), times, dt,
-                      "state or sensitivity")
+                      "state or sensitivity", width)
+    counting.add_rhs_components(width)
     slopes[n_steps] = aug(ys[n_steps], times[n_steps], None)
     sens = ys[:, n:].reshape(n_steps + 1, n, n_par)
     return Trajectory(times, ys[:, :n], slopes[:, :n]), sens
@@ -253,21 +273,43 @@ def _stage_states(traj: Trajectory) -> np.ndarray:
     return u
 
 
+def _stage_coefficients(coeffs, u_at):
+    """``at(t, k)`` = ``coeffs(u_at[k], t)``, evaluated once per run of calls
+    at the same stage position k.
+
+    A backward ``_rk4`` sweep asks for each position at most twice in a row:
+    stages 2 and 3 share the midpoint, and stage 4 of one step is stage 1 of
+    the next.  Remembering the last position therefore evaluates the
+    coefficients 2m + 1 times over m steps instead of 4m.  The problem
+    callables must be pure for the reused value to be the one a fresh call
+    would give.
+    """
+    last_k, last = None, None
+
+    def at(t, k):
+        nonlocal last_k, last
+        if k != last_k:
+            last_k, last = k, coeffs(u_at[k], t)
+        return last
+
+    return at
+
+
 def adjoint_solve(prob: OdeProblem, traj: Trajectory) -> np.ndarray:
     """v on the grid from dv/dt = (dg/du)^T - (df/du)^T v, v(T) = 0,
     integrated backward."""
     p = prob.p
     n = traj.states.shape[1]
-    u_at = _stage_states(traj)
+    coef = _stage_coefficients(
+        lambda u, t: (np.asarray(prob.dgdu(u, p, t), dtype=float),
+                      np.asarray(prob.dfdu(u, p, t), dtype=float).T),
+        _stage_states(traj))
 
     def rhs(v, t, k):
-        counting.add_rhs_components(n)
-        u = u_at[k]
-        return np.asarray(prob.dgdu(u, p, t), dtype=float) - np.asarray(
-            prob.dfdu(u, p, t), dtype=float
-        ).T @ v
+        dgdu, dfdu_t = coef(t, k)
+        return dgdu - dfdu_t @ v
 
-    return _rk4(rhs, np.zeros(n), traj.times, traj.dt, "adjoint state",
+    return _rk4(rhs, np.zeros(n), traj.times, traj.dt, "adjoint state", n,
                 backward=True)[0]
 
 
@@ -325,18 +367,18 @@ def grad_G_discrete_data(prob: OdeProblem, data_times, g_k_list, n_steps: int) -
         kick[:n] -= np.asarray(term.dgdu(u_k, p), dtype=float)
         if term.dgdp is not None:
             direct += np.asarray(term.dgdp(u_k, p), dtype=float)
-    u_at = _stage_states(traj)
+    coef = _stage_coefficients(
+        lambda u, t: (-np.asarray(prob.dfdu(u, p, t), dtype=float).T,
+                      np.asarray(prob.dfdp(u, p, t), dtype=float).T),
+        _stage_states(traj))
 
     def rhs(y, t, k):
-        counting.add_rhs_components(n)
-        u = u_at[k]
+        neg_dfdu_t, dfdp_t = coef(t, k)
         v = y[:n]
-        a = np.asarray(prob.dfdu(u, p, t), dtype=float)
-        b = np.asarray(prob.dfdp(u, p, t), dtype=float)
-        return np.concatenate([-a.T @ v, b.T @ v])
+        return np.concatenate([neg_dfdu_t @ v, dfdp_t @ v])
 
     ys, _ = _rk4(rhs, np.zeros(n + n_par), traj.times, traj.dt,
-                 "adjoint state", backward=True, kicks=kicks)
+                 "adjoint state", n, backward=True, kicks=kicks)
     s0 = np.asarray(prob.du0dp(p), dtype=float)
     return -s0.T @ ys[0, :n] + ys[0, n:] + direct
 

@@ -252,6 +252,44 @@ class TestThomas:
         with pytest.raises(ShapeError):
             core.thomas_solve(t, [1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("diag, offdiag, row", [
+        ([0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 0),
+        # row 1 eliminates to 1 - 1 * 1 = 0
+        ([1.0, 1.0, 5.0, 1.0], [1.0, 0.5, 0.5], 1),
+        # rows 0..2 stay at 2, row 3 eliminates to 0.5 - 0.5 * 1 = 0
+        ([2.0, 2.0, 2.0, 0.5], [0.0, 0.0, 1.0], 3),
+        ([0.0], [], 0),
+    ])
+    def test_zero_pivot_reports_its_row(self, diag, offdiag, row):
+        t = core.TridiagSym(diag=diag, offdiag=offdiag)
+        with pytest.raises(SingularMatrixError) as err:
+            core.thomas_solve(t, np.ones(len(diag)))
+        assert err.value.pivot_index == row
+
+    def test_inputs_unchanged(self):
+        rng = np.random.default_rng(32)
+        t = self._instance(rng, 30)
+        b = rng.standard_normal(30)
+        before = (t.diag.copy(), t.offdiag.copy(), b.copy())
+        core.thomas_solve(t, b)
+        for now, then in zip((t.diag, t.offdiag, b), before):
+            np.testing.assert_array_equal(now, then)
+
+    def test_strided_and_read_only_inputs(self):
+        """A strided rhs and read-only bands solve bitwise like contiguous
+        copies."""
+        rng = np.random.default_rng(33)
+        t = self._instance(rng, 25)
+        wide = rng.standard_normal(75)
+        strided = wide[::3]
+        assert not strided.flags.c_contiguous
+        diag, offdiag = t.diag.copy(), t.offdiag.copy()
+        diag.flags.writeable = offdiag.flags.writeable = False
+        got = core.thomas_solve(core.TridiagSym(diag, offdiag), strided)
+        ref = core.thomas_solve(core.TridiagSym(diag.copy(), offdiag.copy()),
+                                strided.copy())
+        assert got.tobytes() == ref.tobytes()
+
 
 class TestJacobiEigen:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, 31, 60])

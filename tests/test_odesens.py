@@ -9,6 +9,7 @@ and is compared at quadrature accuracy.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,6 +124,29 @@ class TestExactCounts:
             assert (c.rhs_components, c.integrations) == \
                 (6 * (4 * self.N + 1), 6) == (486, 6)
 
+    def test_adjoint_solve(self):
+        prob = reference_instance()
+        with counting.tally() as c:
+            odesens.adjoint_solve(prob, odesens.integrate_rk4(prob, self.N))
+        assert (c.rhs_components, c.integrations) == \
+            ((4 * self.N + 1) + 4 * self.N, 2) == (161, 2)
+
+    def test_grad_G_adjoint(self):
+        with counting.tally() as c:
+            odesens.grad_G_adjoint(reference_instance(), self.N)
+        assert (c.rhs_components, c.integrations) == \
+            ((4 * self.N + 1) + 4 * self.N, 2) == (161, 2)
+
+    def test_blow_up_counts_the_stages_it_ran(self):
+        """The rhs of ``TestBlowUpStepIndex.test_integrate_rk4``: steps 0-3
+        and the failing step 4 each evaluate four stages, and no integration
+        completes."""
+        prob = TestBlowUpStepIndex._problem(f=lambda u, p, t: np.array(
+            [u[0] * (np.nan if t > 0.42 else 1.0)]))
+        with counting.tally() as c, pytest.raises(BlowUpError):
+            odesens.integrate_rk4(prob, 10)
+        assert (c.rhs_components, c.integrations) == (20, 0)
+
 
 class TestBlowUpStepIndex:
     """An rhs that turns nan from a chosen time on pins the reported step.
@@ -180,6 +204,94 @@ class TestBlowUpStepIndex:
         with pytest.raises(BlowUpError) as err:
             odesens.adjoint_solve(prob, traj)
         assert err.value.step_index == 6
+
+
+def _two_state_problem():
+    """du/dt = (p0 u1 + sin t, -p1 u0 - p2 u0 u1), u(0) = (1, 0),
+    g = u0^2 + t u1: a coupled system, so the adjoint's matrix products are
+    not scalar."""
+    return odesens.OdeProblem(
+        f=lambda u, p, t: np.array([p[0] * u[1] + math.sin(t),
+                                    -p[1] * u[0] - p[2] * u[0] * u[1]]),
+        dfdu=lambda u, p, t: np.array([[0.0, p[0]],
+                                       [-p[1] - p[2] * u[1], -p[2] * u[0]]]),
+        dfdp=lambda u, p, t: np.array([[u[1], 0.0, 0.0],
+                                       [0.0, -u[0], -u[0] * u[1]]]),
+        u0=lambda p: np.array([1.0, 0.0]),
+        du0dp=lambda p: np.zeros((2, 3)),
+        g=lambda u, p, t: u[0] ** 2 + t * u[1],
+        dgdu=lambda u, p, t: np.array([2.0 * u[0], t]),
+        dgdp=lambda u, p, t: np.zeros(3),
+        t_final=1.0,
+        p=np.array([0.8, 1.3, 0.4]),
+    )
+
+
+class TestStageCoefficientReuse:
+    """The backward sweeps evaluate each problem coefficient once per
+    distinct stage position: 2m + 1 calls over m steps instead of 4m."""
+
+    M = 10
+
+    @staticmethod
+    def _counted(prob):
+        names = ("dfdu", "dgdu", "dfdp")
+        calls = dict.fromkeys(names, 0)
+
+        def wrap(name):
+            fn = getattr(prob, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        return replace(prob, **{name: wrap(name) for name in names}), calls
+
+    def test_adjoint_solve_calls(self):
+        prob = reference_instance()
+        traj = odesens.integrate_rk4(prob, self.M)
+        counted, calls = self._counted(prob)
+        odesens.adjoint_solve(counted, traj)
+        assert calls == {"dfdu": 2 * self.M + 1, "dgdu": 2 * self.M + 1, "dfdp": 0}
+
+    def test_discrete_data_calls(self):
+        counted, calls = self._counted(reference_instance())
+        odesens.grad_G_discrete_data(
+            counted, [0.5], [DataTerm(dgdu=lambda u, p: np.array([2.0 * u[0]]))],
+            self.M)
+        assert calls == {"dfdu": 2 * self.M + 1, "dgdu": 0, "dfdp": 2 * self.M + 1}
+
+    @staticmethod
+    def _adjoint_every_stage(prob, traj):
+        """Backward RK4 for v that calls dgdu and dfdu at all four stages."""
+        p, times, h, m = prob.p, traj.times, -traj.dt, traj.n_steps
+        mid = traj.interp_state(np.arange(m), 0.5)
+
+        def rhs(v, t, u):
+            return np.asarray(prob.dgdu(u, p, t), dtype=float) - np.asarray(
+                prob.dfdu(u, p, t), dtype=float).T @ v
+
+        v = np.zeros(traj.states.shape[1])
+        out = np.empty_like(traj.states)
+        out[m] = v
+        for a in range(m, 0, -1):
+            b, ta = a - 1, times[a]
+            k1 = rhs(v, ta, traj.states[a])
+            k2 = rhs(v + 0.5 * h * k1, ta + 0.5 * h, mid[b])
+            k3 = rhs(v + 0.5 * h * k2, ta + 0.5 * h, mid[b])
+            k4 = rhs(v + h * k3, times[b], traj.states[b])
+            v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            out[b] = v
+        return out
+
+    @pytest.mark.parametrize("make", [reference_instance, _two_state_problem])
+    @pytest.mark.parametrize("m", [2, 16, 50])
+    def test_adjoint_bitwise_equals_every_stage_loop(self, make, m):
+        prob = make()
+        traj = odesens.integrate_rk4(prob, m)
+        got = odesens.adjoint_solve(prob, traj)
+        assert got.tobytes() == self._adjoint_every_stage(prob, traj).tobytes()
 
 
 class TestTrajectory:
