@@ -3,10 +3,11 @@
 The numeric substrate for everything else: partial-pivot LU, the banded
 Thomas solve, a Jacobi eigensolver for symmetric matrices (Brent-Luk
 round-robin ordering: each sweep is a sequence of rounds of disjoint
-rotations applied as one batched update), LU-based determinants, and a
-Newton root finder driven by forward-mode Jacobians.  Factorizations and the
-eigensolver are written out here; numpy arrays are used purely as storage
-and for elementwise/block arithmetic.
+rotations, and a round is two matrix products with its block rotation J),
+LU-based determinants and log-determinants, and a Newton root finder driven
+by forward-mode Jacobians.  Factorizations and the eigensolver are written
+out here; numpy arrays are used purely as storage and for elementwise/block
+arithmetic.
 
 Conventions fixed by this module:
   - vectors are 1-D float64 arrays, matrices 2-D float64 arrays;
@@ -42,6 +43,7 @@ GAP_RTOL = 1e-8         # eigenvalue gaps at or below this * max(scale, 1) are d
 JACOBI_MAX_SWEEPS = 100
 JACOBI_OFF_RTOL = 1e-12  # stop when off-diagonal norm falls below this * ||S||_F
 _TINY = np.finfo(float).smallest_subnormal
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 def as_vector(x) -> np.ndarray:
@@ -77,15 +79,18 @@ def frob(x) -> float:
     return float(np.sqrt(np.add.reduce(a * a, axis=None)))
 
 
-def is_symmetric(a) -> bool:
-    """True when ||A - A^T||_F <= SYM_RTOL * ||A||_F (so the zero matrix is)."""
-    return frob(a - a.T) <= SYM_RTOL * frob(a)
+def is_symmetric(a, norm: float | None = None) -> bool:
+    """True when ||A - A^T||_F <= SYM_RTOL * ||A||_F (so the zero matrix is).
+    A caller that already holds ||A||_F may pass it as ``norm``."""
+    if norm is None:
+        norm = frob(a)
+    return frob(a - a.T) <= SYM_RTOL * norm
 
 
-def require_symmetric(a, what: str) -> None:
+def require_symmetric(a, what: str, norm: float | None = None) -> None:
     """The symmetry contract: raise ``ContractError`` naming ``what`` unless
-    ``a`` is symmetric to SYM_RTOL."""
-    if not is_symmetric(a):
+    ``a`` is symmetric to SYM_RTOL (``norm`` as in ``is_symmetric``)."""
+    if not is_symmetric(a, norm):
         raise ContractError(f"{what} needs a symmetric matrix")
 
 
@@ -213,8 +218,14 @@ def _eliminate(a: np.ndarray, tol: float):
             perm[k], perm[p] = perm[p], perm[k]
             sign = -sign
         lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+        lu[k + 1:, k + 1:] -= lu[k + 1:, k, None] * lu[k, k + 1:]
     return lu, perm, sign, None
+
+
+def _lu_factor_flops(n: int) -> int:
+    """Nominal flops of an n x n elimination: the sum of r + 2 r^2 over the
+    trailing sizes r < n, in closed form."""
+    return n * (n - 1) * (4 * n + 1) // 6
 
 
 def lu_factor(a) -> tuple[np.ndarray, np.ndarray, float]:
@@ -231,7 +242,7 @@ def lu_factor(a) -> tuple[np.ndarray, np.ndarray, float]:
             f"matrix singular to tolerance at elimination step {k}",
             pivot_index=k,
         )
-    counting.add_flops(sum(r + 2 * r * r for r in range(a.shape[0])))
+    counting.add_flops(_lu_factor_flops(a.shape[0]))
     return lu, perm, sign
 
 
@@ -247,10 +258,10 @@ def lu_solve_factored(lu: np.ndarray, perm: np.ndarray, b) -> np.ndarray:
         raise ShapeError(f"rhs has {b.shape[0]} rows, matrix is {n}x{n}")
     x = b[perm].copy()
     for k in range(n):          # forward: L has unit diagonal
-        x[k + 1:] -= np.outer(lu[k + 1:, k], x[k])
+        x[k + 1:] -= lu[k + 1:, k, None] * x[k]
     for k in range(n - 1, -1, -1):  # backward
         x[k] /= lu[k, k]
-        x[:k] -= np.outer(lu[:k, k], x[k])
+        x[:k] -= lu[:k, k, None] * x[k]
     counting.add_flops(2 * n * n * b.shape[1])
     return x[:, 0] if vector_rhs else x
 
@@ -266,16 +277,50 @@ def lu_solve(a, b) -> np.ndarray:
     return x
 
 
+def _signed_pivots(a):
+    """(permutation sign, LU pivots) of square ``a``, or None when the
+    elimination meets an exactly zero pivot column."""
+    lu, _, sign, k = _eliminate(as_square(a), 0.0)
+    if k is not None:
+        return None
+    return sign, np.diag(lu)
+
+
+def _log_product(sign: float, piv: np.ndarray) -> tuple[float, float]:
+    """(sign, log|prod|) of sign * prod(piv) for nonzero pivots."""
+    sign *= float(np.multiply.reduce(np.sign(piv)))
+    return sign, float(np.add.reduce(np.log(np.abs(piv))))
+
+
+def slogdet(a) -> tuple[float, float]:
+    """(sign, log|det A|) from the LU pivots; (0.0, -inf) at an exactly zero
+    pivot column, as ``det`` returns 0.0 there.  Never overflows.  Nothing is
+    counted."""
+    pivots = _signed_pivots(a)
+    if pivots is None:
+        return 0.0, -np.inf
+    return _log_product(*pivots)
+
+
 def det(a) -> float:
     """Determinant as the signed product of LU pivots.
 
     Unlike ``lu_solve`` this does not raise on singular input: an exactly
-    zero pivot column simply yields 0.0.  Nothing is counted.
+    zero pivot column simply yields 0.0.  When the product overflows (at the
+    end or part way), the value comes from ``slogdet``'s log|det|: +-inf,
+    without a warning, exactly when log|det| exceeds log(float max), and
+    sign * exp(log|det|) otherwise.  Nothing is counted.
     """
-    lu, _, sign, k = _eliminate(as_square(a), 0.0)
-    if k is not None:
+    pivots = _signed_pivots(a)
+    if pivots is None:
         return 0.0
-    return float(sign * np.prod(np.diag(lu)))
+    sign, piv = pivots
+    with np.errstate(over="ignore"):
+        d = sign * np.multiply.reduce(piv)
+        if np.isinf(d):
+            sign, logabs = _log_product(sign, piv)
+            d = sign * (np.exp(logabs) if logabs <= _LOG_MAX else np.inf)
+    return float(d)
 
 
 def thomas_solve(t: TridiagSym, b) -> np.ndarray:
@@ -327,9 +372,8 @@ def thomas_solve(t: TridiagSym, b) -> np.ndarray:
     return x
 
 
-@functools.cache
 def _jacobi_schedule(n: int) -> np.ndarray:
-    """Brent-Luk round-robin schedule for n x n Jacobi sweeps, built once per n.
+    """Brent-Luk round-robin schedule for n x n Jacobi sweeps.
 
     Shape (rounds, 2, m): round k pairs index [k, 0, i] with [k, 1, i], the
     first always the smaller, and no index repeats within a round, so its
@@ -350,10 +394,16 @@ def _jacobi_schedule(n: int) -> np.ndarray:
     return np.array(rounds)
 
 
-def _rotate_column_pairs(m, pr, rot) -> None:
-    """In place, for every pair i = (p, r) of the round pr = [p; r]:
-    [col_p, col_r] <- [col_p, col_r] @ rot[:, :, i]."""
-    m[:, pr] = np.einsum("xki,kji->xji", m[:, pr], rot)
+@functools.cache
+def _jacobi_plan(n: int) -> tuple[np.ndarray, ...]:
+    """Flat indices of the Jacobi rounds for n x n matrices, built once per n.
+
+    One (4, m) index array per round of ``_jacobi_schedule``: its rows are
+    the flat positions of (p, p), (r, r), (p, r) and (r, p) for the round's
+    pairs (p, r).  Only indices are kept, 16 n (n - 1) bytes in all.
+    """
+    return tuple(np.stack((p * (n + 1), r * (n + 1), p * n + r, r * n + p))
+                 for p, r in _jacobi_schedule(n))
 
 
 def jacobi_eigen(s) -> EigenDecomp:
@@ -361,9 +411,10 @@ def jacobi_eigen(s) -> EigenDecomp:
 
     Each sweep visits every off-diagonal pair once, in rounds of disjoint
     pairs.  The rotations of a round commute, so they are all computed from
-    the same matrix and applied together as batched 2x2 updates of the column
-    pairs, the row pairs and the eigenvector columns.  Sweeps run until the
-    off-diagonal Frobenius norm falls below JACOBI_OFF_RTOL * ||S||_F.
+    the same matrix and written into one orthogonal J, and the round is two
+    matrix products: A <- J^T A J, with the rotated a_pr and a_rp set to
+    exactly zero, and Q <- Q J.  Sweeps run until the off-diagonal Frobenius
+    norm falls below JACOBI_OFF_RTOL * ||S||_F.
     Asymmetric input (beyond SYM_RTOL relative) is a contract violation;
     failure to converge within JACOBI_MAX_SWEEPS raises ``ConvergenceError``.
     """
@@ -372,44 +423,48 @@ def jacobi_eigen(s) -> EigenDecomp:
     norm = frob(s)
     if norm == 0.0:
         return EigenDecomp(q=np.eye(n), lam=np.zeros(n))
-    require_symmetric(s, "jacobi_eigen")
-    aq = np.concatenate((0.5 * (s + s.T), np.eye(n)))  # [A; Q], rotated together
-    a = aq[:n]  # views: the updates below write through them
-    diag = a.diagonal()
+    require_symmetric(s, "jacobi_eigen", norm=norm)
+    sym = 0.5 * (s + s.T)
+    a = sym
+    q = eye = np.eye(n)
+    eye_flat = eye.ravel()
+    plan = _jacobi_plan(n)
     off_tol = JACOBI_OFF_RTOL * norm
     for _ in range(JACOBI_MAX_SWEEPS):
-        if frob(a - np.diag(diag)) <= off_tol:
+        if frob(a - np.diag(a.diagonal())) <= off_tol:
             break
-        for pr in _jacobi_schedule(n):
-            p, r = pr
+        for idx in plan:
+            app, arr, apr = a.take(idx[:3])
             # Rotation [[c, s], [-s, c]] on (p, r), with t = s/c the smaller
             # root of t^2 + (d / a_pr) t - 1 = 0, d = a_rr - a_pp:
             #   t = sign(d) 2 a_pr / (|d| + hypot(d, 2 a_pr)),  sign(0) = 1.
             # It cannot overflow, and is 0 (the identity) when a_pr = 0; the
             # _TINY floor only replaces the 0/0 of a_pr = d = 0.
-            apr2 = 2.0 * a[p, r]
-            d = diag[r] - diag[p]
+            apr2 = apr + apr
+            d = arr - app
             t = apr2 / np.copysign(np.fmax(np.abs(d) + np.hypot(d, apr2), _TINY), d)
             c = 1.0 / np.hypot(t, 1.0)
             sn = t * c
-            rot = np.array([[c, sn], [-sn, c]])  # rot[:, :, i] rotates pair i
-            _rotate_column_pairs(aq, pr, rot)  # A J and Q J
-            _rotate_column_pairs(a.T, pr, rot)  # J^T (A J): the rows of A
-            a[pr, pr[::-1]] = 0.0  # a_pr = a_rp = 0
+            j = eye_flat.copy()
+            j[idx] = (c, c, sn, -sn)
+            j = j.reshape(n, n)
+            a = j.T @ a @ j
+            a.put(idx[2:], 0.0)  # a_pr = a_rp = 0
+            q = q @ j
     else:
         raise ConvergenceError(
             f"jacobi_eigen: off-diagonal norm not reduced in {JACOBI_MAX_SWEEPS} sweeps"
         )
-    lam = diag.copy()
+    lam = a.diagonal()
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
-    q = aq[n:, order]
+    q = q[:, order]
     # deterministic column signs: each column's largest-magnitude entry > 0
     lead = q[np.argmax(np.abs(q), axis=0), np.arange(n)]
     q = np.where(lead < 0.0, -q, q)
-    if frob(q.T @ q - np.eye(n)) > 1e-10 * n:
+    if frob(q.T @ q - eye) > 1e-10 * n:
         raise ContractError("jacobi_eigen: orthogonality invariant violated")
-    if frob(q @ np.diag(lam) @ q.T - 0.5 * (s + s.T)) > 1e-8 * norm:
+    if frob((q * lam) @ q.T - sym) > 1e-8 * norm:
         raise ContractError("jacobi_eigen: reconstruction invariant violated")
     return EigenDecomp(q=q, lam=lam)
 

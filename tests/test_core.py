@@ -4,6 +4,8 @@ numpy.linalg serves as the reference oracle throughout; the routines under
 test never call it themselves.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,14 @@ class TestLU:
         assert c.solves == 1
         assert c.flops > 0
 
+    def test_flop_count_closed_form(self):
+        """The closed form is the per-step sum of r + 2 r^2 it replaced."""
+        for n in range(301):
+            assert core._lu_factor_flops(n) == sum(r + 2 * r * r for r in range(n))
+        with counting.tally() as c:
+            core.lu_factor(_random_spd(np.random.default_rng(14), 7))
+        assert c.flops == core._lu_factor_flops(7)
+
     def test_pivoting_handles_zero_leading_entry(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_allclose(core.lu_solve(a, np.array([2.0, 3.0])),
@@ -204,6 +214,43 @@ class TestDet:
         b = rng.standard_normal((3, 3))
         assert core.det(a @ b) == pytest.approx(core.det(a) * core.det(b),
                                                 rel=1e-8, abs=1e-10)
+
+    def test_overflow_is_inf_without_warning(self):
+        """log|det| = 1060 at n = 200 is beyond the float range: +-inf with
+        no overflow warning from the pivot product."""
+        rng = np.random.default_rng(25)
+        a = rng.standard_normal((200, 200)) + 200.0 * np.eye(200)
+        sign_ref, log_ref = np.linalg.slogdet(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = core.det(a)
+            sign, logabs = core.slogdet(a)
+        assert log_ref > np.log(np.finfo(float).max)
+        assert d == sign_ref * np.inf
+        assert sign == sign_ref
+        assert logabs == pytest.approx(log_ref, rel=1e-12)
+
+    def test_partial_overflow_keeps_a_representable_value(self):
+        """Pivots 1e200, 1e200, 1e-200: the running product overflows, but
+        the determinant 1e200 is representable."""
+        a = np.diag([1e200, -1e200, 1e-200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = core.det(a)
+        assert d == pytest.approx(-1e200, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 20])
+    def test_slogdet_matches_numpy(self, n):
+        rng = np.random.default_rng(30 + n)
+        a = rng.standard_normal((n, n))
+        sign, logabs = core.slogdet(a)
+        sign_ref, log_ref = np.linalg.slogdet(a)
+        assert sign == sign_ref
+        assert logabs == pytest.approx(log_ref, rel=1e-12, abs=1e-12)
+        assert sign * np.exp(logabs) == pytest.approx(core.det(a), rel=1e-12)
+
+    def test_slogdet_of_singular(self):
+        assert core.slogdet(np.array([[1.0, 2.0], [2.0, 4.0]])) == (0.0, -np.inf)
 
 
 class TestThomas:
@@ -291,7 +338,80 @@ class TestThomas:
         assert got.tobytes() == ref.tobytes()
 
 
+def _einsum_jacobi_reference(s):
+    """The Jacobi round as the matrix-product round replaced it: the rotations
+    of a round applied as batched 2x2 einsum updates of the column pairs of
+    the stacked [A; Q], then of the row pairs of A, on the same schedule,
+    rotation formula, stopping test, ordering and column signs."""
+    n = s.shape[0]
+    aq = np.concatenate((0.5 * (s + s.T), np.eye(n)))
+    a = aq[:n]
+    diag = a.diagonal()
+    off_tol = core.JACOBI_OFF_RTOL * core.frob(s)
+    for _ in range(core.JACOBI_MAX_SWEEPS):
+        if core.frob(a - np.diag(diag)) <= off_tol:
+            break
+        for pr in core._jacobi_schedule(n):
+            p, r = pr
+            apr2 = 2.0 * a[p, r]
+            d = diag[r] - diag[p]
+            t = apr2 / np.copysign(
+                np.fmax(np.abs(d) + np.hypot(d, apr2), core._TINY), d)
+            c = 1.0 / np.hypot(t, 1.0)
+            sn = t * c
+            rot = np.array([[c, sn], [-sn, c]])
+            aq[:, pr] = np.einsum("xki,kji->xji", aq[:, pr], rot)
+            a.T[:, pr] = np.einsum("xki,kji->xji", a.T[:, pr], rot)
+            a[pr, pr[::-1]] = 0.0
+    else:
+        raise ConvergenceError("reference Jacobi did not converge")
+    order = np.argsort(diag, kind="stable")
+    q = aq[n:, order]
+    lead = q[np.argmax(np.abs(q), axis=0), np.arange(n)]
+    return diag[order], np.where(lead < 0.0, -q, q)
+
+
+def _gapped_symmetric(rng, n):
+    """Random orthogonal similarity of a spectrum whose gaps are >= 0.5."""
+    lam = np.cumsum(0.5 + rng.uniform(0.0, 1.0, n)) - 0.4 * n
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = (q * lam) @ q.T
+    return 0.5 * (s + s.T)
+
+
 class TestJacobiEigen:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 31, 60])
+    def test_agrees_with_einsum_round(self, n):
+        """Tolerances fixed beforehand: eigenvalues within
+        1e-13 max(||S||_F, 1), sign-fixed eigenvectors within 1e-10."""
+        rng = np.random.default_rng(70 + n)
+        for _ in range(3):
+            s = _gapped_symmetric(rng, n)
+            dec = core.jacobi_eigen(s)
+            lam_ref, q_ref = _einsum_jacobi_reference(s)
+            assert np.max(np.abs(dec.lam - lam_ref)) <= 1e-13 * max(core.frob(s), 1.0)
+            assert np.max(np.abs(dec.q - q_ref)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_power_of_two_scaling_is_bitwise(self, n):
+        """jacobi_eigen(2 S) has the q of S bit for bit and eigenvalues
+        exactly 2 lam: the kron identity suite relies on it."""
+        rng = np.random.default_rng(80 + n)
+        for _ in range(50):
+            raw = rng.uniform(-1.0, 1.0, (n, n))
+            half = core.jacobi_eigen(0.5 * (raw + raw.T))
+            full = core.jacobi_eigen(raw + raw.T)
+            assert full.q.tobytes() == half.q.tobytes()
+            assert full.lam.tobytes() == (2.0 * half.lam).tobytes()
+
+    def test_plan_holds_only_indices(self):
+        """The cached plan keeps flat indices, no float matrix per round."""
+        n = 60
+        plan = core._jacobi_plan(n)
+        assert len(plan) == n - 1
+        assert all(idx.dtype.kind == "i" for idx in plan)
+        assert sum(idx.nbytes for idx in plan) <= 16 * n * n
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, 31, 60])
     def test_matches_numpy_eigh(self, n):
         rng = np.random.default_rng(40 + n)
