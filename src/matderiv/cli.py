@@ -115,12 +115,11 @@ def _suite_matrix_rules(seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
     da = rng.standard_normal((4, 4))
-    h = 1e-6
     inv = lambda m: core.lu_solve(m, np.eye(4))
-    fd_inv = (inv(a + h * da) - inv(a - h * da)) / (2.0 * h)
+    fd_inv = fdcheck.directional_fd(inv, a, da)
     r1 = fdcheck.relative_error(fd_inv, rules.d_inverse(a, da))
     g = rules.grad_det(a)
-    fd_det = (core.det(a + h * da) - core.det(a - h * da)) / (2.0 * h)
+    fd_det = fdcheck.directional_fd(core.det, a, da)
     r2 = abs(fd_det - float(np.sum(g * da))) / abs(fd_det)
     return max(r1, r2), 1e-5, {"d_inverse": r1, "grad_det": r2}
 
@@ -229,19 +228,18 @@ def run_fdsweep(args):
 # tridiag
 
 def _tridiag_gradient_check(n: int, seed: int):
-    """Adjoint gradient of the seeded size-n tridiagonal instance, checked
-    along a random direction dp against the central difference
-    [g(p + dp) - g(p - dp)] / 2 (a forward difference's O(|dp|) error raises
-    false alarms at the 1e-3 tolerance); returns (prob, grad, directional,
-    fd, rel_err, solve_count)."""
+    """Adjoint gradient of the seeded size-n tridiagonal instance: grad . dp
+    along a random dp in [-1, 1]^(n-1) against ``fdcheck.directional_fd`` of g
+    (a forward difference's O(|dp|) error raises false alarms at the 1e-3
+    tolerance); returns (prob, grad, directional, fd, rel_err, solve_count)."""
     prob = linsys_adjoint.random_instance(n, seed=seed)
     with counting.tally() as counted:
         grad = linsys_adjoint.grad_g(prob)
     rng = np.random.default_rng(seed + 1)
-    dp = rng.uniform(-1.0, 1.0, size=n - 1) * 1e-6 * (1.0 + np.abs(prob.p))
+    dp = rng.uniform(-1.0, 1.0, size=n - 1)
     directional = float(grad @ dp)
     g_at = lambda q: linsys_adjoint.g_eval(prob.with_p(q))
-    fd = fdcheck.central_diff(g_at, prob.p, dp)
+    fd = fdcheck.directional_fd(g_at, prob.p, dp)
     rel = abs(directional - fd) / abs(directional)
     return prob, grad, directional, fd, rel, counted.solves
 
@@ -358,10 +356,7 @@ def run_eig(args):
     s, ds = _symmetric_instance(n, args.seed)
     dec = eigsens.decompose(s)
     dl = eigsens.dlambda(dec, ds)
-    h = 1e-6
-    lam_plus = core.jacobi_eigen(s + h * ds).lam
-    lam_minus = core.jacobi_eigen(s - h * ds).lam
-    fd = (lam_plus - lam_minus) / (2.0 * h)
+    fd = fdcheck.directional_fd(lambda m: core.jacobi_eigen(m).lam, s, ds)
     rows = []
     worst = 0.0
     for i in range(n):

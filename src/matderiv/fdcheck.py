@@ -1,7 +1,7 @@
 """Finite-difference verification harness.
 
-Forward and central differences, relative-error scoring, step-size
-suggestion, log-log error sweeps (exportable as CSV for plotting), and a
+Forward and central differences under one central step rule, relative-error
+scoring, step-size suggestion, log-log error sweeps (CSV-exportable), and a
 "triple check" that pits an analytic derivative, an AD derivative and a
 finite difference against each other along random directions.  A failed
 comparison is a *result*, not an exception: the report says so and callers
@@ -31,6 +31,22 @@ def forward_diff(f, x, dx):
 def central_diff(f, x, dx):
     """[f(x + dx) - f(x - dx)] / 2."""
     return (f(x + dx) - f(x - dx)) / 2.0
+
+
+def directional_fd(f, x, d):
+    """Central-difference f'(x)[d] by the package's one step rule: h d has
+    norm eps^(1/3) (1 + ||x||_F) whatever the length of d, which balances the
+    O(h^2) truncation error against the O(eps / h) roundoff."""
+    h = np.cbrt(EPS) * (1.0 + frob(x)) / frob(d)
+    return central_diff(f, x, h * d) / h
+
+
+def fd_jacobian(f, x) -> np.ndarray:
+    """Central-difference Jacobian of f at a 1-D x: ``directional_fd`` along
+    each unit vector.  The last axis indexes the coordinates of x, so a
+    scalar f gives its gradient and an m-vector f an m-by-n matrix."""
+    x = np.asarray(x, dtype=float)
+    return np.stack([directional_fd(f, x, e) for e in np.eye(len(x))], axis=-1)
 
 
 def relative_error(approx, exact) -> float:
@@ -154,9 +170,9 @@ def triple_check(
     * ``analytic_action(d)`` - the hand-derived directional derivative,
     * an AD directional derivative of ``program`` (forward mode seeds d;
       reverse mode builds the Jacobian from one recording and applies it),
-    * a central difference [f(x + h d) - f(x - h d)] / 2h at
-      h = eps^(1/3) (1 + ||x||), whose O(h^2) truncation error keeps an
-      exact derivative well inside ``fd_tol``.
+    * ``directional_fd``, a central difference at the step
+      eps^(1/3) (1 + ||x||), whose O(h^2) truncation error keeps an exact
+      derivative well inside ``fd_tol``.
 
     ``program`` maps a list of scalar-likes to a scalar-like or list of
     them, so one source text serves all three evaluations.
@@ -165,7 +181,6 @@ def triple_check(
     if ad_mode not in ("forward", "reverse"):
         raise ContractError(f"unknown ad_mode {ad_mode!r}")
     rng = np.random.default_rng(seed)
-    h = np.cbrt(EPS) * (1.0 + frob(x))
     report = TripleCheckReport(ad_tol=ad_tol, fd_tol=fd_tol)
     jac = _jacobian_reverse(program, x) if ad_mode == "reverse" else None
     for i in range(n_directions):
@@ -175,7 +190,7 @@ def triple_check(
             ad = np.atleast_1d(forward.directional_derivative(program, x, d))
         else:
             ad = jac @ d
-        fd = central_diff(partial(_eval_outputs, program), x, h * d) / h
+        fd = directional_fd(partial(_eval_outputs, program), x, d)
         ad_err = relative_error(ad, exact)
         fd_err = relative_error(fd, exact)
         report.rows.append(

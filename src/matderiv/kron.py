@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from . import core, counting
+from . import core, counting, fdcheck
 from .core import as_square, as_vector, as_matrix, frob
 from .errors import (
     DomainError,
@@ -37,11 +37,17 @@ def unvec(v, m: int, n: int) -> np.ndarray:
     return v.reshape((m, n), order="F").copy()
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Uncounted A (x) B of 2-D arrays, bitwise ``np.kron`` in one broadcast."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
 def kron(a, b) -> np.ndarray:
     a = as_matrix(a)
     b = as_matrix(b)
     counting.add_flops(a.size * b.size)
-    return np.kron(a, b)
+    return _kron(a, b)
 
 
 def kron_vec_identity_check(a, b, c) -> float:
@@ -53,7 +59,7 @@ def kron_vec_identity_check(a, b, c) -> float:
         raise ShapeError(
             f"kron_vec_identity_check: C must be {b.shape[1]}x{a.shape[1]}, got {c.shape}"
         )
-    lhs = np.kron(a, b) @ vec(c)
+    lhs = _kron(a, b) @ vec(c)
     rhs = vec(b @ c @ a.T)
     denom = frob(rhs)
     if denom == 0.0:
@@ -81,7 +87,7 @@ def jac_square_vec(a) -> np.ndarray:
     a = as_square(a)
     n = a.shape[0]
     eye = np.eye(n)
-    return np.kron(eye, a) + np.kron(a.T, eye)
+    return _kron(eye, a) + _kron(a.T, eye)
 
 
 def jac_cube_vec(a) -> np.ndarray:
@@ -91,14 +97,14 @@ def jac_cube_vec(a) -> np.ndarray:
     n = a.shape[0]
     eye = np.eye(n)
     a2 = a @ a
-    return np.kron(a2.T, eye) + np.kron(a.T, a) + np.kron(eye, a2)
+    return _kron(a2.T, eye) + _kron(a.T, a) + _kron(eye, a2)
 
 
 def jac_inverse_vec(a) -> np.ndarray:
     """Jacobian of vec(A^-1) in vec(A):  -(A^-T (x) A^-1)."""
     a = as_square(a)
     inv = core.lu_solve(a, np.eye(a.shape[0]))
-    return -np.kron(inv.T, inv)
+    return -_kron(inv.T, inv)
 
 
 # matrix functions ----------------------------------------------------------
@@ -162,28 +168,27 @@ def jacobian_matrix_function(f, s) -> np.ndarray:
         J = (Q (x) Q) diag(vec L) (Q (x) Q)^T,
         L_ij = (f(lam_i) - f(lam_j)) / (lam_i - lam_j),   L_ii = f'(lam_i).
 
-    ``f`` maps floats to floats; f'(lam_i) is its central difference at step
-    eps^(1/3) (1 + |lam_i|).  The eigenvalues must be distinct.
+    ``f`` maps floats to floats; f'(lam_i) is ``fdcheck.directional_fd`` of
+    f at lam_i along 1, a central difference at step eps^(1/3) (1 + |lam_i|).
+    The eigenvalues must be distinct.
     """
     s = as_square(s)
     core.require_symmetric(s, "jacobian_matrix_function")
     dec = core.jacobi_eigen(s)
     lam = dec.lam
     core.require_gaps(lam, frob(s), "jacobian_matrix_function")
-    h = np.cbrt(2.0**-52) * (1.0 + np.abs(lam))
     fvals = np.array([float(f(v)) for v in lam])
-    fprime = np.array([(float(f(v + dv)) - float(f(v - dv))) / (2.0 * dv)
-                       for v, dv in zip(lam, h)])
+    fprime = np.array([fdcheck.directional_fd(f, v, 1.0) for v in lam])
     lmat = core.divided_differences(fvals[:, None] - fvals[None, :], lam, fprime)
-    qq = np.kron(dec.q, dec.q)
+    qq = _kron(dec.q, dec.q)
     return (qq * lmat.reshape(-1, order="F")) @ qq.T
 
 
 def jacobian_matrix_function_fd(f, s) -> np.ndarray:
     """Finite-difference Jacobian of vec(f(M)) in vec(M) at a symmetric
-    point, one central difference per entry of M (entries perturbed
-    independently, which leaves the matrix slightly non-symmetric; the
-    evaluations go through the general spectral route).
+    point: ``fdcheck.fd_jacobian`` of vec . f . unvec at vec(S), so column k
+    perturbs entry k of vec(M) alone (which leaves the matrix slightly
+    non-symmetric; the evaluations go through the general spectral route).
 
     The independent check on ``jacobian_matrix_function``: 2 n^2 spectral
     evaluations instead of one eigendecomposition.
@@ -193,18 +198,8 @@ def jacobian_matrix_function_fd(f, s) -> np.ndarray:
     dec = core.jacobi_eigen(s)
     core.require_gaps(dec.lam, frob(s), "jacobian_matrix_function_fd")
     n = s.shape[0]
-    h = math.sqrt(2.0**-52) * (1.0 + frob(s))
-    jac = np.empty((n * n, n * n))
-    col = 0
-    for j in range(n):
-        for i in range(n):
-            bump = np.zeros_like(s)
-            bump[i, j] = h
-            fp = matrix_function_general(f, s + bump)
-            fm = matrix_function_general(f, s - bump)
-            jac[:, col] = (vec(fp) - vec(fm)) / (2.0 * h)
-            col += 1
-    return jac
+    return fdcheck.fd_jacobian(
+        lambda v: vec(matrix_function_general(f, unvec(v, n, n))), vec(s))
 
 
 def theoretical_jacdet(f, f_prime, lam) -> float:
@@ -259,14 +254,14 @@ def kron_identity_suite(seed: int = 0, trials: int = 50) -> dict:
         b = rng.uniform(-1.0, 1.0, size=(m, m))
         c = rng.uniform(-1.0, 1.0, size=(n, n))
         d = rng.uniform(-1.0, 1.0, size=(m, m))
-        ab = np.kron(a, b)
+        ab = _kron(a, b)
 
         # (A (x) B)^T = A^T (x) B^T
-        note("transpose", frob(ab.T - np.kron(a.T, b.T)), frob(ab))
+        note("transpose", frob(ab.T - _kron(a.T, b.T)), frob(ab))
 
         # (A (x) B)(C (x) D) = AC (x) BD
-        lhs = ab @ np.kron(c, d)
-        rhs = np.kron(a @ c, b @ d)
+        lhs = ab @ _kron(c, d)
+        rhs = _kron(a @ c, b @ d)
         note("mixed_product", frob(lhs - rhs), frob(rhs))
 
         # (A (x) B)^-1 = A^-1 (x) B^-1 (shift to guarantee invertibility)
@@ -274,9 +269,9 @@ def kron_identity_suite(seed: int = 0, trials: int = 50) -> dict:
         b1 = b + (m + 1.0) * np.eye(m)
         inv_a = core.lu_solve(a1, np.eye(n))
         inv_b = core.lu_solve(b1, np.eye(m))
-        big = np.kron(a1, b1)
+        big = _kron(a1, b1)
         inv_big = core.lu_solve(big, np.eye(n * m))
-        note("inverse", frob(inv_big - np.kron(inv_a, inv_b)), frob(inv_big))
+        note("inverse", frob(inv_big - _kron(inv_a, inv_b)), frob(inv_big))
 
         # one eigendecomposition per symmetric part serves the orthogonality
         # and the eigenpair checks: a + a^T = 2 sa exactly, and a power-of-two
@@ -287,7 +282,7 @@ def kron_identity_suite(seed: int = 0, trials: int = 50) -> dict:
         dec_b = core.jacobi_eigen(sb)
 
         # orthogonal (x) orthogonal is orthogonal
-        qq = np.kron(dec_a.q, dec_b.q)
+        qq = _kron(dec_a.q, dec_b.q)
         note("orthogonality", frob(qq.T @ qq - np.eye(n * m)), math.sqrt(n * m))
 
         # det(A (x) B) = det(A)^m det(B)^n
@@ -304,7 +299,7 @@ def kron_identity_suite(seed: int = 0, trials: int = 50) -> dict:
 
         # eigenvalues of S_a (x) S_b are the pairwise products
         products = np.sort(np.outer(dec_a.lam, dec_b.lam).ravel())
-        direct = np.sort(core.jacobi_eigen(np.kron(sa, sb)).lam)
+        direct = np.sort(core.jacobi_eigen(_kron(sa, sb)).lam)
         note(
             "eigenpairs",
             float(np.max(np.abs(products - direct))),

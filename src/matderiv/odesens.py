@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import counting
+from . import counting, fdcheck
 from .core import as_vector
 from .errors import BlowUpError, ContractError, ShapeError
 
@@ -396,35 +396,23 @@ def loss_discrete(prob: OdeProblem, data_times, g_k_list, n_steps: int) -> float
     return total
 
 
-def _central_difference(loss, p: np.ndarray, rel_step: float) -> np.ndarray:
-    """Central-difference gradient of loss(p), one pair of evaluations per
-    parameter."""
-    grad = np.empty(len(p))
-    for k in range(len(p)):
-        h = rel_step * (1.0 + abs(p[k]))
-        pp = p.copy()
-        pp[k] += h
-        pm = p.copy()
-        pm[k] -= h
-        grad[k] = (loss(pp) - loss(pm)) / (2.0 * h)
-    return grad
-
-
-def grad_G_fd(prob: OdeProblem, n_steps: int, rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of the Simpson-discretized loss; the slow
-    reference route (one pair of integrations per parameter)."""
+def grad_G_fd(prob: OdeProblem, n_steps: int) -> np.ndarray:
+    """``fdcheck.fd_jacobian`` of the Simpson-discretized loss in p: the slow
+    reference route (one pair of integrations per parameter, at the shared
+    central-difference step)."""
     def loss(p):
         q = prob.with_p(p)
         return loss_G(q, integrate_rk4(q, n_steps))
 
-    return _central_difference(loss, prob.p, rel_step)
+    return fdcheck.fd_jacobian(loss, prob.p)
 
 
-def grad_discrete_fd(prob: OdeProblem, data_times, g_k_list, n_steps: int,
-                     rel_step: float = 1e-6):
-    return _central_difference(
+def grad_discrete_fd(prob: OdeProblem, data_times, g_k_list, n_steps: int):
+    """``fdcheck.fd_jacobian`` of ``loss_discrete`` in p: one pair of
+    integrations per parameter."""
+    return fdcheck.fd_jacobian(
         lambda p: loss_discrete(prob.with_p(p), data_times, g_k_list, n_steps),
-        prob.p, rel_step,
+        prob.p,
     )
 
 

@@ -216,6 +216,16 @@ class TestEig:
         assert len(report["rows"]) == 5
         assert report["residuals"]["worst_rel_err"] <= 1e-4
 
+    def test_large_n_difference_is_not_roundoff_bound(self, capsys):
+        """A fixed step of 1e-6 along a dS whose norm grows like n left the
+        difference quotient dominated by roundoff: this run failed with a
+        worst relative error of 1.45e-3 before the step was scaled to the
+        length of dS."""
+        code, report = _run_json(capsys, ["eig", "--n", "120", "--seed", "4",
+                                          "--format", "json"])
+        assert code == 0
+        assert report["residuals"]["worst_rel_err"] <= 1e-4
+
 
 class TestHessianDemo:
     def test_report(self, capsys):

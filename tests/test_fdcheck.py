@@ -12,7 +12,9 @@ from matderiv.errors import ContractError, DomainError
 from matderiv.fdcheck import (
     best_scale,
     central_diff,
+    directional_fd,
     error_sweep,
+    fd_jacobian,
     forward_diff,
     gaussian_direction,
     relative_error,
@@ -55,6 +57,58 @@ class TestDifferences:
         da = np.array([[0.0, 1.0], [0.0, 0.0]])
         got = central_diff(lambda m: m @ m, a, da)
         np.testing.assert_allclose(got, a @ da + da @ a, atol=1e-12)
+
+
+class TestSharedStep:
+    ROOT3_EPS = np.cbrt(2.0**-52)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+    def test_perturbation_norm_ignores_direction_length(self, scale):
+        """Every perturbation has norm eps^(1/3) (1 + ||x||), whether d is
+        short or long."""
+        x = np.array([3.0, -4.0])
+        d = scale * np.array([0.6, 0.8])
+        seen = []
+
+        def f(y):
+            seen.append(np.linalg.norm(y - x))
+            return float(np.sum(y))
+
+        directional_fd(f, x, d)
+        assert len(seen) == 2
+        for norm in seen:
+            assert norm == pytest.approx(self.ROOT3_EPS * 6.0, rel=1e-9)
+
+    def test_value_along_a_long_direction(self):
+        """The quotient estimates f'(x)[d] itself, not f'(x)[d / ||d||]."""
+        f = lambda y: y @ y
+        x = np.array([1.0, 2.0])
+        d = np.array([300.0, -400.0])
+        assert directional_fd(f, x, d) == pytest.approx(2.0 * x @ d, rel=1e-9)
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
+    def test_error_is_quadratic_in_step(self, x):
+        """On t^3 the truncation error of a central difference is exactly
+        h^2 (the third derivative 6 times h^2 / 6); at the shared step the
+        roundoff adds only a few per cent to it."""
+        h = self.ROOT3_EPS * (1.0 + x)
+        err = directional_fd(lambda t: t**3, x, 1.0) - 3.0 * x * x
+        assert err == pytest.approx(h * h, rel=0.05)
+
+    def test_jacobian_of_scalar_is_gradient(self):
+        f = lambda y: y[0] ** 2 + 3.0 * y[1] - y[2] * y[0]
+        x = np.array([1.0, 2.0, -0.5])
+        g = fd_jacobian(f, x)
+        assert g.shape == (3,)
+        np.testing.assert_allclose(g, [2.0 + 0.5, 3.0, -1.0], rtol=1e-9)
+
+    def test_jacobian_columns_follow_coordinates(self):
+        """Column k of the m-by-n Jacobian belongs to coordinate k."""
+        a = np.arange(1.0, 13.0).reshape(4, 3)
+        x = np.array([0.5, -1.0, 2.0])
+        jac = fd_jacobian(lambda y: a @ y, x)
+        assert jac.shape == (4, 3)
+        np.testing.assert_allclose(jac, a, rtol=1e-9)
 
 
 class TestRelativeError:
