@@ -43,7 +43,7 @@ GAP_RTOL = 1e-8         # eigenvalue gaps at or below this * max(scale, 1) are d
 JACOBI_MAX_SWEEPS = 100
 JACOBI_OFF_RTOL = 1e-12  # stop when off-diagonal norm falls below this * ||S||_F
 _TINY = np.finfo(float).smallest_subnormal
-_LOG_MAX = float(np.log(np.finfo(float).max))
+_TINY_NORMAL = np.finfo(float).tiny
 
 
 def as_vector(x) -> np.ndarray:
@@ -266,15 +266,21 @@ def lu_solve_factored(lu: np.ndarray, perm: np.ndarray, b) -> np.ndarray:
     return x[:, 0] if vector_rhs else x
 
 
+def lu_solve_pivots(a, b) -> tuple[np.ndarray, float, np.ndarray]:
+    """``lu_solve`` that also returns (pivot sign, LU pivots): one elimination
+    gives A^-1 b and, through ``det_times``, det(A)."""
+    lu, perm, sign = lu_factor(a)
+    x = lu_solve_factored(lu, perm, b)
+    counting.add_solve(1)
+    return x, sign, lu.diagonal()
+
+
 def lu_solve(a, b) -> np.ndarray:
     """Solve a x = b by partial-pivot LU; one solve event on the counter.
 
     ``b`` may be a vector or a matrix of right-hand-side columns.
     """
-    lu, perm, _ = lu_factor(a)
-    x = lu_solve_factored(lu, perm, b)
-    counting.add_solve(1)
-    return x
+    return lu_solve_pivots(a, b)[0]
 
 
 def _signed_pivots(a):
@@ -302,25 +308,29 @@ def slogdet(a) -> tuple[float, float]:
     return _log_product(*pivots)
 
 
+def det_times(sign: float, piv: np.ndarray, x):
+    """det(A) * x from A's pivot sign and nonzero LU pivots, without warnings:
+    the pivot product times ``x`` where that product is a normal float, else
+    sign * exp(log|det| + log|x|) entrywise, +-inf only where the true value is.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        d = sign * np.multiply.reduce(piv)
+        if _TINY_NORMAL <= abs(d) < np.inf:
+            return d * x
+        sign, logabs = _log_product(sign, piv)
+        return sign * np.sign(x) * np.exp(logabs + np.log(np.abs(x)))
+
+
 def det(a) -> float:
-    """Determinant as the signed product of LU pivots.
+    """Determinant as the signed product of LU pivots, ``det_times(..., 1.0)``.
 
     Unlike ``lu_solve`` this does not raise on singular input: an exactly
-    zero pivot column simply yields 0.0.  When the product overflows (at the
-    end or part way), the value comes from ``slogdet``'s log|det|: +-inf,
-    without a warning, exactly when log|det| exceeds log(float max), and
-    sign * exp(log|det|) otherwise.  Nothing is counted.
+    zero pivot column simply yields 0.0.  Nothing is counted.
     """
     pivots = _signed_pivots(a)
     if pivots is None:
         return 0.0
-    sign, piv = pivots
-    with np.errstate(over="ignore"):
-        d = sign * np.multiply.reduce(piv)
-        if np.isinf(d):
-            sign, logabs = _log_product(sign, piv)
-            d = sign * (np.exp(logabs) if logabs <= _LOG_MAX else np.inf)
-    return float(d)
+    return float(det_times(*pivots, 1.0))
 
 
 def thomas_solve(t: TridiagSym, b) -> np.ndarray:

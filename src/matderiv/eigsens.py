@@ -25,9 +25,9 @@ from .errors import ContractError
 
 
 def decompose(s) -> EigenDecomp:
-    """Eigendecomposition with the gap gate applied (scale = ||S||_F)."""
+    """Eigendecomposition with the gap gate applied (scale = ||S||_F): the
+    one guarded eigendecomposition.  ``jacobi_eigen`` enforces symmetry."""
     s = as_square(s)
-    core.require_symmetric(s, "decompose")
     dec = core.jacobi_eigen(s)
     core.require_gaps(dec.lam, frob(s), "decompose")
     return dec
@@ -64,12 +64,8 @@ def grad_lambda(dec: EigenDecomp, i: int) -> np.ndarray:
 
 def dq(dec: EigenDecomp, ds) -> np.ndarray:
     """First-order eigenvector changes dQ = Q W (columns stay normalized
-    to first order because W is antisymmetric)."""
-    b = _conjugated(dec, ds)
-    lam = dec.lam
-    core.require_gaps(lam, _scale(dec), "dq")
-    w = core.divided_differences(-b, lam, 0.0)  # b_ij / (lam_j - lam_i)
-    return dec.q @ w
+    to first order because W = Q^T dQ is antisymmetric)."""
+    return dec.q @ perturbation(dec, ds).qt_dq
 
 
 @dataclass

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from . import core, counting, fdcheck
+from . import core, counting, eigsens, fdcheck
 from .core import as_square, as_vector, as_matrix, frob
 from .errors import (
     DomainError,
@@ -111,8 +111,6 @@ def jac_inverse_vec(a) -> np.ndarray:
 
 def matrix_function(f, s) -> np.ndarray:
     """f(S) = Q f(Lambda) Q^T for symmetric S, f applied eigenvalue-wise."""
-    s = as_square(s)
-    core.require_symmetric(s, "matrix_function")
     dec = core.jacobi_eigen(s)
     fvals = np.array([float(f(v)) for v in dec.lam])
     return (dec.q * fvals) @ dec.q.T
@@ -170,13 +168,10 @@ def jacobian_matrix_function(f, s) -> np.ndarray:
 
     ``f`` maps floats to floats; f'(lam_i) is ``fdcheck.directional_fd`` of
     f at lam_i along 1, a central difference at step eps^(1/3) (1 + |lam_i|).
-    The eigenvalues must be distinct.
+    The eigenvalues must be distinct (``eigsens.decompose``).
     """
-    s = as_square(s)
-    core.require_symmetric(s, "jacobian_matrix_function")
-    dec = core.jacobi_eigen(s)
+    dec = eigsens.decompose(s)
     lam = dec.lam
-    core.require_gaps(lam, frob(s), "jacobian_matrix_function")
     fvals = np.array([float(f(v)) for v in lam])
     fprime = np.array([fdcheck.directional_fd(f, v, 1.0) for v in lam])
     lmat = core.divided_differences(fvals[:, None] - fvals[None, :], lam, fprime)
@@ -194,9 +189,7 @@ def jacobian_matrix_function_fd(f, s) -> np.ndarray:
     evaluations instead of one eigendecomposition.
     """
     s = as_square(s)
-    core.require_symmetric(s, "jacobian_matrix_function_fd")
-    dec = core.jacobi_eigen(s)
-    core.require_gaps(dec.lam, frob(s), "jacobian_matrix_function_fd")
+    eigsens.decompose(s)  # the point must be symmetric with distinct eigenvalues
     n = s.shape[0]
     return fdcheck.fd_jacobian(
         lambda v: vec(matrix_function_general(f, unvec(v, n, n))), vec(s))

@@ -64,20 +64,20 @@ def grad_det(a) -> np.ndarray:
     a = as_square(a)
     n = a.shape[0]
     try:
-        inv = core.lu_solve(a, np.eye(n))
+        inv, sign, piv = core.lu_solve_pivots(a, np.eye(n))
     except SingularMatrixError:
         if n <= 4:
             return _cofactor_minors(a)
         raise
-    return core.det(a) * inv.T
+    return core.det_times(sign, piv, inv.T)
 
 
 def d_logdet(a, da) -> float:
-    """d(log det A)[dA] = tr(A^-1 dA); requires det A > 0."""
+    """d(log det A)[dA] = tr(A^-1 dA); requires det A > 0 (slogdet's sign)."""
     a = as_square(a)
     da = as_square(da)
     _check_same_shape(a, da, "d_logdet")
-    if core.det(a) <= 0.0:
+    if core.slogdet(a)[0] <= 0.0:
         raise DomainError("d_logdet needs det(A) > 0")
     return float(np.trace(core.lu_solve(a, da)))
 
@@ -85,21 +85,20 @@ def d_logdet(a, da) -> float:
 def d_charpoly(a, x: float) -> float:
     """p'(x) for p(x) = det(xI - A): det(xI - A) * tr((xI - A)^-1).
 
-    ``x`` must stay away from the spectrum; for symmetric ``a`` the distance
-    is checked explicitly (gap > 1e-10), otherwise the elimination pivot
-    tolerance of xI - A is the guard.
+    ``x`` must stay away from the spectrum; for symmetric nonzero ``a`` the
+    distance is checked explicitly (gap > 1e-10), otherwise the elimination
+    pivot tolerance of xI - A is the guard.
     """
     a = as_square(a)
     n = a.shape[0]
-    if frob(a) > 0 and core.is_symmetric(a):
-        lam = core.jacobi_eigen(a).lam
-        if np.min(np.abs(lam - x)) <= 1e-10:
-            raise SingularMatrixError(
-                f"x={x} is within 1e-10 of an eigenvalue"
-            )
-    b = x * np.eye(n) - a
-    inv = core.lu_solve(b, np.eye(n))
-    return float(core.det(b) * np.trace(inv))
+    try:  # jacobi_eigen is the symmetry test: it rejects an asymmetric a
+        near = frob(a) > 0 and np.min(np.abs(core.jacobi_eigen(a).lam - x)) <= 1e-10
+    except ContractError:
+        near = False
+    if near:
+        raise SingularMatrixError(f"x={x} is within 1e-10 of an eigenvalue")
+    inv, sign, piv = core.lu_solve_pivots(x * np.eye(n) - a, np.eye(n))
+    return float(core.det_times(sign, piv, np.trace(inv)))
 
 
 def second_det(a, da, da2) -> float:
@@ -112,9 +111,9 @@ def second_det(a, da, da2) -> float:
     da2 = as_square(da2)
     _check_same_shape(a, da, "second_det")
     _check_same_shape(a, da2, "second_det")
-    x1 = core.lu_solve(a, da)
-    x2 = core.lu_solve(a, da2)
-    return float(core.det(a) * (np.trace(x2) * np.trace(x1) - np.trace(x2 @ x1)))
+    x, sign, piv = core.lu_solve_pivots(a, np.hstack([da, da2]))  # one block solve
+    x1, x2 = np.hsplit(x, 2)
+    return float(core.det_times(sign, piv, np.trace(x2) * np.trace(x1) - np.trace(x2 @ x1)))
 
 
 def grad_quadform(a, x) -> np.ndarray:

@@ -239,6 +239,28 @@ class TestDet:
             d = core.det(a)
         assert d == pytest.approx(-1e200, rel=1e-12)
 
+    def test_partial_underflow_keeps_a_representable_value(self):
+        """Pivots 1e-200, 1e-200, 1e300: the running product underflows to
+        0, but the determinant 1e-100 is representable."""
+        assert core.det(np.diag([1e-200, 1e-200, 1e300])) == pytest.approx(
+            1e-100, rel=1e-12)
+
+    def test_det_times_keeps_a_normal_product(self):
+        x = np.array([[0.1, -3.0], [0.0, 7.0]])
+        got = core.det_times(-1.0, np.array([2.0, 3.0, 0.7]), x)
+        assert got.tobytes() == ((-1.0 * 2.0 * 3.0 * 0.7) * x).tobytes()
+
+    def test_det_times_scales_in_log_space(self):
+        """Pivots 1e200, 1e200, 1e-250: det = 1e150 after a partial
+        overflow.  Entries come out finite, zero or +-inf as the true
+        values are, with no warning."""
+        x = np.array([2e100, -1e200, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = core.det_times(-1.0, np.array([1e200, 1e200, 1e-250]), x)
+        assert got[0] == pytest.approx(-2e250, rel=1e-12)
+        assert got[1] == np.inf and got[2] == 0.0
+
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 20])
     def test_slogdet_matches_numpy(self, n):
         rng = np.random.default_rng(30 + n)

@@ -8,7 +8,7 @@ second-order expansion must leave only an O(eps^3) remainder.
 import numpy as np
 import pytest
 
-from matderiv import eigsens
+from matderiv import core, eigsens
 from matderiv.errors import (
     ContractError,
     DegenerateEigenvaluesError,
@@ -38,6 +38,14 @@ class TestDecompose:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateEigenvaluesError):
             eigsens.decompose(np.eye(3))
+
+    def test_symmetry_tested_once(self, monkeypatch):
+        calls = []
+        is_symmetric = core.is_symmetric
+        monkeypatch.setattr(core, "is_symmetric",
+                            lambda *args: calls.append(1) or is_symmetric(*args))
+        eigsens.decompose(np.diag([1.0, 2.0, 3.0]))
+        assert len(calls) == 1
 
     def test_min_gap(self):
         assert eigsens.min_gap([3.0, 1.0, 1.5]) == pytest.approx(0.5)

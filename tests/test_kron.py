@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matderiv import counting, kron
+from matderiv import core, counting, kron
 from matderiv.errors import (
     ContractError,
     DegenerateEigenvaluesError,
@@ -200,6 +200,18 @@ class TestMatrixFunction:
     def test_degenerate_spectrum_rejected(self):
         with pytest.raises(DegenerateEigenvaluesError):
             kron.matrix_function_general(math.exp, np.eye(3))
+
+
+@pytest.mark.parametrize("route", [kron.matrix_function,
+                                   kron.jacobian_matrix_function])
+def test_symmetry_tested_once(route, monkeypatch):
+    """Each spectral route leaves the symmetry test to jacobi_eigen."""
+    calls = []
+    is_symmetric = core.is_symmetric
+    monkeypatch.setattr(core, "is_symmetric",
+                        lambda *args: calls.append(1) or is_symmetric(*args))
+    route(math.exp, GOLDEN)
+    assert len(calls) == 1
 
 
 class TestMatrixFunctionJacobian:

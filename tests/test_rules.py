@@ -8,7 +8,7 @@ cross-check so no two agreeing routes share code.
 import numpy as np
 import pytest
 
-from matderiv import counting, fdcheck, forward, rules
+from matderiv import core, counting, fdcheck, forward, rules
 from matderiv.errors import (
     ContractError,
     DomainError,
@@ -169,6 +169,84 @@ class TestSecondDet:
         combo = rules.second_det(a, 2.0 * da + db, dc)
         parts = 2.0 * rules.second_det(a, da, dc) + rules.second_det(a, db, dc)
         assert combo == pytest.approx(parts, rel=1e-10, abs=1e-12)
+
+
+def _det_beyond_float_range():
+    """n = 200 with log|det| = 712.1 (float max is e^709.8) but every
+    cofactor at most e^708.7, and directions for second_det."""
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((200, 200)) + 35.2 * np.eye(200)
+    da, db = rng.standard_normal((2, 200, 200))
+    return a, da, 0.5 * db
+
+
+def _log_space(sign, logabs, x):
+    """sign * det * x entrywise, through logs (no intermediate overflow)."""
+    return sign * np.sign(x) * np.exp(logabs + np.log(np.abs(x)))
+
+
+class TestDetFromOneElimination:
+    """grad_det, d_charpoly and second_det read det(A) from the elimination
+    of their own solve, scaled in log space where the pivot product leaves
+    the normal float range (warnings are errors in this suite)."""
+
+    def test_grad_det_finite_where_det_overflows(self):
+        a, _, _ = _det_beyond_float_range()
+        sign, logabs = np.linalg.slogdet(a)
+        assert logabs > np.log(np.finfo(float).max)
+        ref = _log_space(sign, logabs, np.linalg.solve(a, np.eye(200)).T)
+        got = rules.grad_det(a)
+        assert np.isfinite(got).all()
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_second_det_finite_where_det_overflows(self):
+        a, da, db = _det_beyond_float_range()
+        sign, logabs = np.linalg.slogdet(a)
+        x1, x2 = np.linalg.solve(a, da), np.linalg.solve(a, db)
+        bracket = np.trace(x2) * np.trace(x1) - np.trace(x2 @ x1)
+        ref = float(_log_space(sign, logabs, bracket))
+        got = rules.second_det(a, da, db)
+        assert np.isfinite(ref) and np.isfinite(got)
+        assert got == pytest.approx(ref, rel=1e-10)
+
+    def test_grad_det_where_det_underflows(self):
+        """det(1e-110 I) = 1e-330 underflows to 0; the cofactors 1e-220
+        do not."""
+        got = rules.grad_det(1e-110 * np.eye(3))
+        np.testing.assert_allclose(got, 1e-220 * np.eye(3), rtol=1e-12, atol=0.0)
+
+    def test_d_logdet_accepts_a_positive_det_that_underflows(self):
+        got = rules.d_logdet(1e-110 * np.eye(3), np.diag([1.0, 2.0, 3.0]))
+        assert got == pytest.approx(6e110, rel=1e-14)
+
+    @pytest.mark.parametrize("rule", ["grad_det", "d_charpoly", "second_det"])
+    def test_one_elimination_per_call(self, rule, monkeypatch):
+        calls = []
+        eliminate = core._eliminate
+        monkeypatch.setattr(core, "_eliminate",
+                            lambda *args: calls.append(1) or eliminate(*args))
+        rng = np.random.default_rng(14)
+        a, da, db = _well_conditioned(rng, 4), *rng.standard_normal((2, 4, 4))
+        {"grad_det": lambda: rules.grad_det(a),
+         "d_charpoly": lambda: rules.d_charpoly(a + a.T, 30.0),
+         "second_det": lambda: rules.second_det(a, da, db)}[rule]()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_counts(self, n):
+        """One solve each; second_det solves [dA | dA'] as one block."""
+        rng = np.random.default_rng(15 + n)
+        a, da, db = _well_conditioned(rng, n), *rng.standard_normal((2, n, n))
+        spd = a @ a.T
+        lu = core._lu_factor_flops(n)
+        for call, flops in [(lambda: rules.grad_det(a), lu + 2 * n**3),
+                            (lambda: rules.d_logdet(spd, da), lu + 2 * n**3),
+                            (lambda: rules.d_charpoly(a, 3.0 * n), lu + 2 * n**3),
+                            (lambda: rules.d_charpoly(spd, -1.0), lu + 2 * n**3),
+                            (lambda: rules.second_det(a, da, db), lu + 4 * n**3)]:
+            with counting.tally() as c:
+                call()
+            assert (c.flops, c.solves) == (flops, 1)
 
 
 class TestGradQuadform:
