@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import sys
@@ -210,17 +209,16 @@ def _fdsweep_rows(seed: int):
 
 
 def run_fdsweep(args):
-    rows = _fdsweep_rows(args.seed)
+    rows = [(r.scale, r.perturbation_norm, r.relative_error)
+            for r in _fdsweep_rows(args.seed)]
     report = _report(
         args.seed, {"subcommand": "fdsweep"},
-        {"min_rel_err": min(r.relative_error for r in rows)},
-        rows=[[r.scale, r.perturbation_norm, r.relative_error] for r in rows],
+        {"min_rel_err": min(row[2] for row in rows)},
+        rows=[list(row) for row in rows],
     )
     csv_text = None
     if args.format == "csv":
-        buf = io.StringIO()
-        fdcheck.sweep_to_csv(rows, buf)
-        csv_text = buf.getvalue()
+        csv_text = _csv("scale,perturbation_norm,relative_error", rows)
     return 0, report, csv_text
 
 

@@ -39,7 +39,7 @@ from .errors import ( # noqa: F401  (re-exported for convenience)
 
 PIVOT_RTOL = 1e-12      # pivot threshold relative to the Frobenius norm
 SYM_RTOL = 1e-12        # symmetry tolerance: ||A - A^T||_F <= SYM_RTOL * ||A||_F
-GAP_RTOL = 1e-8         # eigenvalue gaps at or below this * max(scale, 1) are degenerate
+GAP_RTOL = 1e-8         # eigenvalue gaps at or below this * max(||lam||_2, 1) are degenerate
 JACOBI_MAX_SWEEPS = 100
 JACOBI_OFF_RTOL = 1e-12  # stop when off-diagonal norm falls below this * ||S||_F
 _TINY = np.finfo(float).smallest_subnormal
@@ -102,11 +102,12 @@ def min_gap(lam) -> float:
     return float(np.min(np.diff(lam)))
 
 
-def require_gaps(lam, scale: float, what: str) -> None:
+def require_gaps(lam, what: str) -> None:
     """The gap guard: raise ``DegenerateEigenvaluesError`` naming ``what``
-    when two eigenvalues are within GAP_RTOL * max(scale, 1)."""
+    when two eigenvalues are within GAP_RTOL * max(||lam||_2, 1), a scale
+    read off the eigenvalues (||lam||_2 = ||S||_F for a symmetric S)."""
     gap = min_gap(lam)
-    if gap <= GAP_RTOL * max(scale, 1.0):
+    if gap <= GAP_RTOL * max(frob(lam), 1.0):
         raise DegenerateEigenvaluesError(
             f"{what}: eigenvalues too close (min gap {gap:.3e})"
         )

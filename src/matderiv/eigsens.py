@@ -19,23 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import EigenDecomp, as_square, as_vector, frob
+from .core import EigenDecomp, as_square, as_vector
 from .core import min_gap  # noqa: F401  (re-exported as part of this module's API)
 from .errors import ContractError
 
 
 def decompose(s) -> EigenDecomp:
-    """Eigendecomposition with the gap gate applied (scale = ||S||_F): the
-    one guarded eigendecomposition.  ``jacobi_eigen`` enforces symmetry."""
-    s = as_square(s)
+    """Eigendecomposition with the gap gate applied: the one guarded
+    eigendecomposition.  ``jacobi_eigen`` enforces symmetry."""
     dec = core.jacobi_eigen(s)
-    core.require_gaps(dec.lam, frob(s), "decompose")
+    core.require_gaps(dec.lam, "decompose")
     return dec
-
-
-def _scale(dec: EigenDecomp) -> float:
-    # ||S||_F equals the 2-norm of the eigenvalue vector.
-    return float(np.sqrt(np.sum(dec.lam * dec.lam)))
 
 
 def _conjugated(dec: EigenDecomp, ds) -> np.ndarray:
@@ -48,8 +42,7 @@ def _conjugated(dec: EigenDecomp, ds) -> np.ndarray:
 
 def dlambda(dec: EigenDecomp, ds) -> np.ndarray:
     """First-order eigenvalue changes: diag(Q^T dS Q)."""
-    core.require_gaps(dec.lam, _scale(dec), "dlambda")
-    return np.diag(_conjugated(dec, ds)).copy()
+    return perturbation(dec, ds).dlambda
 
 
 def grad_lambda(dec: EigenDecomp, i: int) -> np.ndarray:
@@ -57,7 +50,7 @@ def grad_lambda(dec: EigenDecomp, i: int) -> np.ndarray:
     n = dec.q.shape[0]
     if not 0 <= i < n:
         raise IndexError(f"eigenvalue index {i} out of range")
-    core.require_gaps(dec.lam, _scale(dec), "grad_lambda")
+    core.require_gaps(dec.lam, "grad_lambda")
     q = dec.q[:, i]
     return np.outer(q, q)
 
@@ -81,7 +74,7 @@ def perturbation(dec: EigenDecomp, ds) -> EigPerturbation:
     """Both first-order responses in one conjugation."""
     b = _conjugated(dec, ds)
     lam = dec.lam
-    core.require_gaps(lam, _scale(dec), "perturbation")
+    core.require_gaps(lam, "perturbation")
     w = core.divided_differences(-b, lam, 0.0)  # b_ij / (lam_j - lam_i)
     return EigPerturbation(dlambda=np.diag(b).copy(), qt_dq=w)
 
@@ -96,16 +89,11 @@ def second_order_taylor(lam, e, eps: float) -> np.ndarray:
     core.require_symmetric(e, "second_order_taylor")
     if e.shape[0] != len(lam):
         raise ContractError("perturbation size mismatch")
-    core.require_gaps(lam, float(np.sqrt(np.sum(lam * lam))), "second_order_taylor")
-    n = len(lam)
-    out = np.empty(n)
-    for i in range(n):
-        second = 0.0
-        for k in range(n):
-            if k != i:
-                second += e[i, k] ** 2 / (lam[i] - lam[k])
-        out[i] = lam[i] + eps * e[i, i] + eps * eps * second
-    return out
+    core.require_gaps(lam, "second_order_taylor")
+    # row i of E_ik^2 / (lambda_i - lambda_k) added in index order: a column
+    # sum of the C-ordered transpose (a row sum would add pairwise)
+    second = core.divided_differences(e * e, lam, 0.0).T.copy().sum(axis=0)
+    return lam + eps * np.diag(e) + eps * eps * second
 
 
 def second_order_taylor_general(dec: EigenDecomp, e, eps: float) -> np.ndarray:

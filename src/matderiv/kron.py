@@ -152,16 +152,25 @@ def matrix_function_general(f, m) -> np.ndarray:
     real matrix with distinct real eigenvalues."""
     m = as_square(m)
     x, lams = _eig_near_symmetric(m)
-    core.require_gaps(lams, frob(m), "matrix_function_general")
+    core.require_gaps(lams, "matrix_function_general")
     fvals = np.array([float(f(v)) for v in lams])
     x_inv = core.lu_solve(x, np.eye(m.shape[0]))
     return (x * fvals) @ x_inv
 
 
+def _lowner(f, f_prime, lam) -> np.ndarray:
+    """The Loewner matrix of f at distinct ``lam``: the first divided
+    differences (f(lam_i) - f(lam_j)) / (lam_i - lam_j), f'(lam_i) on the
+    diagonal."""
+    fvals = np.array([float(f(v)) for v in lam])
+    fprime = [float(f_prime(v)) for v in lam]
+    return core.divided_differences(fvals[:, None] - fvals[None, :], lam, fprime)
+
+
 def jacobian_matrix_function(f, s) -> np.ndarray:
     """Jacobian of vec(f(M)) in vec(M) at a symmetric point, in closed form.
 
-    With S = Q diag(lam) Q^T (Daleckii-Krein):
+    With S = Q diag(lam) Q^T and L the Loewner matrix (Daleckii-Krein):
 
         J = (Q (x) Q) diag(vec L) (Q (x) Q)^T,
         L_ij = (f(lam_i) - f(lam_j)) / (lam_i - lam_j),   L_ii = f'(lam_i).
@@ -171,10 +180,7 @@ def jacobian_matrix_function(f, s) -> np.ndarray:
     The eigenvalues must be distinct (``eigsens.decompose``).
     """
     dec = eigsens.decompose(s)
-    lam = dec.lam
-    fvals = np.array([float(f(v)) for v in lam])
-    fprime = np.array([fdcheck.directional_fd(f, v, 1.0) for v in lam])
-    lmat = core.divided_differences(fvals[:, None] - fvals[None, :], lam, fprime)
+    lmat = _lowner(f, lambda v: fdcheck.directional_fd(f, v, 1.0), dec.lam)
     qq = _kron(dec.q, dec.q)
     return (qq * lmat.reshape(-1, order="F")) @ qq.T
 
@@ -197,21 +203,16 @@ def jacobian_matrix_function_fd(f, s) -> np.ndarray:
 
 def theoretical_jacdet(f, f_prime, lam) -> float:
     """Determinant of the Jacobian of M -> f(M) at a symmetric point with
-    eigenvalues ``lam``:
+    eigenvalues ``lam``.  Q (x) Q is orthogonal, so det J is the product of
+    the n^2 entries of the Loewner matrix (``_lowner``; inf, without a
+    warning, where it overflows):
 
         prod_i f'(lam_i) * prod_{i<j} [ (f(lam_i) - f(lam_j)) / (lam_i - lam_j) ]^2
     """
     lam = as_vector(lam)
-    core.require_gaps(lam, float(np.sqrt(np.sum(lam * lam))), "theoretical_jacdet")
-    val = 1.0
-    for v in lam:
-        val *= float(f_prime(v))
-    n = len(lam)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ratio = (float(f(lam[i])) - float(f(lam[j]))) / (lam[i] - lam[j])
-            val *= ratio * ratio
-    return val
+    core.require_gaps(lam, "theoretical_jacdet")
+    with np.errstate(over="ignore"):
+        return float(np.multiply.reduce(_lowner(f, f_prime, lam), axis=None))
 
 
 # identity suite ------------------------------------------------------------

@@ -73,13 +73,22 @@ def grad_det(a) -> np.ndarray:
 
 
 def d_logdet(a, da) -> float:
-    """d(log det A)[dA] = tr(A^-1 dA); requires det A > 0 (slogdet's sign)."""
+    """d(log det A)[dA] = tr(A^-1 dA); requires det A > 0, whose sign comes
+    from the solve's pivots (from ``slogdet`` only where the solve finds A
+    singular, so that a det <= 0 is a ``DomainError`` there too)."""
     a = as_square(a)
     da = as_square(da)
     _check_same_shape(a, da, "d_logdet")
-    if core.slogdet(a)[0] <= 0.0:
+    try:
+        x, sign, piv = core.lu_solve_pivots(a, da)
+        sign *= float(np.multiply.reduce(np.sign(piv)))
+    except SingularMatrixError:
+        sign = core.slogdet(a)[0]
+        if sign > 0.0:
+            raise
+    if sign <= 0.0:
         raise DomainError("d_logdet needs det(A) > 0")
-    return float(np.trace(core.lu_solve(a, da)))
+    return float(np.trace(x))
 
 
 def d_charpoly(a, x: float) -> float:

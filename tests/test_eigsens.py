@@ -97,6 +97,22 @@ class TestDLambda:
             eigsens.dlambda(dec, np.zeros((2, 2)))
 
 
+class TestOneErrorPerInput:
+    @pytest.mark.parametrize("ds, error", [
+        (np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+         ContractError),
+        (np.zeros((2, 2)), ContractError),
+        (np.diag([1.0, 2.0, 3.0]), DegenerateEigenvaluesError),
+    ])
+    def test_first_order_routes_agree(self, ds, error):
+        """dlambda, perturbation and dq check dS before the gaps, alike."""
+        dec = core.EigenDecomp(q=np.eye(3), lam=np.array([1.0, 1.0, 2.0]))
+        for route in (eigsens.dlambda, eigsens.perturbation, eigsens.dq):
+            with pytest.raises(error) as caught:
+                route(dec, ds)
+            assert type(caught.value) is error
+
+
 class TestGradLambda:
     def test_rank_one_outer_product(self):
         rng = np.random.default_rng(6)
@@ -214,6 +230,24 @@ class TestSecondOrderTaylor:
         second = np.sort(eigsens.second_order_taylor(lam, e, eps))
         first = np.sort(lam + eps * np.diag(e))
         assert np.max(np.abs(second - exact)) < np.max(np.abs(first - exact)) / 10.0
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 42, 48, 50])
+    def test_bitwise_equal_to_scalar_loop(self, n):
+        """Each row's quotients are added in index order, as in the scalar
+        expansion, so both agree to the last bit."""
+        rng = np.random.default_rng(1000 + n)
+        lam = np.sort(rng.standard_normal(n)) + np.arange(n)
+        e = _random_symmetric(rng, n, spread=False)
+        eps = 0.03
+        want = np.empty(n)
+        for i in range(n):
+            second = 0.0
+            for k in range(n):
+                if k != i:
+                    second += e[i, k] ** 2 / (lam[i] - lam[k])
+            want[i] = lam[i] + eps * e[i, i] + eps * eps * second
+        got = eigsens.second_order_taylor(lam, e, eps)
+        assert got.tobytes() == want.tobytes()
 
     def test_general_base_matches_diagonal_specialization(self):
         """Around a diagonal matrix the general (conjugating) route must

@@ -300,6 +300,27 @@ class TestJacobianDeterminants:
         sign_from_cos = np.prod(np.sign(np.cos(lam)))
         assert sign_from_cos == 1.0
 
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_loewner_product_matches_pairwise_loop(self, n):
+        """The product of all n^2 Loewner entries against the formula's
+        f' product times squared off-diagonal quotients; only the order of
+        the n^2 roundings differs."""
+        rng = np.random.default_rng(40 + n)
+        lam = np.sort(rng.standard_normal(n)) + np.arange(n)
+        want = 1.0
+        for v in lam:
+            want *= math.cos(v)
+        for i in range(n):
+            for j in range(i + 1, n):
+                ratio = (math.sin(lam[i]) - math.sin(lam[j])) / (lam[i] - lam[j])
+                want *= ratio * ratio
+        got = kron.theoretical_jacdet(math.sin, math.cos, lam)
+        assert got == pytest.approx(want, rel=n * n * np.finfo(float).eps)
+
+    def test_overflow_is_inf_without_warning(self):
+        got = kron.theoretical_jacdet(math.exp, math.exp, np.linspace(0.0, 1.0, 40))
+        assert got == math.inf
+
     @pytest.mark.parametrize("f, fp, tol", [
         (lambda t: t * t, lambda t: 2 * t, 1e-2),
         (math.exp, math.exp, 1e-2),

@@ -120,6 +120,17 @@ class TestDLogDet:
         with pytest.raises(DomainError):
             rules.d_logdet(-np.eye(3), np.eye(3))
 
+    @pytest.mark.parametrize("diag, error", [
+        ([1.0, 1.0, 0.0], DomainError),
+        ([-1.0, 1.0, 1e-300], DomainError),
+        ([1.0, 1.0, 1e-300], SingularMatrixError),
+    ])
+    def test_singular_to_tolerance(self, diag, error):
+        """A det <= 0 is a domain error even where the solve's pivot test
+        fails first; a det > 0 keeps the solve's singular-matrix error."""
+        with pytest.raises(error):
+            rules.d_logdet(np.diag(diag), np.eye(3))
+
 
 class TestDCharpoly:
     def test_matches_fd(self):
@@ -219,7 +230,8 @@ class TestDetFromOneElimination:
         got = rules.d_logdet(1e-110 * np.eye(3), np.diag([1.0, 2.0, 3.0]))
         assert got == pytest.approx(6e110, rel=1e-14)
 
-    @pytest.mark.parametrize("rule", ["grad_det", "d_charpoly", "second_det"])
+    @pytest.mark.parametrize("rule", ["grad_det", "d_charpoly", "second_det",
+                                      "d_logdet"])
     def test_one_elimination_per_call(self, rule, monkeypatch):
         calls = []
         eliminate = core._eliminate
@@ -229,7 +241,8 @@ class TestDetFromOneElimination:
         a, da, db = _well_conditioned(rng, 4), *rng.standard_normal((2, 4, 4))
         {"grad_det": lambda: rules.grad_det(a),
          "d_charpoly": lambda: rules.d_charpoly(a + a.T, 30.0),
-         "second_det": lambda: rules.second_det(a, da, db)}[rule]()
+         "second_det": lambda: rules.second_det(a, da, db),
+         "d_logdet": lambda: rules.d_logdet(a @ a.T, da)}[rule]()
         assert len(calls) == 1
 
     @pytest.mark.parametrize("n", [1, 3, 6])
