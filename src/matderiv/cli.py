@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import sys
@@ -209,16 +210,17 @@ def _fdsweep_rows(seed: int):
 
 
 def run_fdsweep(args):
-    rows = [(r.scale, r.perturbation_norm, r.relative_error)
-            for r in _fdsweep_rows(args.seed)]
+    rows = _fdsweep_rows(args.seed)
     report = _report(
         args.seed, {"subcommand": "fdsweep"},
-        {"min_rel_err": min(row[2] for row in rows)},
-        rows=[list(row) for row in rows],
+        {"min_rel_err": min(r.relative_error for r in rows)},
+        rows=[[r.scale, r.perturbation_norm, r.relative_error] for r in rows],
     )
     csv_text = None
     if args.format == "csv":
-        csv_text = _csv("scale,perturbation_norm,relative_error", rows)
+        buf = io.StringIO()
+        fdcheck.sweep_to_csv(rows, buf)
+        csv_text = buf.getvalue()
     return 0, report, csv_text
 
 

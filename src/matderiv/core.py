@@ -104,8 +104,9 @@ def min_gap(lam) -> float:
 
 def require_gaps(lam, what: str) -> None:
     """The gap guard: raise ``DegenerateEigenvaluesError`` naming ``what``
-    when two eigenvalues are within GAP_RTOL * max(||lam||_2, 1), a scale
-    read off the eigenvalues (||lam||_2 = ||S||_F for a symmetric S)."""
+    when two eigenvalues are within GAP_RTOL * max(||lam||_2, 1).  ||lam||_2
+    = ||S||_F for a symmetric S; for a non-normal M it is below ||M||_F, so
+    ``kron.matrix_function_general`` keeps its own ||M||_F test."""
     gap = min_gap(lam)
     if gap <= GAP_RTOL * max(frob(lam), 1.0):
         raise DegenerateEigenvaluesError(
@@ -293,10 +294,14 @@ def _signed_pivots(a):
     return sign, np.diag(lu)
 
 
+def det_sign(sign: float, piv: np.ndarray) -> float:
+    """Sign of det(A) from A's pivot sign and nonzero LU pivots."""
+    return sign * float(np.multiply.reduce(np.sign(piv)))
+
+
 def _log_product(sign: float, piv: np.ndarray) -> tuple[float, float]:
     """(sign, log|prod|) of sign * prod(piv) for nonzero pivots."""
-    sign *= float(np.multiply.reduce(np.sign(piv)))
-    return sign, float(np.add.reduce(np.log(np.abs(piv))))
+    return det_sign(sign, piv), float(np.add.reduce(np.log(np.abs(piv))))
 
 
 def slogdet(a) -> tuple[float, float]:

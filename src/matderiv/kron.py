@@ -18,6 +18,7 @@ import numpy as np
 from . import core, counting, eigsens, fdcheck
 from .core import as_square, as_vector, as_matrix, frob
 from .errors import (
+    DegenerateEigenvaluesError,
     DomainError,
     ShapeError,
     SingularMatrixError,
@@ -149,10 +150,16 @@ def _eig_near_symmetric(m: np.ndarray):
 
 def matrix_function_general(f, m) -> np.ndarray:
     """f(M) = X f(Lambda) X^{-1} for a (possibly slightly non-symmetric)
-    real matrix with distinct real eigenvalues."""
+    real matrix with distinct real eigenvalues.  The gap is tested against
+    ||M||_F, which exceeds ``core.require_gaps``' ||lam||_2 for a non-normal
+    M, whose X^{-1} grows as a gap closes."""
     m = as_square(m)
     x, lams = _eig_near_symmetric(m)
-    core.require_gaps(lams, "matrix_function_general")
+    gap = core.min_gap(lams)
+    if gap <= core.GAP_RTOL * max(frob(m), 1.0):
+        raise DegenerateEigenvaluesError(
+            f"matrix_function_general: eigenvalues too close (min gap {gap:.3e})"
+        )
     fvals = np.array([float(f(v)) for v in lams])
     x_inv = core.lu_solve(x, np.eye(m.shape[0]))
     return (x * fvals) @ x_inv

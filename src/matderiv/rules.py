@@ -81,7 +81,7 @@ def d_logdet(a, da) -> float:
     _check_same_shape(a, da, "d_logdet")
     try:
         x, sign, piv = core.lu_solve_pivots(a, da)
-        sign *= float(np.multiply.reduce(np.sign(piv)))
+        sign = core.det_sign(sign, piv)
     except SingularMatrixError:
         sign = core.slogdet(a)[0]
         if sign > 0.0:

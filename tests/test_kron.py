@@ -201,6 +201,14 @@ class TestMatrixFunction:
         with pytest.raises(DegenerateEigenvaluesError):
             kron.matrix_function_general(math.exp, np.eye(3))
 
+    def test_non_normal_gap_measured_against_frobenius_norm(self):
+        """The pair 0, 2.2e-7 is within GAP_RTOL * ||M||_F (||M||_F = 23.07)
+        though not within GAP_RTOL * ||lam||_2 (||lam||_2 = 21.65)."""
+        m = np.diag([0.0, 2.2e-7, 10.0, 20.0])
+        m[2, 3], m[3, 2] = 4.0, -4.0
+        with pytest.raises(DegenerateEigenvaluesError):
+            kron.matrix_function_general(math.exp, m)
+
 
 @pytest.mark.parametrize("route", [kron.matrix_function,
                                    kron.jacobian_matrix_function])
