@@ -112,16 +112,8 @@ def _suite_ad_cross_mode(seed):
 
 
 def _suite_matrix_rules(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
-    da = rng.standard_normal((4, 4))
-    inv = lambda m: core.lu_solve(m, np.eye(4))
-    fd_inv = fdcheck.directional_fd(inv, a, da)
-    r1 = fdcheck.relative_error(fd_inv, rules.d_inverse(a, da))
-    g = rules.grad_det(a)
-    fd_det = fdcheck.directional_fd(core.det, a, da)
-    r2 = abs(fd_det - float(np.sum(g * da))) / abs(fd_det)
-    return max(r1, r2), 1e-5, {"d_inverse": r1, "grad_det": r2}
+    detail = {e.name: fdcheck.rule_residual(e, seed) for e in rules.RULE_CHECKS}
+    return max(detail.values()), fdcheck.RULE_TOL, detail
 
 
 def _suite_tridiag(seed):

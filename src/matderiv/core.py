@@ -315,20 +315,24 @@ def slogdet(a) -> tuple[float, float]:
 
 
 def det_times(sign: float, piv: np.ndarray, x):
-    """det(A) * x from A's pivot sign and nonzero LU pivots, without warnings:
-    the pivot product times ``x`` where that product is a normal float, else
-    sign * exp(log|det| + log|x|) entrywise, +-inf only where the true value is.
+    """det(A) * x from A's pivot sign and LU pivots, without warnings: the
+    pivot product times ``x`` where every partial product of the pivots is a
+    normal float (a subnormal one has lost digits that a later pivot can
+    scale back into the normal range), else sign * exp(log|det| + log|x|)
+    entrywise, +-inf only where the true value is and 0 at a zero pivot.
     """
     with np.errstate(over="ignore", divide="ignore"):
         d = sign * np.multiply.reduce(piv)
-        if _TINY_NORMAL <= abs(d) < np.inf:
+        if (np.abs(np.multiply.accumulate(piv)) >= _TINY_NORMAL).all() and abs(d) < np.inf:
             return d * x
         sign, logabs = _log_product(sign, piv)
         return sign * np.sign(x) * np.exp(logabs + np.log(np.abs(x)))
 
 
 def det(a) -> float:
-    """Determinant as the signed product of LU pivots, ``det_times(..., 1.0)``.
+    """Determinant from the LU pivots, ``det_times(..., 1.0)``: their signed
+    product where every partial product is a normal float, else through
+    log|det|.
 
     Unlike ``lu_solve`` this does not raise on singular input: an exactly
     zero pivot column simply yields 0.0.  Nothing is counted.

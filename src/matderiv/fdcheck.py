@@ -36,8 +36,12 @@ def central_diff(f, x, dx):
 def directional_fd(f, x, d):
     """Central-difference f'(x)[d] by the package's one step rule: h d has
     norm eps^(1/3) (1 + ||x||_F) whatever the length of d, which balances the
-    O(h^2) truncation error against the O(eps / h) roundoff."""
-    h = np.cbrt(EPS) * (1.0 + frob(x)) / frob(d)
+    O(h^2) truncation error against the O(eps / h) roundoff.  A zero d is a
+    ``DomainError``."""
+    norm = frob(d)
+    if norm == 0.0:
+        raise DomainError("directional_fd along a zero direction")
+    h = np.cbrt(EPS) * (1.0 + frob(x)) / norm
     return central_diff(f, x, h * d) / h
 
 
@@ -61,6 +65,28 @@ def relative_error(approx, exact) -> float:
     if denom == 0.0:
         raise DomainError("relative_error against an exactly-zero reference")
     return frob(approx - exact) / denom
+
+
+RULE_TOL = 1e-6
+LINEAR_TOL = 1e-12
+
+
+def rule_residual(entry, seed: int) -> float:
+    """Residual of a ``rules.RuleCheck`` at inputs from ``default_rng(seed)``:
+    ``relative_error`` of ``directional_fd`` of the primal against the action
+    L[d] along three Gaussian d, stacked so that no d near the kernel of L
+    decides it, or, where larger, RULE_TOL / LINEAR_TOL times the linearity
+    error ||L[2u - 3v] - 2 L[u] + 3 L[v]|| / ||stack||.  So it is within
+    RULE_TOL exactly when each error is within its own tolerance."""
+    rng = np.random.default_rng(seed)
+    params, x = entry.sample(rng)
+    d = rng.standard_normal((3,) + np.shape(x))
+    action = partial(entry.action, params, x)
+    exact = np.array([action(u) for u in d])
+    fd_error = relative_error([directional_fd(partial(entry.primal, params), x, u) for u in d],
+                              exact)
+    linear = frob(action(2.0 * d[0] - 3.0 * d[1]) - 2.0 * exact[0] + 3.0 * exact[1]) / frob(exact)
+    return max(fd_error, linear * (RULE_TOL / LINEAR_TOL))
 
 
 def suggest_step(x) -> float:

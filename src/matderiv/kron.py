@@ -211,15 +211,16 @@ def jacobian_matrix_function_fd(f, s) -> np.ndarray:
 def theoretical_jacdet(f, f_prime, lam) -> float:
     """Determinant of the Jacobian of M -> f(M) at a symmetric point with
     eigenvalues ``lam``.  Q (x) Q is orthogonal, so det J is the product of
-    the n^2 entries of the Loewner matrix (``_lowner``; inf, without a
-    warning, where it overflows):
+    the n^2 entries of the Loewner matrix (``_lowner``), formed as
+    ``core.det_times`` forms a pivot product: through logs where a partial
+    product leaves the normal float range, inf only where det J overflows,
+    0.0 at a zero entry, without a warning:
 
         prod_i f'(lam_i) * prod_{i<j} [ (f(lam_i) - f(lam_j)) / (lam_i - lam_j) ]^2
     """
     lam = as_vector(lam)
     core.require_gaps(lam, "theoretical_jacdet")
-    with np.errstate(over="ignore"):
-        return float(np.multiply.reduce(_lowner(f, f_prime, lam), axis=None))
+    return float(core.det_times(1.0, _lowner(f, f_prime, lam).ravel(), 1.0))
 
 
 # identity suite ------------------------------------------------------------

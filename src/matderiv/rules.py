@@ -15,6 +15,7 @@ x -> (A + y x^T)^{-1} b in quadratic time.
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -295,3 +296,79 @@ def analytic_transform_jacobians(kind: str, theta: float, point) -> np.ndarray:
                               [-math.cos(phi), -math.sin(phi)]])
         return theta * r * rot_prime @ np.outer(point, point) / r2 + rot
     raise ContractError(f"unknown transform kind {kind!r}")
+
+
+# verification table --------------------------------------------------------
+
+class RuleCheck(NamedTuple):
+    """A rule beside its primal map, judged by ``fdcheck.rule_residual``:
+    ``sample(rng)`` draws (params, x) in the rule's domain, ``primal(params,
+    x)`` is f(x) in numpy alone (``np.linalg``, ``@``: no code shared with the
+    rule), ``action(params, x, dx)`` is f'(x)[dx] by the rule, looked up when
+    it runs."""
+
+    name: str
+    sample: Callable
+    primal: Callable
+    action: Callable
+
+
+def _dominant(rng):
+    """4x4, off-diagonal row sums below 3, diagonal above 4: every eigenvalue
+    has real part above 1, so det > 0 and ||A^-1||_inf < 1."""
+    return rng.uniform(-1.0, 1.0, (4, 4)) + 5.0 * np.eye(4)
+
+
+def _nonzero(rng, shape=4):
+    """Entries of magnitude in [0.5, 1.5] with random signs."""
+    return rng.uniform(0.5, 1.5, shape) * rng.choice((-1.0, 1.0), shape)
+
+
+RULE_CHECKS = (
+    RuleCheck("d_inverse", lambda rng: (None, _dominant(rng)),
+              lambda _, a: np.linalg.inv(a), lambda _, a, da: d_inverse(a, da)),
+    RuleCheck("grad_det", lambda rng: (None, _dominant(rng)),
+              lambda _, a: np.linalg.det(a), lambda _, a, da: np.vdot(grad_det(a), da)),
+    RuleCheck("d_logdet", lambda rng: (None, _dominant(rng)),
+              lambda _, a: np.linalg.slogdet(a)[1], lambda _, a, da: d_logdet(a, da)),
+    # the spectral radius is at most ||A||_inf <= 4 < x
+    RuleCheck("d_charpoly", lambda rng: (rng.uniform(-1.0, 1.0, (4, 4)), 5.0 + rng.uniform()),
+              lambda a, x: np.linalg.det(x * np.eye(4) - a),
+              lambda a, x, dx: d_charpoly(a, x) * dx),
+    # the derivative of A -> det A tr(A^-1 dA2) along dA
+    RuleCheck("second_det", lambda rng: (rng.standard_normal((4, 4)), _dominant(rng)),
+              lambda da2, a: np.linalg.det(a) * np.trace(np.linalg.inv(a) @ da2),
+              lambda da2, a, da: second_det(a, da, da2)),
+    RuleCheck("grad_quadform", lambda rng: (_dominant(rng), _nonzero(rng)),
+              lambda a, x: x @ a @ x, lambda a, x, dx: grad_quadform(a, x) @ dx),
+    RuleCheck("grad_frobenius", lambda rng: (None, _nonzero(rng, (3, 4))),
+              lambda _, a: np.linalg.norm(a), lambda _, a, da: np.vdot(grad_frobenius(a), da)),
+    RuleCheck("grad_bilinear_xay",
+              lambda rng: ((_nonzero(rng), _nonzero(rng)), rng.uniform(-1.0, 1.0, (4, 4))),
+              lambda xy, a: xy[0] @ a @ xy[1],
+              lambda xy, a, da: np.vdot(grad_bilinear_xay(*xy), da)),
+    RuleCheck("d_matpow", lambda rng: (None, _dominant(rng)),
+              lambda _, a: np.linalg.matrix_power(a, 4), lambda _, a, da: d_matpow(a, da, 4)),
+    # |x^T A^-1 y| <= ||x||_1 ||A^-1||_inf ||y||_inf < 0.4 keeps A + y x^T regular
+    RuleCheck("jacobian_rank1_resolvent",
+              lambda rng: ((_dominant(rng), rng.uniform(-1.0, 1.0, 4), _nonzero(rng)),
+                           rng.uniform(-0.1, 0.1, 4)),
+              lambda p, x: np.linalg.inv(p[0] + np.outer(p[1], x)) @ p[2],
+              lambda p, x, dx: jacobian_rank1_resolvent(np.linalg.inv(p[0]), p[1], x, p[2]) @ dx),
+    # symmetric; A + diag(x) and A + 2 diag(x) strictly diagonally dominant
+    RuleCheck("grad_diagm_quadratic",
+              lambda rng: (0.5 * ((s := rng.uniform(-1.0, 1.0, (4, 4))) + s.T) + 8.0 * np.eye(4),
+                           _nonzero(rng)),
+              lambda a, x: x @ (a + np.diag(x)) @ (a + np.diag(x)) @ x,
+              lambda a, x, dx: grad_diagm_quadratic(a, x) @ dx),
+    RuleCheck("d_projection", lambda rng: (None, _nonzero(rng)),
+              lambda _, x: np.outer(x, x) / (x @ x), lambda _, x, dx: d_projection(x, dx)),
+    RuleCheck("jacobian_projection_b", lambda rng: (_nonzero(rng), _nonzero(rng)),
+              lambda b, x: np.outer(x, x) @ b / (x @ x),
+              lambda b, x, dx: jacobian_projection_b(x, b) @ dx),
+    *(RuleCheck(f"analytic_transform_jacobians[{kind}]",
+                lambda rng, kind=kind: ((kind, rng.uniform(-1.0, 1.0)), _nonzero(rng, 2)),
+                lambda kt, p: np.array(transform_map(*kt, p.tolist())),
+                lambda kt, p, dp: analytic_transform_jacobians(*kt, p) @ dp)
+      for kind in TRANSFORM_KINDS),
+)

@@ -245,6 +245,13 @@ class TestDet:
         assert core.det(np.diag([1e-200, 1e-200, 1e300])) == pytest.approx(
             1e-100, rel=1e-12)
 
+    def test_subnormal_partial_product_goes_through_logs(self):
+        """Pivots 1e-160, 1e-160, 1e200: the running product 1e-320 is
+        subnormal and has lost digits that the last pivot would scale back
+        into the normal result 1e-120."""
+        a = np.diag([1e-160, 1e-160, 1e200])
+        assert core.det(a) == pytest.approx(np.linalg.det(a), rel=1e-14, abs=0.0)
+
     def test_det_times_keeps_a_normal_product(self):
         x = np.array([[0.1, -3.0], [0.0, 7.0]])
         got = core.det_times(-1.0, np.array([2.0, 3.0, 0.7]), x)

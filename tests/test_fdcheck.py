@@ -95,6 +95,10 @@ class TestSharedStep:
         err = directional_fd(lambda t: t**3, x, 1.0) - 3.0 * x * x
         assert err == pytest.approx(h * h, rel=0.05)
 
+    def test_zero_direction_rejected(self):
+        with pytest.raises(DomainError):
+            directional_fd(lambda y: y @ y, np.ones(2), np.zeros(2))
+
     def test_jacobian_of_scalar_is_gradient(self):
         f = lambda y: y[0] ** 2 + 3.0 * y[1] - y[2] * y[0]
         x = np.array([1.0, 2.0, -0.5])

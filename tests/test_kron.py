@@ -325,6 +325,22 @@ class TestJacobianDeterminants:
         got = kron.theoretical_jacdet(math.sin, math.cos, lam)
         assert got == pytest.approx(want, rel=n * n * np.finfo(float).eps)
 
+    def test_partial_product_leaving_the_float_range(self):
+        """f = exp(300 t): the running product of the Loewner entries goes
+        subnormal, and to 0, before det J = 1.28e-65 is reached; for exp at
+        (-700, -690, 600, 610) it goes to 0 before det J overflows to inf."""
+        lam = np.array([-1.0, -0.9, 0.2, 0.3])
+        f, fp = (lambda t: math.exp(300.0 * t)), (lambda t: 300.0 * math.exp(300.0 * t))
+        ref = math.exp(math.fsum(np.log(kron._lowner(f, fp, lam)).ravel()))
+        assert kron.theoretical_jacdet(f, fp, lam) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        lam = np.array([-700.0, -690.0, 600.0, 610.0])
+        assert kron.theoretical_jacdet(math.exp, math.exp, lam) == math.inf
+
+    def test_zero_entry_is_zero_without_warning(self):
+        got = kron.theoretical_jacdet(lambda t: t**3, lambda t: 3.0 * t * t,
+                                      np.array([-1.0, 0.0, 2.0]))
+        assert got == 0.0
+
     def test_overflow_is_inf_without_warning(self):
         got = kron.theoretical_jacdet(math.exp, math.exp, np.linspace(0.0, 1.0, 40))
         assert got == math.inf
