@@ -3,11 +3,21 @@
 The numeric substrate for everything else: partial-pivot LU, the banded
 Thomas solve, a Jacobi eigensolver for symmetric matrices (Brent-Luk
 round-robin ordering: each sweep is a sequence of rounds of disjoint
-rotations, and a round is two matrix products with its block rotation J),
-LU-based determinants and log-determinants, and a Newton root finder driven
-by forward-mode Jacobians.  Factorizations and the eigensolver are written
-out here; numpy arrays are used purely as storage and for elementwise/block
-arithmetic.
+rotations), LU-based determinants and log-determinants, and a Newton root
+finder driven by forward-mode Jacobians.  Factorizations and the
+eigensolver are written out here, each in two regimes chosen by n:
+  - small n, where numpy's fixed cost per call would outweigh the
+    arithmetic: loops over Python floats (``tolist()`` rows, no numpy call
+    inside) -- LU up to LU_SCALAR_MAX_N = 16 rows (its substitution while
+    the right-hand side holds at most 2 * LU_SCALAR_MAX_N numbers), Jacobi
+    up to JACOBI_SCALAR_MAX_N = 5, where a round is column-pair and
+    row-pair updates;
+  - above the cuts: numpy arrays as storage and for elementwise/block
+    arithmetic -- rank-1 row updates in LU, and a Jacobi round as two
+    matrix products with its block rotation J.
+The two LU regimes are bitwise equal; the Jacobi regimes agree to roundoff.
+The cuts are measured crossovers, not options.  The Thomas sweeps always
+run on Python floats (over memoryviews).
 
 Conventions fixed by this module:
   - vectors are 1-D float64 arrays, matrices 2-D float64 arrays;
@@ -24,6 +34,7 @@ All returned objects are treated as immutable; operations are pure.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +53,9 @@ SYM_RTOL = 1e-12        # symmetry tolerance: ||A - A^T||_F <= SYM_RTOL * ||A||_
 GAP_RTOL = 1e-8         # eigenvalue gaps at or below this * max(||lam||_2, 1) are degenerate
 JACOBI_MAX_SWEEPS = 100
 JACOBI_OFF_RTOL = 1e-12  # stop when off-diagonal norm falls below this * ||S||_F
-_TINY = np.finfo(float).smallest_subnormal
+LU_SCALAR_MAX_N = 16    # LU runs on Python floats up to this n (measured crossover)
+JACOBI_SCALAR_MAX_N = 5  # Jacobi runs on Python floats up to this n (measured crossover)
+_TINY = float(np.finfo(float).smallest_subnormal)
 _TINY_NORMAL = np.finfo(float).tiny
 
 
@@ -206,8 +219,15 @@ def _eliminate(a: np.ndarray, tol: float):
     Returns (packed LU, row permutation, pivot sign, k), where k is the
     first step whose best pivot is at or below ``tol`` (elimination stops
     there), or None when every step found a pivot above it.
+
+    Up to LU_SCALAR_MAX_N rows it runs on Python floats
+    (``_eliminate_scalar``), above on rank-1 array updates.  Both regimes
+    make the same operations in the same order, so their results are
+    bitwise equal; neither raises nor counts.
     """
     n = a.shape[0]
+    if n <= LU_SCALAR_MAX_N:
+        return _eliminate_scalar(a, tol)
     lu = a.copy()
     perm = np.arange(n)
     sign = 1.0
@@ -222,6 +242,42 @@ def _eliminate(a: np.ndarray, tol: float):
         lu[k + 1:, k] /= lu[k, k]
         lu[k + 1:, k + 1:] -= lu[k + 1:, k, None] * lu[k, k + 1:]
     return lu, perm, sign, None
+
+
+def _eliminate_scalar(a: np.ndarray, tol: float):
+    """``_eliminate`` on a list of Python-float rows, where numpy's fixed
+    cost per call would outweigh the arithmetic.  The pivot is the one
+    ``np.argmax`` picks: the first entry of largest magnitude, or the first
+    NaN (an elimination that overflowed), which ``>`` alone would skip."""
+    n = a.shape[0]
+    rows = a.tolist()
+    perm = list(range(n))
+    sign = 1.0
+    k = None
+    for step in range(n):
+        p, best = step, abs(rows[step][step])
+        if best == best:
+            for i in range(step + 1, n):
+                v = abs(rows[i][step])
+                if v > best:
+                    p, best = i, v
+                elif v != v:
+                    p, best = i, v
+                    break
+        if best <= tol:
+            k = step
+            break
+        if p != step:
+            rows[step], rows[p] = rows[p], rows[step]
+            perm[step], perm[p] = perm[p], perm[step]
+            sign = -sign
+        top = rows[step]
+        piv = top[step]
+        for row in rows[step + 1:]:
+            l = row[step] = row[step] / piv
+            for j in range(step + 1, n):
+                row[j] -= l * top[j]
+    return np.array(rows).reshape(n, n), np.array(perm, dtype=np.intp), sign, k
 
 
 def _lu_factor_flops(n: int) -> int:
@@ -250,22 +306,58 @@ def lu_factor(a) -> tuple[np.ndarray, np.ndarray, float]:
 
 def lu_solve_factored(lu: np.ndarray, perm: np.ndarray, b) -> np.ndarray:
     """Substitution phase against an existing factorization.  ``b`` may be a
-    vector or a matrix of stacked right-hand-side columns."""
+    vector or a matrix of stacked right-hand-side columns, with finite
+    entries.
+
+    Both substitutions go column by column of L and U.  Up to
+    LU_SCALAR_MAX_N rows they run on Python floats, one column of ``b`` at a
+    time and bitwise equal to the array regime, while ``b`` holds at most
+    2 * LU_SCALAR_MAX_N numbers: their cost grows with the columns, which
+    the array regime's row updates take in one call each.  A zero pivot
+    (from a factorization ``lu_factor`` did not make) takes the array
+    regime, which divides it out to +-inf or NaN.
+    """
     b = np.asarray(b, dtype=float)
-    vector_rhs = b.ndim == 1
-    if vector_rhs:
-        b = b[:, None]
+    if b.ndim not in (1, 2):
+        raise ShapeError(f"rhs must be a vector or a matrix, got ndim={b.ndim}")
     n = lu.shape[0]
     if b.shape[0] != n:
         raise ShapeError(f"rhs has {b.shape[0]} rows, matrix is {n}x{n}")
-    x = b[perm].copy()
-    for k in range(n):          # forward: L has unit diagonal
-        x[k + 1:] -= lu[k + 1:, k, None] * x[k]
-    for k in range(n - 1, -1, -1):  # backward
-        x[k] /= lu[k, k]
-        x[:k] -= lu[:k, k, None] * x[k]
+    if not np.isfinite(b).all():
+        raise ContractError("rhs contains non-finite entries")
+    vector_rhs = b.ndim == 1
+    if vector_rhs:
+        b = b[:, None]
+    x = b[perm]  # fancy indexing: a copy
+    if n <= LU_SCALAR_MAX_N and 0 < x.size <= 2 * LU_SCALAR_MAX_N and lu.diagonal().all():
+        rows = lu.tolist()
+        cols = x.T.tolist()
+        for col in cols:
+            _substitute_scalar(rows, col)
+        x.T[:] = cols
+    else:
+        for k in range(n):          # forward: L has unit diagonal
+            x[k + 1:] -= lu[k + 1:, k, None] * x[k]
+        for k in range(n - 1, -1, -1):  # backward
+            x[k] /= lu[k, k]
+            x[:k] -= lu[:k, k, None] * x[k]
     counting.add_flops(2 * n * n * b.shape[1])
     return x[:, 0] if vector_rhs else x
+
+
+def _substitute_scalar(rows: list, x: list) -> None:
+    """Forward and back substitution of the Python-float column ``x`` in
+    place, against packed LU ``rows`` with nonzero pivots: the array
+    regime's operations on one right-hand side, in its order."""
+    n = len(x)
+    for k in range(n):
+        xk = x[k]
+        for i in range(k + 1, n):
+            x[i] -= rows[i][k] * xk
+    for k in range(n - 1, -1, -1):
+        xk = x[k] = x[k] / rows[k][k]
+        for i in range(k):
+            x[i] -= rows[i][k] * xk
 
 
 def lu_solve_pivots(a, b) -> tuple[np.ndarray, float, np.ndarray]:
@@ -431,10 +523,12 @@ def jacobi_eigen(s) -> EigenDecomp:
 
     Each sweep visits every off-diagonal pair once, in rounds of disjoint
     pairs.  The rotations of a round commute, so they are all computed from
-    the same matrix and written into one orthogonal J, and the round is two
-    matrix products: A <- J^T A J, with the rotated a_pr and a_rp set to
-    exactly zero, and Q <- Q J.  Sweeps run until the off-diagonal Frobenius
-    norm falls below JACOBI_OFF_RTOL * ||S||_F.
+    the same matrix and applied together: A <- J^T A J, with the rotated
+    a_pr and a_rp set to exactly zero, and Q <- Q J, where J is the round's
+    block rotation.  Above JACOBI_SCALAR_MAX_N rows a round is two matrix
+    products with J (``_jacobi_products``); up to it, column-pair and
+    row-pair updates on Python floats (``_jacobi_scalar``).  Sweeps run until
+    the off-diagonal Frobenius norm falls below JACOBI_OFF_RTOL * ||S||_F.
     Asymmetric input (beyond SYM_RTOL relative) is a contract violation;
     failure to converge within JACOBI_MAX_SWEEPS raises ``ConvergenceError``.
     """
@@ -445,48 +539,101 @@ def jacobi_eigen(s) -> EigenDecomp:
         return EigenDecomp(q=np.eye(n), lam=np.zeros(n))
     require_symmetric(s, "jacobi_eigen", norm=norm)
     sym = 0.5 * (s + s.T)
-    a = sym
-    q = eye = np.eye(n)
-    eye_flat = eye.ravel()
-    plan = _jacobi_plan(n)
-    off_tol = JACOBI_OFF_RTOL * norm
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if frob(a - np.diag(a.diagonal())) <= off_tol:
-            break
-        for idx in plan:
-            app, arr, apr = a.take(idx[:3])
-            # Rotation [[c, s], [-s, c]] on (p, r), with t = s/c the smaller
-            # root of t^2 + (d / a_pr) t - 1 = 0, d = a_rr - a_pp:
-            #   t = sign(d) 2 a_pr / (|d| + hypot(d, 2 a_pr)),  sign(0) = 1.
-            # It cannot overflow, and is 0 (the identity) when a_pr = 0; the
-            # _TINY floor only replaces the 0/0 of a_pr = d = 0.
-            apr2 = apr + apr
-            d = arr - app
-            t = apr2 / np.copysign(np.fmax(np.abs(d) + np.hypot(d, apr2), _TINY), d)
-            c = 1.0 / np.hypot(t, 1.0)
-            sn = t * c
-            j = eye_flat.copy()
-            j[idx] = (c, c, sn, -sn)
-            j = j.reshape(n, n)
-            a = j.T @ a @ j
-            a.put(idx[2:], 0.0)  # a_pr = a_rp = 0
-            q = q @ j
-    else:
+    sweeps = _jacobi_scalar if n <= JACOBI_SCALAR_MAX_N else _jacobi_products
+    found = sweeps(sym, JACOBI_OFF_RTOL * norm)
+    if found is None:
         raise ConvergenceError(
             f"jacobi_eigen: off-diagonal norm not reduced in {JACOBI_MAX_SWEEPS} sweeps"
         )
-    lam = a.diagonal()
+    lam, q = found
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
     q = q[:, order]
     # deterministic column signs: each column's largest-magnitude entry > 0
     lead = q[np.argmax(np.abs(q), axis=0), np.arange(n)]
     q = np.where(lead < 0.0, -q, q)
-    if frob(q.T @ q - eye) > 1e-10 * n:
+    if frob(q.T @ q - np.eye(n)) > 1e-10 * n:
         raise ContractError("jacobi_eigen: orthogonality invariant violated")
     if frob((q * lam) @ q.T - sym) > 1e-8 * norm:
         raise ContractError("jacobi_eigen: reconstruction invariant violated")
     return EigenDecomp(q=q, lam=lam)
+
+
+def _rotation(app, arr, apr, hypot, copysign, fmax):
+    """(c, s) of the Jacobi rotation [[c, s], [-s, c]] on (p, r), with
+    t = s/c the smaller root of t^2 + (d / a_pr) t - 1 = 0, d = a_rr - a_pp:
+      t = sign(d) 2 a_pr / (|d| + hypot(d, 2 a_pr)),  sign(0) = 1.
+    It cannot overflow, and is 0 (the identity) when a_pr = 0; the _TINY
+    floor only replaces the 0/0 of a_pr = d = 0.  The same formula serves a
+    round's arrays (numpy's hypot, copysign, fmax) and one pair's Python
+    floats (``math.hypot``, ``math.copysign``, ``max``)."""
+    apr2 = apr + apr
+    d = arr - app
+    t = apr2 / copysign(fmax(abs(d) + hypot(d, apr2), _TINY), d)
+    c = 1.0 / hypot(t, 1.0)
+    return c, t * c
+
+
+def _jacobi_products(sym: np.ndarray, off_tol: float):
+    """The sweeps of ``jacobi_eigen`` as matrix products over the cached
+    ``_jacobi_plan``: (eigenvalues unsorted, Q), or None when
+    JACOBI_MAX_SWEEPS sweeps leave the off-diagonal norm above ``off_tol``."""
+    n = sym.shape[0]
+    a = sym
+    q = eye = np.eye(n)
+    eye_flat = eye.ravel()
+    plan = _jacobi_plan(n)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        if frob(a - np.diag(a.diagonal())) <= off_tol:
+            return a.diagonal(), q
+        for idx in plan:
+            c, sn = _rotation(*a.take(idx[:3]), np.hypot, np.copysign, np.fmax)
+            j = eye_flat.copy()
+            j[idx] = (c, c, sn, -sn)
+            j = j.reshape(n, n)
+            a = j.T @ a @ j
+            a.put(idx[2:], 0.0)  # a_pr = a_rp = 0
+            q = q @ j
+    return None
+
+
+@functools.cache
+def _jacobi_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The rounds of ``_jacobi_schedule`` as tuples of (p, r) Python ints,
+    built once per n for ``_jacobi_scalar``."""
+    return tuple(tuple(zip(p.tolist(), r.tolist())) for p, r in _jacobi_schedule(n))
+
+
+def _jacobi_scalar(sym: np.ndarray, off_tol: float):
+    """``_jacobi_products`` on lists of Python-float rows, where numpy's fixed
+    cost per call would outweigh the arithmetic.  A round computes all its
+    rotations from the same A, then applies them as column-pair updates of
+    the rows of A and Q and row-pair updates of A."""
+    n = sym.shape[0]
+    a = sym.tolist()
+    q = np.eye(n).tolist()
+    a_and_q = a + q
+    rounds = _jacobi_pairs(n)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        off = math.sqrt(sum(x * x for i, row in enumerate(a)
+                            for j, x in enumerate(row) if i != j))
+        if off <= off_tol:
+            return np.array([a[i][i] for i in range(n)]), np.array(q)
+        for pairs in rounds:
+            rots = [(p, r, *_rotation(a[p][p], a[r][r], a[p][r],
+                                      math.hypot, math.copysign, max))
+                    for p, r in pairs]
+            for row in a_and_q:
+                for p, r, c, sn in rots:
+                    x, y = row[p], row[r]
+                    row[p] = c * x - sn * y
+                    row[r] = sn * x + c * y
+            for p, r, c, sn in rots:
+                ap, ar = a[p], a[r]
+                ap[:], ar[:] = ([c * x - sn * y for x, y in zip(ap, ar)],
+                                [sn * x + c * y for x, y in zip(ap, ar)])
+                ap[r] = ar[p] = 0.0
+    return None
 
 
 def newton_root(f, x0, tol: float = 1e-12, max_iter: int = 50,

@@ -25,6 +25,16 @@ def _random_spd(rng, n):
     return a @ a.T + n * np.eye(n)
 
 
+def _in_both_regimes(monkeypatch, cut, f):
+    """[f() with the Python-float regime forced, f() with the array regime
+    forced], by setting the module constant ``cut`` above and below every n."""
+    out = []
+    for value in (1 << 30, 0):
+        monkeypatch.setattr(core, cut, value)
+        out.append(f())
+    return out
+
+
 class TestShapeHelpers:
     def test_as_vector_accepts_lists(self):
         v = core.as_vector([1, 2, 3])
@@ -180,6 +190,91 @@ class TestLU:
         np.testing.assert_allclose(core.lu_solve(a, np.array([2.0, 3.0])),
                                    np.array([3.0, 2.0]), rtol=1e-15)
 
+    @pytest.mark.parametrize("rhs, error", [
+        (1.0, ShapeError),
+        (np.ones((2, 1, 1)), ShapeError),
+        ([np.nan, 1.0], ContractError),
+        ([np.inf, 1.0], ContractError),
+    ])
+    def test_bad_rhs_raises_typed_error(self, rhs, error):
+        with pytest.raises(error):
+            core.lu_solve(np.eye(2), rhs)
+
+
+def _lu_outputs(a, b):
+    """Every LU output for (a, b) as comparable values and bytes: the
+    zero-tolerance elimination, det, slogdet, and lu_solve_pivots or the
+    pivot_index it raises."""
+    # overflowing eliminations warn in the array regime only
+    with np.errstate(all="ignore"):
+        lu, perm, sign, k = core._eliminate(a, 0.0)
+        out = [lu.shape, lu.tobytes(), perm.dtype, perm.tobytes(), sign, k,
+               np.float64(core.det(a)).tobytes(), np.array(core.slogdet(a)).tobytes()]
+        try:
+            x, sign, piv = core.lu_solve_pivots(a, b)
+            out += [x.shape, x.tobytes(), sign, piv.tobytes()]
+        except SingularMatrixError as err:
+            out.append(err.pivot_index)
+    return out
+
+
+class TestLURegimes:
+    """The Python-float and array regimes of the elimination and the
+    substitution give bitwise-equal results at every n up to just above the
+    cut."""
+
+    @pytest.mark.parametrize("n", range(1, core.LU_SCALAR_MAX_N + 2))
+    def test_bitwise_equal(self, monkeypatch, n):
+        rng = np.random.default_rng(90 + n)
+        dup = rng.integers(-3, 4, (n, n)).astype(float)
+        dup[-1] = dup[0]
+        zero_col = rng.standard_normal((n, n))
+        zero_col[:, n // 2] = 0.0
+        # entries near the float maximum: the elimination overflows to inf
+        # and NaN, where np.argmax's pivot is the first NaN
+        overflow = rng.choice([-1.7e308, 1.7e308], (n, n))
+        cases = [
+            rng.standard_normal((n, n)),
+            rng.choice([-1.0, 1.0], (n, n)),       # pivot ties in every column
+            dup,                                   # exactly singular
+            zero_col,                              # det 0.0, slogdet (0, -inf)
+            overflow,
+        ]
+        for a in cases:
+            for b in (rng.standard_normal(n), rng.standard_normal((n, n))):
+                scalar, array = _in_both_regimes(monkeypatch, "LU_SCALAR_MAX_N",
+                                                 lambda: _lu_outputs(a, b))
+                assert scalar == array
+        assert core.det(zero_col) == 0.0
+        assert core.slogdet(zero_col) == (0.0, -np.inf)
+        if n >= 2:
+            assert core.det(dup) == 0.0
+        if n >= 4:
+            with np.errstate(all="ignore"):
+                assert np.isnan(core._eliminate(overflow, 0.0)[0]).any()
+
+    def test_zero_pivot_divides_out(self, monkeypatch):
+        """A factorization with a zero pivot (one lu_factor never returns)
+        gives +-inf as IEEE division does in both regimes, not
+        ZeroDivisionError."""
+        lu = np.array([[2.0, 1.0], [0.5, 0.0]])
+        with np.errstate(divide="ignore"):
+            got = _in_both_regimes(monkeypatch, "LU_SCALAR_MAX_N",
+                                   lambda: core.lu_solve_factored(lu, np.arange(2), [1.0, 1.0]))
+        for x in got:
+            assert x.tolist() == [-np.inf, np.inf]
+
+    def test_wide_rhs_takes_the_array_regime(self, monkeypatch):
+        """More right-hand-side numbers than 2 * LU_SCALAR_MAX_N: the
+        substitution runs on arrays, with the same bits."""
+        rng = np.random.default_rng(94)
+        a = rng.standard_normal((3, 3))
+        b = rng.standard_normal((3, 2 * core.LU_SCALAR_MAX_N))
+        lu, perm, _ = core.lu_factor(a)
+        monkeypatch.setattr(core, "_substitute_scalar", None)
+        wide = core.lu_solve_factored(lu, perm, b)
+        np.testing.assert_allclose(a @ wide, b, atol=1e-12)
+
 
 class TestDet:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
@@ -243,7 +338,7 @@ class TestDet:
         """Pivots 1e-200, 1e-200, 1e300: the running product underflows to
         0, but the determinant 1e-100 is representable."""
         assert core.det(np.diag([1e-200, 1e-200, 1e300])) == pytest.approx(
-            1e-100, rel=1e-12)
+            1e-100, rel=1e-12, abs=0.0)
 
     def test_subnormal_partial_product_goes_through_logs(self):
         """Pivots 1e-160, 1e-160, 1e200: the running product 1e-320 is
@@ -421,7 +516,20 @@ class TestJacobiEigen:
             assert np.max(np.abs(dec.lam - lam_ref)) <= 1e-13 * max(core.frob(s), 1.0)
             assert np.max(np.abs(dec.q - q_ref)) <= 1e-10
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, core.JACOBI_SCALAR_MAX_N + 2))
+    def test_regimes_agree(self, monkeypatch, n):
+        """The Python-float rounds and the matrix-product rounds, each forced
+        on either side of the cut, within test_agrees_with_einsum_round's
+        tolerances."""
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            s = _gapped_symmetric(rng, n)
+            scalar, array = _in_both_regimes(monkeypatch, "JACOBI_SCALAR_MAX_N",
+                                             lambda: core.jacobi_eigen(s))
+            assert np.max(np.abs(scalar.lam - array.lam)) <= 1e-13 * max(core.frob(s), 1.0)
+            assert np.max(np.abs(scalar.q - array.q)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_power_of_two_scaling_is_bitwise(self, n):
         """jacobi_eigen(2 S) has the q of S bit for bit and eigenvalues
         exactly 2 lam: the kron identity suite relies on it."""
@@ -488,14 +596,17 @@ class TestJacobiEigen:
         np.testing.assert_allclose(dec.lam, lam_ref, rtol=1e-14, atol=1e-12)
         np.testing.assert_allclose(np.abs(dec.q), np.abs(q_ref),
                                    rtol=1e-6, atol=1e-16)
-        assert abs(dec.q[0, 2]) == pytest.approx(1e-13, rel=1e-2)
+        assert abs(dec.q[0, 2]) == pytest.approx(1e-13, rel=1e-2, abs=0.0)
 
     def test_sweep_budget_exhausted_raises(self, monkeypatch):
+        """Above the Jacobi cut (n = 6, matrix products) and below it
+        (n = 3, Python floats)."""
         monkeypatch.setattr(core, "JACOBI_MAX_SWEEPS", 1)
         rng = np.random.default_rng(45)
-        raw = rng.standard_normal((6, 6))
-        with pytest.raises(ConvergenceError):
-            core.jacobi_eigen(0.5 * (raw + raw.T))
+        for n in (6, 3):
+            raw = rng.standard_normal((n, n))
+            with pytest.raises(ConvergenceError):
+                core.jacobi_eigen(0.5 * (raw + raw.T))
 
     def test_eigenvalues_ascending(self):
         rng = np.random.default_rng(41)
