@@ -12,9 +12,13 @@ du/dt = f(u, p, t), u(0) = u0(p):
 
 Every pass -- the plain trajectory, the augmented forward system
 y = [u, vec S] and the backward adjoint sweeps -- runs through one classical
-RK4 stepper on a fixed grid.  The backward sweeps read u(t) at interval
-midpoints from cubic Hermite interpolation of the stored states and slopes.
-Quadratures are composite Simpson (even step count required).
+RK4 stepper on a fixed grid.  It has two regimes chosen by the size of the
+state it steps: up to RK4_SCALAR_MAX_N numbers the state, stage slopes and
+kicks are Python floats, above they are float64 arrays; both apply the one
+stage formula and the one update, so their outputs are bitwise equal.  The
+backward sweeps read u(t) at interval midpoints from cubic Hermite
+interpolation of the stored states and slopes.  Quadratures are composite
+Simpson (even step count required).
 
 The problem's callables must be pure: the same arguments give the same
 value.  The backward sweeps evaluate the coefficients once per distinct
@@ -28,6 +32,9 @@ jumps by (dg_k/du)^T at each data time while an accumulator integrates the
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import repeat
+from math import isfinite
+from operator import add
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,6 +43,8 @@ from . import counting, fdcheck
 from .core import as_vector
 from .errors import BlowUpError, ContractError, ShapeError
 
+RK4_SCALAR_MAX_N = 5  # _rk4 runs on Python floats up to this state size (measured crossover)
+
 
 @dataclass
 class OdeProblem:
@@ -43,7 +52,12 @@ class OdeProblem:
     g(u, p, t).  All callables take/return plain floats and ndarrays and must
     be pure (same arguments, same value): the backward sweeps reuse a
     coefficient evaluated at a stage position when a later stage sits there
-    again, instead of calling again."""
+    again, instead of calling again.
+
+    Shapes, for n states and N parameters: u0 and f return (n,), dfdu
+    (n, n), dfdp and du0dp (n, N), g a float, dgdu (n,) and dgdp (N,).  An
+    f (or an adjoint slope built from dgdu) of another shape -- (n, 1), 0-d
+    or another length -- raises ShapeError rather than being broadcast."""
 
     f: Callable
     dfdu: Callable
@@ -109,11 +123,55 @@ def _grid(prob: OdeProblem, n_steps: int):
     return np.linspace(0.0, prob.t_final, n_steps + 1), prob.t_final / n_steps
 
 
-def _check_finite(y, step_index: int, what: str) -> None:
+def _shape_error(what: str, shape, got) -> ShapeError:
+    return ShapeError(f"{what} must have shape {shape}, got {got}")
+
+
+def _all_finite(y) -> bool:
     # the ufunc reduction itself: ndarray.all() adds a Python-level wrapper
     # that costs more than the test on these short vectors
-    if not np.logical_and.reduce(np.isfinite(y), axis=None):
-        raise BlowUpError(f"{what} became non-finite", step_index=step_index)
+    return np.logical_and.reduce(np.isfinite(y), axis=None)
+
+
+def _floats_finite(y) -> bool:
+    return all(map(isfinite, y))
+
+
+def _blow_up(what: str, step_index: int) -> BlowUpError:
+    return BlowUpError(f"{what} became non-finite", step_index=step_index)
+
+
+def _stage(y, c, k):
+    """The stage argument y + c k."""
+    return y + c * k
+
+
+def _update(y, sixth, k1, k2, k3, k4):
+    """The RK4 update y + (h/6)(k1 + 2 k2 + 2 k3 + k4), with sixth = h/6."""
+    return y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _float_regime(rhs, shape, label):
+    """(slope, stage, update, finite, add) of ``_rk4`` on lists of Python
+    floats: each applies the array regime's helper one component at a time,
+    so every result is bitwise the array regime's.  Each rhs call gets a
+    fresh float64 array."""
+    def slope(y, t, k):
+        k = rhs(np.array(y), t, k)
+        if k.shape != shape:
+            raise _shape_error(label, shape, k.shape)
+        return k.tolist()
+
+    def stage(y, c, k):
+        return [_stage(u, c, w) for u, w in zip(y, k)]
+
+    def update(y, sixth, k1, k2, k3, k4):
+        return list(map(_update, y, repeat(sixth), k1, k2, k3, k4))
+
+    def add_floats(y, kick):
+        return list(map(add, y, kick))
+
+    return slope, stage, update, _floats_finite, add_floats
 
 
 def _rk4(rhs, y, times, dt: float, what: str, width: int, backward: bool = False,
@@ -123,37 +181,67 @@ def _rk4(rhs, y, times, dt: float, what: str, width: int, backward: bool = False
 
     ``rhs(y, t, k)`` gets the stage's half-step position k: node i is 2i and
     the midpoint of interval i is 2i + 1, for right-hand sides that read a
-    stored trajectory there.  ``kicks[i]`` is added to y on arrival at node
-    i (the starting node included).  A non-finite y raises BlowUpError with
-    the index of the node the step started from.  Returns (ys, k1s), both
+    stored trajectory there.  It must return an array of y's shape (n,);
+    another shape raises ShapeError naming ``what``, as does a kick of
+    another shape.  ``kicks[i]`` is added to y on arrival at node i (the
+    starting node included).  A non-finite y raises BlowUpError with the
+    index of the node the step started from.  Returns (ys, k1s), both
     indexed by node: y at every node and the first-stage slope of the step
     leaving each node (the row of the final node is left to the caller).
+
+    Two regimes, chosen by the state size n, run the same loop: up to
+    RK4_SCALAR_MAX_N the state, stage slopes and kicks are lists of Python
+    floats (each rhs call gets a fresh ``np.array`` of them), above they
+    are float64 arrays.  The stage argument and the update are each written
+    once (``_stage``, ``_update``) and both regimes apply them in the same
+    order, so the outputs are bitwise equal.  One difference is not in the
+    bits: a step that overflows reaches inf silently on Python floats,
+    where numpy warns; both then raise BlowUpError at the same step.
 
     ``width`` is the rhs component count of one rhs call.  The stepper counts
     4 * width for every step it began, the one that blows up included, in
     one ``counting`` call when it stops, so the rhs itself counts nothing.
     """
     m = len(times) - 1
-    nodes, h = (range(m, -1, -1), -dt) if backward else (range(m + 1), dt)
+    nodes, h = (range(m, -1, -1), -float(dt)) if backward else (range(m + 1), float(dt))
     half, sixth = 0.5 * h, h / 6.0
+    shape = y.shape
     kicks = kicks or {}
-    ys = np.empty((m + 1,) + y.shape)
+    for kick in kicks.values():
+        if kick.shape != shape:
+            raise _shape_error(f"{what} kick", shape, kick.shape)
+    ys = np.empty((m + 1,) + shape)
     k1s = np.empty_like(ys)
+    label = f"{what} slope"
+    if len(y) <= RK4_SCALAR_MAX_N:
+        slope, stage, update, finite, add_kick = _float_regime(rhs, shape, label)
+        y = y.tolist()
+        kicks = {i: kick.tolist() for i, kick in kicks.items()}
+    else:
+        def slope(y, t, k):
+            k = rhs(y, t, k)
+            if k.shape != shape:
+                raise _shape_error(label, shape, k.shape)
+            return k
+
+        stage, update, finite, add_kick = _stage, _update, _all_finite, add
     if nodes[0] in kicks:
-        y = y + kicks[nodes[0]]
+        y = add_kick(y, kicks[nodes[0]])
     ys[nodes[0]] = y
     steps = 0
     try:
         for steps, (a, b) in enumerate(zip(nodes, nodes[1:]), 1):
             ta = times[a]
-            k1 = rhs(y, ta, 2 * a)
-            k2 = rhs(y + half * k1, ta + half, a + b)
-            k3 = rhs(y + half * k2, ta + half, a + b)
-            k4 = rhs(y + h * k3, times[b], 2 * b)
-            y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-            _check_finite(y, a, what)
+            tm = ta + half
+            k1 = slope(y, ta, 2 * a)
+            k2 = slope(stage(y, half, k1), tm, a + b)
+            k3 = slope(stage(y, half, k2), tm, a + b)
+            k4 = slope(stage(y, h, k3), times[b], 2 * b)
+            y = update(y, sixth, k1, k2, k3, k4)
+            if not finite(y):
+                raise _blow_up(what, a)
             if b in kicks:
-                y = y + kicks[b]
+                y = add_kick(y, kicks[b])
             k1s[a] = k1
             ys[b] = y
     finally:
@@ -192,7 +280,8 @@ def integrate_euler(prob: OdeProblem, n_steps: int) -> Trajectory:
         k = np.asarray(prob.f(u, p, times[i]), dtype=float)
         slopes[i] = k
         u = u + dt * k
-        _check_finite(u, i, "state")
+        if not _all_finite(u):
+            raise _blow_up("state", i)
         states[i + 1] = u
     counting.add_rhs_components(n)
     slopes[n_steps] = np.asarray(prob.f(u, p, times[n_steps]), dtype=float)
@@ -217,6 +306,8 @@ def forward_sensitivity(prob: OdeProblem, n_steps: int):
     def aug(y, t, _k):
         u = y[:n]
         fu = np.asarray(prob.f(u, p, t), dtype=float)
+        if fu.shape != (n,):
+            raise _shape_error("state slope", (n,), fu.shape)
         a = np.asarray(prob.dfdu(u, p, t), dtype=float)
         b = np.asarray(prob.dfdp(u, p, t), dtype=float)
         return np.concatenate((fu, (a @ y[n:].reshape(n, n_par) + b).ravel()))

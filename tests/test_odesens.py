@@ -35,6 +35,30 @@ def _exponential_problem():
     )
 
 
+SCALAR, ARRAY = 1 << 30, 0   # RK4_SCALAR_MAX_N values forcing each regime
+
+
+def _in_both_regimes(monkeypatch, f):
+    """[f() in the Python-float regime of ``_rk4``, f() in its array
+    regime], forced by setting the cut above and below every state size."""
+    out = []
+    for cut in (SCALAR, ARRAY):
+        monkeypatch.setattr(odesens, "RK4_SCALAR_MAX_N", cut)
+        out.append(f())
+    return out
+
+
+class _InRegime:
+    """Runs a class's tests with one ``_rk4`` regime forced; a subclass
+    setting CUT = ARRAY runs them again in the other."""
+
+    CUT = SCALAR
+
+    @pytest.fixture(autouse=True)
+    def _force_regime(self, monkeypatch):
+        monkeypatch.setattr(odesens, "RK4_SCALAR_MAX_N", self.CUT)
+
+
 class TestIntegrators:
     def test_rk4_matches_exponential(self):
         traj = odesens.integrate_rk4(_exponential_problem(), 50)
@@ -65,9 +89,11 @@ class TestIntegrators:
         with pytest.raises(ContractError):
             odesens.integrate_rk4(prob, 2.5)
 
-    def test_blow_up_detected(self):
+    def test_blow_up_detected(self, monkeypatch):
         """du/dt = u^2 from 1 has a pole at t = 1; a coarse grid overflows
-        and the integrator reports the offending step."""
+        and the integrator reports the offending step, the same one in both
+        regimes.  numpy's overflow warnings are silenced here; the
+        Python-float stepper reaches inf without one."""
         prob = odesens.OdeProblem(
             f=lambda u, p, t: np.array([u[0] ** 2]),
             dfdu=lambda u, p, t: np.array([[2 * u[0]]]),
@@ -80,9 +106,14 @@ class TestIntegrators:
             t_final=2.0,
             p=np.array([0.0]),
         )
-        with np.errstate(over="ignore"), pytest.raises(BlowUpError) as err:
-            odesens.integrate_rk4(prob, 16)
-        assert err.value.step_index is not None
+
+        def step_index():
+            with np.errstate(over="ignore"), pytest.raises(BlowUpError) as err:
+                odesens.integrate_rk4(prob, 16)
+            return err.value.step_index
+
+        scalar, array = _in_both_regimes(monkeypatch, step_index)
+        assert scalar is not None and scalar == array
 
     def test_rhs_component_accounting(self):
         """RK4 evaluates the n-component rhs 4x per step plus once for the
@@ -94,7 +125,7 @@ class TestIntegrators:
         assert c.integrations == 1
 
 
-class TestExactCounts:
+class TestExactCounts(_InRegime):
     """The nominal cost model at n = 20 steps, N = 3 parameters."""
 
     N = 20
@@ -148,7 +179,7 @@ class TestExactCounts:
         assert (c.rhs_components, c.integrations) == (20, 0)
 
 
-class TestBlowUpStepIndex:
+class TestBlowUpStepIndex(_InRegime):
     """An rhs that turns nan from a chosen time on pins the reported step.
 
     On the 10-step grid of [0, 1], forward step i has stages at 0.1 i,
@@ -204,6 +235,14 @@ class TestBlowUpStepIndex:
         with pytest.raises(BlowUpError) as err:
             odesens.adjoint_solve(prob, traj)
         assert err.value.step_index == 6
+
+
+class TestExactCountsArrayRegime(TestExactCounts):
+    CUT = ARRAY
+
+
+class TestBlowUpStepIndexArrayRegime(TestBlowUpStepIndex):
+    CUT = ARRAY
 
 
 def _two_state_problem():
@@ -565,3 +604,114 @@ class TestProblemContainer:
     def test_time_horizon_contract(self):
         with pytest.raises(ContractError):
             reference_instance(t_final=0.0)
+
+
+def _linear_problem(n):
+    """du/dt = p0 A u + p1 c + p2 sin(t) e0 with u(0) = p1 (1, ..., 1) and
+    g = |u - t|^2: an n-state system with a parameter-dependent start."""
+    rng = np.random.default_rng(300 + n)
+    a = rng.standard_normal((n, n)) / math.sqrt(n) - np.eye(n)
+    c = rng.standard_normal(n)
+    e0 = np.eye(n)[0]
+    return odesens.OdeProblem(
+        f=lambda u, p, t: p[0] * (a @ u) + p[1] * c + p[2] * math.sin(t) * e0,
+        dfdu=lambda u, p, t: p[0] * a,
+        dfdp=lambda u, p, t: np.column_stack((a @ u, c, math.sin(t) * e0)),
+        u0=lambda p: np.full(n, p[1]),
+        du0dp=lambda p: np.column_stack((np.zeros(n), np.ones(n), np.zeros(n))),
+        g=lambda u, p, t: float((u - t) @ (u - t)),
+        dgdu=lambda u, p, t: 2.0 * (u - t),
+        dgdp=lambda u, p, t: np.zeros(3),
+        t_final=1.0,
+        p=np.array([0.7, 0.3, -0.4]),
+    )
+
+
+def _route_outputs(prob, m):
+    """Every ODE route's outputs at m steps, as bytes."""
+    data_times = [1.0, 0.5, 0.5]    # a kick on the backward start node, two on one node
+    terms = [DataTerm(dgdu=lambda u, p, w=w: w * u, dgdp=lambda u, p, w=w: w * p,
+                      g=lambda u, p, w=w: 0.5 * w * float(u @ u))
+             for w in (1.0, 0.5, -0.25)]
+    traj = odesens.integrate_rk4(prob, m)
+    fwd, sens = odesens.forward_sensitivity(prob, m)
+    out = [traj.states, traj.slopes, fwd.states, fwd.slopes, sens,
+           odesens.adjoint_solve(prob, traj),
+           odesens.grad_G_forward(prob, m), odesens.grad_G_adjoint(prob, m),
+           odesens.grad_G_fd(prob, m),
+           odesens.grad_G_discrete_data(prob, data_times, terms, m),
+           odesens.grad_discrete_fd(prob, data_times, terms, m)]
+    return [x.tobytes() for x in out]
+
+
+class TestRK4Regimes:
+    """The Python-float and array regimes of ``_rk4`` give bitwise-equal
+    outputs on every route, at every state size up to just above the cut."""
+
+    @pytest.mark.parametrize("n", range(1, odesens.RK4_SCALAR_MAX_N + 2))
+    def test_linear_problem_bitwise_equal(self, monkeypatch, n):
+        prob = _linear_problem(n)
+        scalar, array = _in_both_regimes(monkeypatch, lambda: _route_outputs(prob, 16))
+        assert scalar == array
+
+    def test_two_state_problem_bitwise_equal(self, monkeypatch):
+        prob = _two_state_problem()
+        scalar, array = _in_both_regimes(monkeypatch, lambda: _route_outputs(prob, 16))
+        assert scalar == array
+
+    def test_cut_selects_the_regime(self, monkeypatch):
+        """A state of RK4_SCALAR_MAX_N numbers runs on Python floats, one
+        more on arrays."""
+        built = []
+        float_regime = odesens._float_regime
+        monkeypatch.setattr(odesens, "_float_regime",
+                            lambda *args: built.append(1) or float_regime(*args))
+        cut = odesens.RK4_SCALAR_MAX_N
+        odesens.integrate_rk4(_linear_problem(cut), 4)
+        odesens.integrate_rk4(_linear_problem(cut + 1), 4)
+        assert built == [1]
+
+
+class TestSlopeShapeContract:
+    """f must return shape (n,).  A slope of another shape raises
+    ShapeError on every route and in both regimes, where numpy broadcast it
+    or raised its own ValueError before."""
+
+    ROUTES = {
+        "integrate_rk4": odesens.integrate_rk4,
+        "forward_sensitivity": odesens.forward_sensitivity,
+        "grad_G_adjoint": odesens.grad_G_adjoint,
+    }
+    BAD_F = {
+        "length_2": lambda u, p, t: np.array([u[0], u[0]]),
+        "1x1": lambda u, p, t: np.array([[p[0] * u[0]]]),
+        "0d": lambda u, p, t: np.array(p[0] * u[0]),
+    }
+
+    @pytest.mark.parametrize("cut", [SCALAR, ARRAY], ids=["scalar", "array"])
+    @pytest.mark.parametrize("bad", list(BAD_F))
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_wrong_slope_shape(self, monkeypatch, cut, bad, route):
+        monkeypatch.setattr(odesens, "RK4_SCALAR_MAX_N", cut)
+        prob = replace(_exponential_problem(), f=self.BAD_F[bad])
+        with pytest.raises(ShapeError, match=r"state slope must have shape \(1,\)"):
+            self.ROUTES[route](prob, 8)
+
+    @pytest.mark.parametrize("cut", [SCALAR, ARRAY], ids=["scalar", "array"])
+    def test_wrong_adjoint_slope_shape(self, monkeypatch, cut):
+        monkeypatch.setattr(odesens, "RK4_SCALAR_MAX_N", cut)
+        prob = replace(_exponential_problem(), dgdu=lambda u, p, t: np.ones(2))
+        traj = odesens.integrate_rk4(prob, 8)
+        with pytest.raises(ShapeError, match="adjoint state slope"):
+            odesens.adjoint_solve(prob, traj)
+
+    @pytest.mark.parametrize("cut", [SCALAR, ARRAY], ids=["scalar", "array"])
+    @pytest.mark.parametrize("kick", [np.ones(3), np.ones((2, 1))], ids=["long", "2d"])
+    def test_wrong_kick_shape(self, monkeypatch, cut, kick):
+        """Checked once before the first step, so zip over floats cannot
+        truncate it and nothing is counted."""
+        monkeypatch.setattr(odesens, "RK4_SCALAR_MAX_N", cut)
+        with counting.tally() as c, pytest.raises(ShapeError, match="adjoint state kick"):
+            odesens._rk4(lambda y, t, k: -y, np.zeros(2), np.linspace(0.0, 1.0, 5),
+                         0.25, "adjoint state", 2, backward=True, kicks={2: kick})
+        assert c.rhs_components == 0
