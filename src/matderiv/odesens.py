@@ -12,13 +12,12 @@ du/dt = f(u, p, t), u(0) = u0(p):
 
 Every pass -- the plain trajectory, the augmented forward system
 y = [u, vec S] and the backward adjoint sweeps -- runs through one classical
-RK4 stepper on a fixed grid.  It has two regimes chosen by the size of the
-state it steps: up to RK4_SCALAR_MAX_N numbers the state, stage slopes and
-kicks are Python floats, above they are float64 arrays; both apply the one
-stage formula and the one update, so their outputs are bitwise equal.  The
-backward sweeps read u(t) at interval midpoints from cubic Hermite
-interpolation of the stored states and slopes.  Quadratures are composite
-Simpson (even step count required).
+RK4 stepper on a fixed grid.  It steps the state, stage slopes and kicks
+as Python floats, which on the few-number states of these passes is
+cheaper than numpy's per-call overhead and bitwise equal to the same
+arithmetic on float64 arrays.  The backward sweeps read u(t) at interval
+midpoints from cubic Hermite interpolation of the stored states and
+slopes.  Quadratures are composite Simpson (even step count required).
 
 The problem's callables must be pure: the same arguments give the same
 value.  The backward sweeps evaluate the coefficients once per distinct
@@ -32,9 +31,7 @@ jumps by (dg_k/du)^T at each data time while an accumulator integrates the
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
 from math import isfinite
-from operator import add
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,8 +39,6 @@ import numpy as np
 from . import counting, fdcheck
 from .core import as_vector
 from .errors import BlowUpError, ContractError, ShapeError
-
-RK4_SCALAR_MAX_N = 5  # _rk4 runs on Python floats up to this state size (measured crossover)
 
 
 @dataclass
@@ -127,51 +122,27 @@ def _shape_error(what: str, shape, got) -> ShapeError:
     return ShapeError(f"{what} must have shape {shape}, got {got}")
 
 
-def _all_finite(y) -> bool:
-    # the ufunc reduction itself: ndarray.all() adds a Python-level wrapper
-    # that costs more than the test on these short vectors
-    return np.logical_and.reduce(np.isfinite(y), axis=None)
-
-
-def _floats_finite(y) -> bool:
-    return all(map(isfinite, y))
-
-
 def _blow_up(what: str, step_index: int) -> BlowUpError:
     return BlowUpError(f"{what} became non-finite", step_index=step_index)
 
 
+def _check_finite(y, step_index: int, what: str) -> None:
+    # the ufunc reduction itself: ndarray.all() adds a Python-level wrapper
+    # that costs more than the test on these short vectors
+    if not np.logical_and.reduce(np.isfinite(y), axis=None):
+        raise _blow_up(what, step_index)
+
+
 def _stage(y, c, k):
-    """The stage argument y + c k."""
-    return y + c * k
+    """The stage argument y + c k, one component at a time."""
+    return [u + c * w for u, w in zip(y, k)]
 
 
 def _update(y, sixth, k1, k2, k3, k4):
-    """The RK4 update y + (h/6)(k1 + 2 k2 + 2 k3 + k4), with sixth = h/6."""
-    return y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _float_regime(rhs, shape, label):
-    """(slope, stage, update, finite, add) of ``_rk4`` on lists of Python
-    floats: each applies the array regime's helper one component at a time,
-    so every result is bitwise the array regime's.  Each rhs call gets a
-    fresh float64 array."""
-    def slope(y, t, k):
-        k = rhs(np.array(y), t, k)
-        if k.shape != shape:
-            raise _shape_error(label, shape, k.shape)
-        return k.tolist()
-
-    def stage(y, c, k):
-        return [_stage(u, c, w) for u, w in zip(y, k)]
-
-    def update(y, sixth, k1, k2, k3, k4):
-        return list(map(_update, y, repeat(sixth), k1, k2, k3, k4))
-
-    def add_floats(y, kick):
-        return list(map(add, y, kick))
-
-    return slope, stage, update, _floats_finite, add_floats
+    """The RK4 update y + (h/6)(k1 + 2 k2 + 2 k3 + k4), with sixth = h/6,
+    one component at a time."""
+    return [u + sixth * (a + 2 * b + 2 * c + d)
+            for u, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 
 def _rk4(rhs, y, times, dt: float, what: str, width: int, backward: bool = False,
@@ -189,14 +160,14 @@ def _rk4(rhs, y, times, dt: float, what: str, width: int, backward: bool = False
     indexed by node: y at every node and the first-stage slope of the step
     leaving each node (the row of the final node is left to the caller).
 
-    Two regimes, chosen by the state size n, run the same loop: up to
-    RK4_SCALAR_MAX_N the state, stage slopes and kicks are lists of Python
-    floats (each rhs call gets a fresh ``np.array`` of them), above they
-    are float64 arrays.  The stage argument and the update are each written
-    once (``_stage``, ``_update``) and both regimes apply them in the same
-    order, so the outputs are bitwise equal.  One difference is not in the
-    bits: a step that overflows reaches inf silently on Python floats,
-    where numpy warns; both then raise BlowUpError at the same step.
+    The state, stage slopes and kicks are held as lists of Python floats;
+    each rhs call gets a fresh ``np.array`` of its stage argument.  Every
+    operation is the one numpy would apply to float64 arrays, in the same
+    order, so the outputs are bitwise those of an array stepper; only a step
+    that overflows reaches inf without numpy's warning (it still raises
+    BlowUpError at that step).  On the states of 1 to 4 numbers that every
+    caller steps this is cheaper than numpy's per-call overhead; on much
+    longer states an array stepper would be faster again.
 
     ``width`` is the rhs component count of one rhs call.  The stepper counts
     4 * width for every step it began, the one that blows up included, in
@@ -210,23 +181,21 @@ def _rk4(rhs, y, times, dt: float, what: str, width: int, backward: bool = False
     for kick in kicks.values():
         if kick.shape != shape:
             raise _shape_error(f"{what} kick", shape, kick.shape)
+    kicks = {i: kick.tolist() for i, kick in kicks.items()}
     ys = np.empty((m + 1,) + shape)
     k1s = np.empty_like(ys)
     label = f"{what} slope"
-    if len(y) <= RK4_SCALAR_MAX_N:
-        slope, stage, update, finite, add_kick = _float_regime(rhs, shape, label)
-        y = y.tolist()
-        kicks = {i: kick.tolist() for i, kick in kicks.items()}
-    else:
-        def slope(y, t, k):
-            k = rhs(y, t, k)
-            if k.shape != shape:
-                raise _shape_error(label, shape, k.shape)
-            return k
 
-        stage, update, finite, add_kick = _stage, _update, _all_finite, add
-    if nodes[0] in kicks:
-        y = add_kick(y, kicks[nodes[0]])
+    def slope(y, t, k):
+        k = rhs(np.array(y), t, k)
+        if k.shape != shape:
+            raise _shape_error(label, shape, k.shape)
+        return k.tolist()
+
+    def add_kick(y, i):
+        return [u + w for u, w in zip(y, kicks[i])] if i in kicks else y
+
+    y = add_kick(y.tolist(), nodes[0])
     ys[nodes[0]] = y
     steps = 0
     try:
@@ -234,14 +203,13 @@ def _rk4(rhs, y, times, dt: float, what: str, width: int, backward: bool = False
             ta = times[a]
             tm = ta + half
             k1 = slope(y, ta, 2 * a)
-            k2 = slope(stage(y, half, k1), tm, a + b)
-            k3 = slope(stage(y, half, k2), tm, a + b)
-            k4 = slope(stage(y, h, k3), times[b], 2 * b)
-            y = update(y, sixth, k1, k2, k3, k4)
-            if not finite(y):
+            k2 = slope(_stage(y, half, k1), tm, a + b)
+            k3 = slope(_stage(y, half, k2), tm, a + b)
+            k4 = slope(_stage(y, h, k3), times[b], 2 * b)
+            y = _update(y, sixth, k1, k2, k3, k4)
+            if not all(map(isfinite, y)):
                 raise _blow_up(what, a)
-            if b in kicks:
-                y = add_kick(y, kicks[b])
+            y = add_kick(y, b)
             k1s[a] = k1
             ys[b] = y
     finally:
@@ -280,8 +248,7 @@ def integrate_euler(prob: OdeProblem, n_steps: int) -> Trajectory:
         k = np.asarray(prob.f(u, p, times[i]), dtype=float)
         slopes[i] = k
         u = u + dt * k
-        if not _all_finite(u):
-            raise _blow_up("state", i)
+        _check_finite(u, i, "state")
         states[i + 1] = u
     counting.add_rhs_components(n)
     slopes[n_steps] = np.asarray(prob.f(u, p, times[n_steps]), dtype=float)

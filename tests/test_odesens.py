@@ -35,30 +35,6 @@ def _exponential_problem():
     )
 
 
-SCALAR, ARRAY = 1 << 30, 0   # RK4_SCALAR_MAX_N values forcing each regime
-
-
-def _in_both_regimes(monkeypatch, f):
-    """[f() in the Python-float regime of ``_rk4``, f() in its array
-    regime], forced by setting the cut above and below every state size."""
-    out = []
-    for cut in (SCALAR, ARRAY):
-        monkeypatch.setattr(odesens, "RK4_SCALAR_MAX_N", cut)
-        out.append(f())
-    return out
-
-
-class _InRegime:
-    """Runs a class's tests with one ``_rk4`` regime forced; a subclass
-    setting CUT = ARRAY runs them again in the other."""
-
-    CUT = SCALAR
-
-    @pytest.fixture(autouse=True)
-    def _force_regime(self, monkeypatch):
-        monkeypatch.setattr(odesens, "RK4_SCALAR_MAX_N", self.CUT)
-
-
 class TestIntegrators:
     def test_rk4_matches_exponential(self):
         traj = odesens.integrate_rk4(_exponential_problem(), 50)
@@ -89,11 +65,11 @@ class TestIntegrators:
         with pytest.raises(ContractError):
             odesens.integrate_rk4(prob, 2.5)
 
-    def test_blow_up_detected(self, monkeypatch):
+    def test_blow_up_detected(self):
         """du/dt = u^2 from 1 has a pole at t = 1; a coarse grid overflows
-        and the integrator reports the offending step, the same one in both
-        regimes.  numpy's overflow warnings are silenced here; the
-        Python-float stepper reaches inf without one."""
+        and the integrator reports the offending step.  numpy may warn of
+        the overflow inside f; the stepper's Python floats reach inf without
+        a warning."""
         prob = odesens.OdeProblem(
             f=lambda u, p, t: np.array([u[0] ** 2]),
             dfdu=lambda u, p, t: np.array([[2 * u[0]]]),
@@ -106,14 +82,9 @@ class TestIntegrators:
             t_final=2.0,
             p=np.array([0.0]),
         )
-
-        def step_index():
-            with np.errstate(over="ignore"), pytest.raises(BlowUpError) as err:
-                odesens.integrate_rk4(prob, 16)
-            return err.value.step_index
-
-        scalar, array = _in_both_regimes(monkeypatch, step_index)
-        assert scalar is not None and scalar == array
+        with np.errstate(over="ignore"), pytest.raises(BlowUpError) as err:
+            odesens.integrate_rk4(prob, 16)
+        assert err.value.step_index is not None
 
     def test_rhs_component_accounting(self):
         """RK4 evaluates the n-component rhs 4x per step plus once for the
@@ -125,7 +96,7 @@ class TestIntegrators:
         assert c.integrations == 1
 
 
-class TestExactCounts(_InRegime):
+class TestExactCounts:
     """The nominal cost model at n = 20 steps, N = 3 parameters."""
 
     N = 20
@@ -179,7 +150,7 @@ class TestExactCounts(_InRegime):
         assert (c.rhs_components, c.integrations) == (20, 0)
 
 
-class TestBlowUpStepIndex(_InRegime):
+class TestBlowUpStepIndex:
     """An rhs that turns nan from a chosen time on pins the reported step.
 
     On the 10-step grid of [0, 1], forward step i has stages at 0.1 i,
@@ -235,14 +206,6 @@ class TestBlowUpStepIndex(_InRegime):
         with pytest.raises(BlowUpError) as err:
             odesens.adjoint_solve(prob, traj)
         assert err.value.step_index == 6
-
-
-class TestExactCountsArrayRegime(TestExactCounts):
-    CUT = ARRAY
-
-
-class TestBlowUpStepIndexArrayRegime(TestBlowUpStepIndex):
-    CUT = ARRAY
 
 
 def _two_state_problem():
@@ -644,37 +607,56 @@ def _route_outputs(prob, m):
     return [x.tobytes() for x in out]
 
 
-class TestRK4Regimes:
-    """The Python-float and array regimes of ``_rk4`` give bitwise-equal
-    outputs on every route, at every state size up to just above the cut."""
+def _rk4_on_arrays(rhs, y, times, dt, what, width, backward=False, kicks=None):
+    """The classical RK4 recurrence of ``odesens._rk4`` written out on
+    float64 arrays (same signature and returns, no counting or checks)."""
+    m = len(times) - 1
+    nodes = range(m, -1, -1) if backward else range(m + 1)
+    h = -float(dt) if backward else float(dt)
+    kicks = kicks or {}
+    ys = np.empty((m + 1,) + y.shape)
+    k1s = np.empty_like(ys)
+    if nodes[0] in kicks:
+        y = y + kicks[nodes[0]]
+    ys[nodes[0]] = y
+    for a, b in zip(nodes, nodes[1:]):
+        tm = times[a] + 0.5 * h
+        k1 = rhs(y, times[a], 2 * a)
+        k2 = rhs(y + 0.5 * h * k1, tm, a + b)
+        k3 = rhs(y + 0.5 * h * k2, tm, a + b)
+        k4 = rhs(y + h * k3, times[b], 2 * b)
+        y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if b in kicks:
+            y = y + kicks[b]
+        k1s[a] = k1
+        ys[b] = y
+    return ys, k1s
 
-    @pytest.mark.parametrize("n", range(1, odesens.RK4_SCALAR_MAX_N + 2))
-    def test_linear_problem_bitwise_equal(self, monkeypatch, n):
-        prob = _linear_problem(n)
-        scalar, array = _in_both_regimes(monkeypatch, lambda: _route_outputs(prob, 16))
-        assert scalar == array
 
-    def test_two_state_problem_bitwise_equal(self, monkeypatch):
-        prob = _two_state_problem()
-        scalar, array = _in_both_regimes(monkeypatch, lambda: _route_outputs(prob, 16))
-        assert scalar == array
+class TestRK4Bitwise:
+    """``_rk4`` steps Python floats; every route's outputs are bitwise
+    those of the same recurrence on float64 arrays, forward, augmented and
+    backward, kicks included, at state sizes 1 to 8."""
 
-    def test_cut_selects_the_regime(self, monkeypatch):
-        """A state of RK4_SCALAR_MAX_N numbers runs on Python floats, one
-        more on arrays."""
-        built = []
-        float_regime = odesens._float_regime
-        monkeypatch.setattr(odesens, "_float_regime",
-                            lambda *args: built.append(1) or float_regime(*args))
-        cut = odesens.RK4_SCALAR_MAX_N
-        odesens.integrate_rk4(_linear_problem(cut), 4)
-        odesens.integrate_rk4(_linear_problem(cut + 1), 4)
-        assert built == [1]
+    @staticmethod
+    def _both(monkeypatch, prob):
+        floats = _route_outputs(prob, 16)
+        monkeypatch.setattr(odesens, "_rk4", _rk4_on_arrays)
+        return floats, _route_outputs(prob, 16)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_linear_problem(self, monkeypatch, n):
+        floats, arrays = self._both(monkeypatch, _linear_problem(n))
+        assert floats == arrays
+
+    def test_two_state_problem(self, monkeypatch):
+        floats, arrays = self._both(monkeypatch, _two_state_problem())
+        assert floats == arrays
 
 
 class TestSlopeShapeContract:
     """f must return shape (n,).  A slope of another shape raises
-    ShapeError on every route and in both regimes, where numpy broadcast it
+    ShapeError on every route, where numpy broadcast it
     or raised its own ValueError before."""
 
     ROUTES = {
@@ -688,29 +670,23 @@ class TestSlopeShapeContract:
         "0d": lambda u, p, t: np.array(p[0] * u[0]),
     }
 
-    @pytest.mark.parametrize("cut", [SCALAR, ARRAY], ids=["scalar", "array"])
     @pytest.mark.parametrize("bad", list(BAD_F))
     @pytest.mark.parametrize("route", list(ROUTES))
-    def test_wrong_slope_shape(self, monkeypatch, cut, bad, route):
-        monkeypatch.setattr(odesens, "RK4_SCALAR_MAX_N", cut)
+    def test_wrong_slope_shape(self, bad, route):
         prob = replace(_exponential_problem(), f=self.BAD_F[bad])
         with pytest.raises(ShapeError, match=r"state slope must have shape \(1,\)"):
             self.ROUTES[route](prob, 8)
 
-    @pytest.mark.parametrize("cut", [SCALAR, ARRAY], ids=["scalar", "array"])
-    def test_wrong_adjoint_slope_shape(self, monkeypatch, cut):
-        monkeypatch.setattr(odesens, "RK4_SCALAR_MAX_N", cut)
+    def test_wrong_adjoint_slope_shape(self):
         prob = replace(_exponential_problem(), dgdu=lambda u, p, t: np.ones(2))
         traj = odesens.integrate_rk4(prob, 8)
         with pytest.raises(ShapeError, match="adjoint state slope"):
             odesens.adjoint_solve(prob, traj)
 
-    @pytest.mark.parametrize("cut", [SCALAR, ARRAY], ids=["scalar", "array"])
     @pytest.mark.parametrize("kick", [np.ones(3), np.ones((2, 1))], ids=["long", "2d"])
-    def test_wrong_kick_shape(self, monkeypatch, cut, kick):
+    def test_wrong_kick_shape(self, kick):
         """Checked once before the first step, so zip over floats cannot
         truncate it and nothing is counted."""
-        monkeypatch.setattr(odesens, "RK4_SCALAR_MAX_N", cut)
         with counting.tally() as c, pytest.raises(ShapeError, match="adjoint state kick"):
             odesens._rk4(lambda y, t, k: -y, np.zeros(2), np.linspace(0.0, 1.0, 5),
                          0.25, "adjoint state", 2, backward=True, kicks={2: kick})
