@@ -56,7 +56,10 @@ JACOBI_OFF_RTOL = 1e-12  # stop when off-diagonal norm falls below this * ||S||_
 LU_SCALAR_MAX_N = 16    # LU runs on Python floats up to this n (measured crossover)
 JACOBI_SCALAR_MAX_N = 5  # Jacobi runs on Python floats up to this n (measured crossover)
 _TINY = float(np.finfo(float).smallest_subnormal)
-_TINY_NORMAL = np.finfo(float).tiny
+_TINY_NORMAL = float(np.finfo(float).tiny)
+# jacobi_eigen works on S / 2^e when ||S||_F is outside this range, where its
+# sums of squares would over- or underflow
+_JACOBI_SAFE_NORM = (2.0 ** -400, 2.0 ** 400)
 
 
 def as_vector(x) -> np.ndarray:
@@ -85,11 +88,26 @@ def as_square(x) -> np.ndarray:
 
 
 def frob(x) -> float:
-    """Frobenius norm: sqrt of the sum of squared entries (any shape)."""
+    """Frobenius norm: sqrt of the sum of squared entries (any shape).
+
+    Where that sum overflows or falls below the normal range (entries past
+    about 1e154 or all below about 1e-154), the entries are first divided by
+    max |a_ij|, so the norm is accurate wherever it is representable (numpy
+    still warns of the overflowing squares).  An inf or NaN entry gives inf
+    or NaN as before."""
     a = np.asarray(x, dtype=float)
     # np.add.reduce is the sum np.sum computes, without its Python-level
     # dispatch, which costs about as much as the sum itself on small matrices.
-    return float(np.sqrt(np.add.reduce(a * a, axis=None)))
+    s = float(np.add.reduce(a * a, axis=None))
+    if _TINY_NORMAL <= s < math.inf:
+        return math.sqrt(s)
+    if s == 0.0 and not np.count_nonzero(a):
+        return 0.0
+    big = float(np.maximum.reduce(np.abs(a), axis=None))
+    if not math.isfinite(big):
+        return big
+    a = a / big
+    return big * math.sqrt(float(np.add.reduce(a * a, axis=None)))
 
 
 def is_symmetric(a, norm: float | None = None) -> bool:
@@ -529,6 +547,8 @@ def jacobi_eigen(s) -> EigenDecomp:
     products with J (``_jacobi_products``); up to it, column-pair and
     row-pair updates on Python floats (``_jacobi_scalar``).  Sweeps run until
     the off-diagonal Frobenius norm falls below JACOBI_OFF_RTOL * ||S||_F.
+    An S with ||S||_F outside 2^(+-400) is swept as the exactly scaled
+    S / 2^e, so no sum of squares over- or underflows.
     Asymmetric input (beyond SYM_RTOL relative) is a contract violation;
     failure to converge within JACOBI_MAX_SWEEPS raises ``ConvergenceError``.
     """
@@ -539,6 +559,12 @@ def jacobi_eigen(s) -> EigenDecomp:
         return EigenDecomp(q=np.eye(n), lam=np.zeros(n))
     require_symmetric(s, "jacobi_eigen", norm=norm)
     sym = 0.5 * (s + s.T)
+    lo, hi = _JACOBI_SAFE_NORM
+    e = 0
+    if not lo <= norm <= hi:
+        # scaling by a power of two is exact: the sweeps run as on S itself
+        e = math.frexp(norm)[1]
+        sym, norm = np.ldexp(sym, -e), math.ldexp(norm, -e)
     sweeps = _jacobi_scalar if n <= JACOBI_SCALAR_MAX_N else _jacobi_products
     found = sweeps(sym, JACOBI_OFF_RTOL * norm)
     if found is None:
@@ -556,7 +582,7 @@ def jacobi_eigen(s) -> EigenDecomp:
         raise ContractError("jacobi_eigen: orthogonality invariant violated")
     if frob((q * lam) @ q.T - sym) > 1e-8 * norm:
         raise ContractError("jacobi_eigen: reconstruction invariant violated")
-    return EigenDecomp(q=q, lam=lam)
+    return EigenDecomp(q=q, lam=np.ldexp(lam, e) if e else lam)
 
 
 def _rotation(app, arr, apr, hypot, copysign, fmax):

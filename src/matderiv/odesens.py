@@ -13,15 +13,21 @@ du/dt = f(u, p, t), u(0) = u0(p):
 Every pass -- the plain trajectory, the augmented forward system
 y = [u, vec S] and the backward adjoint sweeps -- runs through one classical
 RK4 stepper on a fixed grid.  It steps the state, stage slopes and kicks
-as Python floats, which on the few-number states of these passes is
-cheaper than numpy's per-call overhead and bitwise equal to the same
-arithmetic on float64 arrays.  The backward sweeps read u(t) at interval
-midpoints from cubic Hermite interpolation of the stored states and
-slopes.  Quadratures are composite Simpson (even step count required).
+as Python floats, and its right-hand sides take and return lists of Python
+floats: each route converts the problem's callables in one place
+(``_checked``: float64, shape check, ``tolist()``) and forms the products
+f'(u) S + df/dp, (dg/du)^T - (df/du)^T v and (df/dp)^T v on floats.  On
+the few-number states of these passes that is cheaper than numpy's per-call
+overhead, and at one state it is bitwise equal to the same arithmetic on
+float64 arrays.  The backward sweeps read u(t) at interval midpoints from
+cubic Hermite interpolation of the stored states and slopes.  Quadratures
+are composite Simpson (even step count required).
 
 The problem's callables must be pure: the same arguments give the same
 value.  The backward sweeps evaluate the coefficients once per distinct
-stage position and reuse that value at the stage that repeats it.
+stage position and reuse that value at the stage that repeats it.  Every
+callable's result is checked against its shape, and a mismatch raises
+ShapeError naming it instead of being broadcast.
 
 A third variant handles sums of point-in-time data misfits: the adjoint
 jumps by (dg_k/du)^T at each data time while an accumulator integrates the
@@ -50,9 +56,10 @@ class OdeProblem:
     again, instead of calling again.
 
     Shapes, for n states and N parameters: u0 and f return (n,), dfdu
-    (n, n), dfdp and du0dp (n, N), g a float, dgdu (n,) and dgdp (N,).  An
-    f (or an adjoint slope built from dgdu) of another shape -- (n, 1), 0-d
-    or another length -- raises ShapeError rather than being broadcast."""
+    (n, n), dfdp and du0dp (n, N), g a float, dgdu (n,) and dgdp (N,).  A
+    result of another shape -- (n, 1), 0-d or another length -- raises
+    ShapeError naming the callable (f as the "state slope") rather than
+    being broadcast."""
 
     f: Callable
     dfdu: Callable
@@ -122,15 +129,29 @@ def _shape_error(what: str, shape, got) -> ShapeError:
     return ShapeError(f"{what} must have shape {shape}, got {got}")
 
 
+def _checked(x, shape, what: str) -> np.ndarray:
+    """A problem callable's result ``x`` as float64, which must have
+    ``shape``; another shape raises ShapeError naming ``what``."""
+    a = np.asarray(x, dtype=float)
+    if a.shape != shape:
+        raise _shape_error(what, shape, a.shape)
+    return a
+
+
 def _blow_up(what: str, step_index: int) -> BlowUpError:
     return BlowUpError(f"{what} became non-finite", step_index=step_index)
 
 
-def _check_finite(y, step_index: int, what: str) -> None:
-    # the ufunc reduction itself: ndarray.all() adds a Python-level wrapper
-    # that costs more than the test on these short vectors
-    if not np.logical_and.reduce(np.isfinite(y), axis=None):
-        raise _blow_up(what, step_index)
+def _vecmat(x, rows):
+    """x^T R on Python floats, for the list x and the rows of R as lists:
+    x[0] R[0] + x[1] R[1] + ..., summed from the left from the first product
+    (so a -0.0 product keeps its sign, as in a one-term matmul)."""
+    terms = zip(x, rows)
+    c, row = next(terms)
+    acc = [c * w for w in row]
+    for c, row in terms:
+        acc = [r + c * w for r, w in zip(acc, row)]
+    return acc
 
 
 def _stage(y, c, k):
@@ -150,24 +171,24 @@ def _rk4(rhs, y, times, dt: float, what: str, width: int, backward: bool = False
     """Classical RK4 over the grid ``times`` with step dt, from the first
     node to the last, or from the last to the first when ``backward``.
 
-    ``rhs(y, t, k)`` gets the stage's half-step position k: node i is 2i and
-    the midpoint of interval i is 2i + 1, for right-hand sides that read a
-    stored trajectory there.  It must return an array of y's shape (n,);
-    another shape raises ShapeError naming ``what``, as does a kick of
-    another shape.  ``kicks[i]`` is added to y on arrival at node i (the
-    starting node included).  A non-finite y raises BlowUpError with the
-    index of the node the step started from.  Returns (ys, k1s), both
-    indexed by node: y at every node and the first-stage slope of the step
-    leaving each node (the row of the final node is left to the caller).
+    ``rhs(y, t, k)`` gets the stage argument y as a list of Python floats,
+    the time t as a Python float (an entry of ``times.tolist()``) and the
+    stage's half-step position k: node i is 2i and the midpoint of interval
+    i is 2i + 1, for right-hand sides that read a stored trajectory there.
+    It must return a list of len(y) Python floats; another length raises
+    ShapeError naming ``what``, as does a kick of another shape than y.
+    ``kicks[i]`` (an array) is added to y on arrival at node i (the starting
+    node included).  A non-finite y raises BlowUpError with the index of the
+    node the step started from.  Returns (ys, k1s), float64 arrays indexed
+    by node: y at every node and the first-stage slope of the step leaving
+    each node (the row of the final node is left to the caller).
 
-    The state, stage slopes and kicks are held as lists of Python floats;
-    each rhs call gets a fresh ``np.array`` of its stage argument.  Every
-    operation is the one numpy would apply to float64 arrays, in the same
-    order, so the outputs are bitwise those of an array stepper; only a step
-    that overflows reaches inf without numpy's warning (it still raises
-    BlowUpError at that step).  On the states of 1 to 4 numbers that every
-    caller steps this is cheaper than numpy's per-call overhead; on much
-    longer states an array stepper would be faster again.
+    Every operation is the one numpy would apply to float64 arrays, in the
+    same order, so the outputs are bitwise those of an array stepper on the
+    same rhs; only a step that overflows reaches inf without numpy's warning
+    (it still raises BlowUpError at that step).  On the states of 1 to 4
+    numbers that every caller steps this is cheaper than numpy's per-call
+    overhead; on much longer states an array stepper would be faster again.
 
     ``width`` is the rhs component count of one rhs call.  The stepper counts
     4 * width for every step it began, the one that blows up included, in
@@ -177,6 +198,7 @@ def _rk4(rhs, y, times, dt: float, what: str, width: int, backward: bool = False
     nodes, h = (range(m, -1, -1), -float(dt)) if backward else (range(m + 1), float(dt))
     half, sixth = 0.5 * h, h / 6.0
     shape = y.shape
+    n = len(y)
     kicks = kicks or {}
     for kick in kicks.values():
         if kick.shape != shape:
@@ -184,13 +206,14 @@ def _rk4(rhs, y, times, dt: float, what: str, width: int, backward: bool = False
     kicks = {i: kick.tolist() for i, kick in kicks.items()}
     ys = np.empty((m + 1,) + shape)
     k1s = np.empty_like(ys)
+    times = times.tolist()
     label = f"{what} slope"
 
     def slope(y, t, k):
-        k = rhs(np.array(y), t, k)
-        if k.shape != shape:
-            raise _shape_error(label, shape, k.shape)
-        return k.tolist()
+        k = rhs(y, t, k)
+        if len(k) != n:
+            raise _shape_error(label, shape, (len(k),))
+        return k
 
     def add_kick(y, i):
         return [u + w for u, w in zip(y, kicks[i])] if i in kicks else y
@@ -218,40 +241,51 @@ def _rk4(rhs, y, times, dt: float, what: str, width: int, backward: bool = False
     return ys, k1s
 
 
+def _state_slope(prob: OdeProblem, n: int):
+    """The list-protocol rhs ``f(y, t, k)`` of the plain trajectory: f at the
+    state y, checked to shape (n,)."""
+    p = prob.p
+
+    def f(y, t, _k=None):
+        return _checked(prob.f(np.array(y), p, t), (n,), "state slope").tolist()
+
+    return f
+
+
 def integrate_rk4(prob: OdeProblem, n_steps: int) -> Trajectory:
     """Classical 4-stage Runge-Kutta on a uniform grid."""
     times, dt = _grid(prob, n_steps)
-    p = prob.p
-    u = as_vector(prob.u0(p))
+    u = as_vector(prob.u0(prob.p))
     n = len(u)
-
-    def f(u, t, _k):
-        return np.asarray(prob.f(u, p, t), dtype=float)
-
+    f = _state_slope(prob, n)
     states, slopes = _rk4(f, u, times, dt, "state", n)
     counting.add_rhs_components(n)
-    slopes[n_steps] = f(states[n_steps], times[n_steps], None)
+    slopes[n_steps] = f(states[n_steps].tolist(), times[n_steps])
     return Trajectory(times, states, slopes)
 
 
 def integrate_euler(prob: OdeProblem, n_steps: int) -> Trajectory:
-    """Explicit Euler on the same grid (the order-1 yardstick)."""
+    """Explicit Euler on the same grid (the order-1 yardstick), stepping
+    Python floats through the same checked slope as ``integrate_rk4``."""
     times, dt = _grid(prob, n_steps)
-    p = prob.p
-    u = as_vector(prob.u0(p))
+    u = as_vector(prob.u0(prob.p))
     n = len(u)
+    f = _state_slope(prob, n)
+    ts = times.tolist()
     states = np.empty((n_steps + 1, n))
     slopes = np.empty((n_steps + 1, n))
-    states[0] = u
+    y = u.tolist()
+    states[0] = y
     for i in range(n_steps):
         counting.add_rhs_components(n)
-        k = np.asarray(prob.f(u, p, times[i]), dtype=float)
+        k = f(y, ts[i])
         slopes[i] = k
-        u = u + dt * k
-        _check_finite(u, i, "state")
-        states[i + 1] = u
+        y = [a + dt * b for a, b in zip(y, k)]
+        if not all(map(isfinite, y)):
+            raise _blow_up("state", i)
+        states[i + 1] = y
     counting.add_rhs_components(n)
-    slopes[n_steps] = np.asarray(prob.f(u, p, times[n_steps]), dtype=float)
+    slopes[n_steps] = f(y, ts[n_steps])
     counting.add_integration(1)
     return Trajectory(times, states, slopes)
 
@@ -266,24 +300,25 @@ def forward_sensitivity(prob: OdeProblem, n_steps: int):
     n_par = len(p)
     u = as_vector(prob.u0(p))
     n = len(u)
-    s = np.asarray(prob.du0dp(p), dtype=float)
-    if s.shape != (n, n_par):
-        raise ShapeError(f"du0dp must be {n}x{n_par}, got {s.shape}")
+    s = _checked(prob.du0dp(p), (n, n_par), "du0dp")
+    s_starts = range(n, n + n * n_par, n_par)
 
     def aug(y, t, _k):
-        u = y[:n]
-        fu = np.asarray(prob.f(u, p, t), dtype=float)
-        if fu.shape != (n,):
-            raise _shape_error("state slope", (n,), fu.shape)
-        a = np.asarray(prob.dfdu(u, p, t), dtype=float)
-        b = np.asarray(prob.dfdp(u, p, t), dtype=float)
-        return np.concatenate((fu, (a @ y[n:].reshape(n, n_par) + b).ravel()))
+        # y = [u, S row by row]; row i of dS/dt is dfdu[i] S + dfdp[i]
+        u = np.array(y[:n])
+        fu = _checked(prob.f(u, p, t), (n,), "state slope").tolist()
+        a = _checked(prob.dfdu(u, p, t), (n, n), "dfdu").tolist()
+        b = _checked(prob.dfdp(u, p, t), (n, n_par), "dfdp").tolist()
+        s_rows = [y[i:i + n_par] for i in s_starts]
+        for ai, bi in zip(a, b):
+            fu += [r + w for r, w in zip(_vecmat(ai, s_rows), bi)]
+        return fu
 
     width = n * (1 + n_par)
     ys, slopes = _rk4(aug, np.concatenate((u, s.ravel())), times, dt,
                       "state or sensitivity", width)
     counting.add_rhs_components(width)
-    slopes[n_steps] = aug(ys[n_steps], times[n_steps], None)
+    slopes[n_steps] = aug(ys[n_steps].tolist(), times[n_steps], None)
     sens = ys[:, n:].reshape(n_steps + 1, n, n_par)
     return Trajectory(times, ys[:, :n], slopes[:, :n]), sens
 
@@ -312,12 +347,12 @@ def loss_G(prob: OdeProblem, traj: Trajectory) -> float:
 def grad_G_forward(prob: OdeProblem, n_steps: int) -> np.ndarray:
     traj, sens = forward_sensitivity(prob, n_steps)
     p = prob.p
-    vals = np.empty((n_steps + 1, len(p)))
+    n, n_par = traj.states.shape[1], len(p)
+    vals = np.empty((n_steps + 1, n_par))
     for i, t in enumerate(traj.times):
         u = traj.states[i]
-        vals[i] = sens[i].T @ np.asarray(prob.dgdu(u, p, t), dtype=float) + np.asarray(
-            prob.dgdp(u, p, t), dtype=float
-        )
+        vals[i] = sens[i].T @ _checked(prob.dgdu(u, p, t), (n,), "dgdu") + _checked(
+            prob.dgdp(u, p, t), (n_par,), "dgdp")
     return simpson(vals, traj.dt)
 
 
@@ -359,13 +394,13 @@ def adjoint_solve(prob: OdeProblem, traj: Trajectory) -> np.ndarray:
     p = prob.p
     n = traj.states.shape[1]
     coef = _stage_coefficients(
-        lambda u, t: (np.asarray(prob.dgdu(u, p, t), dtype=float),
-                      np.asarray(prob.dfdu(u, p, t), dtype=float).T),
+        lambda u, t: (_checked(prob.dgdu(u, p, t), (n,), "dgdu (adjoint state slope)").tolist(),
+                      _checked(prob.dfdu(u, p, t), (n, n), "dfdu").tolist()),
         _stage_states(traj))
 
     def rhs(v, t, k):
-        dgdu, dfdu_t = coef(t, k)
-        return dgdu - dfdu_t @ v
+        dgdu, dfdu = coef(t, k)
+        return [g - w for g, w in zip(dgdu, _vecmat(v, dfdu))]    # dgdu - dfdu^T v
 
     return _rk4(rhs, np.zeros(n), traj.times, traj.dt, "adjoint state", n,
                 backward=True)[0]
@@ -375,13 +410,13 @@ def grad_G_adjoint(prob: OdeProblem, n_steps: int) -> np.ndarray:
     traj = integrate_rk4(prob, n_steps)
     v = adjoint_solve(prob, traj)
     p = prob.p
-    vals = np.empty((n_steps + 1, len(p)))
+    n, n_par = traj.states.shape[1], len(p)
+    vals = np.empty((n_steps + 1, n_par))
     for i, t in enumerate(traj.times):
         u = traj.states[i]
-        vals[i] = np.asarray(prob.dgdp(u, p, t), dtype=float) - np.asarray(
-            prob.dfdp(u, p, t), dtype=float
-        ).T @ v[i]
-    s0 = np.asarray(prob.du0dp(p), dtype=float)
+        vals[i] = _checked(prob.dgdp(u, p, t), (n_par,), "dgdp") - _checked(
+            prob.dfdp(u, p, t), (n, n_par), "dfdp").T @ v[i]
+    s0 = _checked(prob.du0dp(p), (n, n_par), "du0dp")
     return -s0.T @ v[0] + simpson(vals, traj.dt)
 
 
@@ -422,22 +457,22 @@ def grad_G_discrete_data(prob: OdeProblem, data_times, g_k_list, n_steps: int) -
         idx = _node_index(float(t_k), traj.dt, n_steps)
         u_k = traj.states[idx]
         kick = kicks.setdefault(idx, np.zeros(n + n_par))
-        kick[:n] -= np.asarray(term.dgdu(u_k, p), dtype=float)
+        kick[:n] -= _checked(term.dgdu(u_k, p), (n,), "DataTerm.dgdu")
         if term.dgdp is not None:
-            direct += np.asarray(term.dgdp(u_k, p), dtype=float)
+            direct += _checked(term.dgdp(u_k, p), (n_par,), "DataTerm.dgdp")
+    # the rhs [-(df/du)^T v, (df/dp)^T v] is v^T [-df/du, df/dp]
     coef = _stage_coefficients(
-        lambda u, t: (-np.asarray(prob.dfdu(u, p, t), dtype=float).T,
-                      np.asarray(prob.dfdp(u, p, t), dtype=float).T),
+        lambda u, t: np.concatenate((-_checked(prob.dfdu(u, p, t), (n, n), "dfdu"),
+                                     _checked(prob.dfdp(u, p, t), (n, n_par), "dfdp")),
+                                    axis=1).tolist(),
         _stage_states(traj))
 
     def rhs(y, t, k):
-        neg_dfdu_t, dfdp_t = coef(t, k)
-        v = y[:n]
-        return np.concatenate([neg_dfdu_t @ v, dfdp_t @ v])
+        return _vecmat(y[:n], coef(t, k))
 
     ys, _ = _rk4(rhs, np.zeros(n + n_par), traj.times, traj.dt,
                  "adjoint state", n, backward=True, kicks=kicks)
-    s0 = np.asarray(prob.du0dp(p), dtype=float)
+    s0 = _checked(prob.du0dp(p), (n, n_par), "du0dp")
     return -s0.T @ ys[0, :n] + ys[0, n:] + direct
 
 
@@ -478,15 +513,21 @@ def reference_instance(p=(1.0, 0.5, -0.2), t_final: float = 1.0) -> OdeProblem:
     """Scalar Riccati-type tracking problem used across tests and the CLI:
 
         du/dt = p0 + p1 u + p2 u^2,  u(0) = 0,  g = (u - t^3)^2.
+
+    The callables compute on Python floats (``tolist()``), which gives the
+    arrays numpy's float64 scalars would, bit for bit, at less cost.
     """
     def f(u, p, t):
-        return np.array([p[0] + p[1] * u[0] + p[2] * u[0] ** 2])
+        (x,), q = u.tolist(), p.tolist()
+        return np.array([q[0] + q[1] * x + q[2] * x ** 2])
 
     def dfdu(u, p, t):
-        return np.array([[p[1] + 2.0 * p[2] * u[0]]])
+        (x,), q = u.tolist(), p.tolist()
+        return np.array([[q[1] + 2.0 * q[2] * x]])
 
     def dfdp(u, p, t):
-        return np.array([[1.0, u[0], u[0] ** 2]])
+        (x,) = u.tolist()
+        return np.array([[1.0, x, x ** 2]])
 
     def u0(p):
         return np.zeros(1)
@@ -495,10 +536,12 @@ def reference_instance(p=(1.0, 0.5, -0.2), t_final: float = 1.0) -> OdeProblem:
         return np.zeros((1, 3))
 
     def g(u, p, t):
-        return (u[0] - t**3) ** 2
+        (x,) = u.tolist()
+        return (x - t**3) ** 2
 
     def dgdu(u, p, t):
-        return np.array([2.0 * (u[0] - t**3)])
+        (x,) = u.tolist()
+        return np.array([2.0 * (x - t**3)])
 
     def dgdp(u, p, t):
         return np.zeros(3)

@@ -654,6 +654,72 @@ class TestJacobiEigen:
             core.jacobi_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+class TestNormRange:
+    """``frob`` stays accurate where the plain sum of squares overflows or
+    underflows, and so do the tolerances scaled by it (numpy still warns of
+    the overflowing squares, which these tests silence)."""
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e160, 1e200])
+    def test_frob_far_from_one(self, scale):
+        a = scale * np.array([[3.0, 0.0], [0.0, 4.0]])
+        with np.errstate(over="ignore"):
+            assert core.frob(a) == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+
+    def test_frob_keeps_zero_inf_and_nan(self):
+        assert core.frob(np.zeros((2, 2))) == 0.0
+        assert core.frob(np.zeros(0)) == 0.0
+        assert core.frob([np.inf, 1.0]) == np.inf
+        assert np.isnan(core.frob([np.nan, np.inf]))
+        with np.errstate(over="ignore"):
+            assert core.frob([1.7e308, 1.7e308]) == np.inf
+
+    def test_lu_solve_with_large_entries(self):
+        """A well-conditioned matrix with entries past 1e154 failed its first
+        pivot test against an inf norm."""
+        a = 1e155 * np.array([[2.0, 1.0], [1.0, 3.0]])
+        with np.errstate(over="ignore"):
+            x = core.lu_solve(a, [1.0, 1.0])
+        np.testing.assert_allclose(x, np.linalg.solve(a, [1.0, 1.0]), rtol=1e-14)
+
+    def test_lu_pivot_test_stays_relative_at_large_norms(self):
+        """diag(1e155, 1) has condition number 1e155, so its second pivot is
+        singular to PIVOT_RTOL * ||A||_F; the first one, which an inf norm
+        failed, passes."""
+        with np.errstate(over="ignore"), pytest.raises(SingularMatrixError) as err:
+            core.lu_solve(np.diag([1e155, 1.0]), [1.0, 1.0])
+        assert err.value.pivot_index == 1
+
+    @pytest.mark.parametrize("s", [
+        pytest.param(np.array([[1e155, 1e154], [1e154, 1.0]]), id="2x2-1e155"),
+        pytest.param(1e-170 * np.array([[2.0, 1.0], [1.0, 3.0]]), id="2x2-1e-170"),
+        pytest.param(1e-170 * _gapped_symmetric(np.random.default_rng(5), 4), id="4x4-1e-170"),
+        pytest.param(1e160 * _gapped_symmetric(np.random.default_rng(6), 3), id="3x3-1e160"),
+        pytest.param(1e-170 * _gapped_symmetric(np.random.default_rng(7), 8), id="8x8-1e-170"),
+        pytest.param(1e160 * _gapped_symmetric(np.random.default_rng(8), 8), id="8x8-1e160"),
+    ])
+    def test_jacobi_far_from_one(self, s):
+        """Entries past 1e154 gave an inf norm, so the sweeps stopped at
+        once; entries around 1e-170 gave a zero norm and zero eigenvalues."""
+        with np.errstate(over="ignore"):
+            dec = core.jacobi_eigen(s)
+        ref = np.linalg.eigvalsh(s)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(dec.lam - ref)) <= 1e-13 * scale
+        np.testing.assert_allclose(dec.q @ np.diag(dec.lam / scale) @ dec.q.T, s / scale,
+                                   atol=1e-13)
+
+    def test_jacobi_scaling_is_exact(self):
+        """Swept as S / 2^e, a matrix and its power-of-two multiples give the
+        same eigenvectors and exactly scaled eigenvalues."""
+        s = _gapped_symmetric(np.random.default_rng(9), 4)
+        base = core.jacobi_eigen(s)
+        for e in (-600, 600):
+            with np.errstate(over="ignore"):
+                dec = core.jacobi_eigen(np.ldexp(s, e))
+            np.testing.assert_array_equal(dec.lam, np.ldexp(base.lam, e))
+            np.testing.assert_array_equal(dec.q, base.q)
+
+
 class TestNewtonRoot:
     def test_scalar_square_root(self):
         root = core.newton_root(lambda xs: [xs[0] * xs[0] - 4.0], [3.0])

@@ -607,9 +607,10 @@ def _route_outputs(prob, m):
     return [x.tobytes() for x in out]
 
 
-def _rk4_on_arrays(rhs, y, times, dt, what, width, backward=False, kicks=None):
+def _rk4_arrays(rhs, y, times, dt, backward=False, kicks=None):
     """The classical RK4 recurrence of ``odesens._rk4`` written out on
-    float64 arrays (same signature and returns, no counting or checks)."""
+    float64 arrays, for an rhs that takes and returns arrays; returns
+    (ys, k1s) like ``_rk4``, with no counting or checks."""
     m = len(times) - 1
     nodes = range(m, -1, -1) if backward else range(m + 1)
     h = -float(dt) if backward else float(dt)
@@ -631,6 +632,15 @@ def _rk4_on_arrays(rhs, y, times, dt, what, width, backward=False, kicks=None):
         k1s[a] = k1
         ys[b] = y
     return ys, k1s
+
+
+def _rk4_on_arrays(rhs, y, times, dt, what, width, backward=False, kicks=None):
+    """``_rk4_arrays`` with ``odesens._rk4``'s signature, for an rhs of
+    ``_rk4``'s list protocol: it is wrapped to take and return arrays."""
+    def array_rhs(y, t, k):
+        return np.array(rhs(y.tolist(), t, k))
+
+    return _rk4_arrays(array_rhs, y, times, dt, backward, kicks)
 
 
 class TestRK4Bitwise:
@@ -661,6 +671,7 @@ class TestSlopeShapeContract:
 
     ROUTES = {
         "integrate_rk4": odesens.integrate_rk4,
+        "integrate_euler": odesens.integrate_euler,
         "forward_sensitivity": odesens.forward_sensitivity,
         "grad_G_adjoint": odesens.grad_G_adjoint,
     }
@@ -691,3 +702,181 @@ class TestSlopeShapeContract:
             odesens._rk4(lambda y, t, k: -y, np.zeros(2), np.linspace(0.0, 1.0, 5),
                          0.25, "adjoint state", 2, backward=True, kicks={2: kick})
         assert c.rhs_components == 0
+
+    @pytest.mark.parametrize("length", [0, 1, 3])
+    def test_rk4_checks_the_slope_length(self, length):
+        """``_rk4`` itself rejects a list slope of another length than y, so
+        zip over floats cannot truncate the state."""
+        with pytest.raises(ShapeError,
+                           match=rf"adjoint state slope must have shape \(2,\), got \({length},\)"):
+            odesens._rk4(lambda y, t, k: [0.5] * length, np.zeros(2),
+                         np.linspace(0.0, 1.0, 5), 0.25, "adjoint state", 2, backward=True)
+
+
+def _bad(shape):
+    return lambda *args: np.ones(shape)
+
+
+class TestCoefficientShapeContract:
+    """Every coefficient and data-term callable is checked against its
+    shape: dfdu (n, n), dfdp (n, N), dgdu (n,), dgdp (N,), du0dp (n, N),
+    and DataTerm.dgdu (n,) and dgdp (N,).  A mismatch raises ShapeError
+    naming the callable instead of being broadcast.  The problem has n = 2
+    states and N = 3 parameters."""
+
+    ROUTES = {
+        "forward_sensitivity": lambda prob: odesens.forward_sensitivity(prob, 8),
+        "grad_G_forward": lambda prob: odesens.grad_G_forward(prob, 8),
+        "grad_G_adjoint": lambda prob: odesens.grad_G_adjoint(prob, 8),
+        "grad_G_discrete_data": lambda prob: odesens.grad_G_discrete_data(
+            prob, [0.5], [DataTerm(dgdu=lambda u, p: 2.0 * u)], 8),
+    }
+    CASES = [
+        ("dfdu", (2,), ["forward_sensitivity", "grad_G_adjoint", "grad_G_discrete_data"]),
+        ("dfdu", (2, 1), ["forward_sensitivity", "grad_G_adjoint", "grad_G_discrete_data"]),
+        ("dfdp", (3,), ["forward_sensitivity", "grad_G_adjoint", "grad_G_discrete_data"]),
+        ("dfdp", (1, 3), ["forward_sensitivity", "grad_G_adjoint", "grad_G_discrete_data"]),
+        ("dgdu", (1,), ["grad_G_forward", "grad_G_adjoint"]),
+        ("dgdp", (1,), ["grad_G_forward", "grad_G_adjoint"]),
+        ("du0dp", (2,), ["forward_sensitivity", "grad_G_adjoint", "grad_G_discrete_data"]),
+    ]
+
+    @pytest.mark.parametrize("name, shape, route", [
+        pytest.param(name, shape, route, id=f"{name}-{'x'.join(map(str, shape))}-{route}")
+        for name, shape, routes in CASES for route in routes])
+    def test_problem_callable(self, name, shape, route):
+        prob = replace(_two_state_problem(), **{name: _bad(shape)})
+        with pytest.raises(ShapeError, match=rf"^{name}\b"):
+            self.ROUTES[route](prob)
+
+    def test_data_term_dgdu(self):
+        """A length-1 dgdu on two states was added to both adjoint
+        components, and a gradient came back."""
+        terms = [DataTerm(dgdu=_bad((1,)))]
+        with pytest.raises(ShapeError, match=r"DataTerm\.dgdu must have shape \(2,\)"):
+            odesens.grad_G_discrete_data(_two_state_problem(), [0.5], terms, 8)
+
+    def test_data_term_dgdp(self):
+        terms = [DataTerm(dgdu=lambda u, p: 2.0 * u, dgdp=_bad((2,)))]
+        with pytest.raises(ShapeError, match=r"DataTerm\.dgdp must have shape \(3,\)"):
+            odesens.grad_G_discrete_data(_two_state_problem(), [0.5], terms, 8)
+
+    def test_forward_dfdp_is_not_broadcast(self):
+        """A dfdp of shape (N,) was broadcast against (n, N) in dfdu S + dfdp."""
+        prob = replace(_two_state_problem(), dfdp=lambda u, p, t: np.array([u[1], -u[0], 0.0]))
+        with pytest.raises(ShapeError, match=r"dfdp must have shape \(2, 3\), got \(3,\)"):
+            odesens.forward_sensitivity(prob, 8)
+
+
+def _numpy_rhs_routes(prob, m, data_times, terms):
+    """(S nodes, adjoint v, discrete-data gradient) from the numpy right-hand
+    sides the routes used before the list protocol -- the augmented rhs, the
+    adjoint rhs and the discrete-data rhs, each on float64 arrays -- stepped
+    by ``_rk4_arrays`` and evaluating every stage afresh."""
+    times, dt = odesens._grid(prob, m)
+    p = prob.p
+    n_par = len(p)
+    u0 = np.asarray(prob.u0(p), dtype=float)
+    n = len(u0)
+    s0 = np.asarray(prob.du0dp(p), dtype=float)
+
+    def aug(y, t, _k):
+        u = y[:n]
+        fu = np.asarray(prob.f(u, p, t), dtype=float)
+        a = np.asarray(prob.dfdu(u, p, t), dtype=float)
+        b = np.asarray(prob.dfdp(u, p, t), dtype=float)
+        return np.concatenate((fu, (a @ y[n:].reshape(n, n_par) + b).ravel()))
+
+    ys, _ = _rk4_arrays(aug, np.concatenate((u0, s0.ravel())), times, dt)
+    sens = ys[:, n:].reshape(m + 1, n, n_par)
+
+    traj = odesens.integrate_rk4(prob, m)
+    u_at = odesens._stage_states(traj)
+
+    def adjoint(v, t, k):
+        u = u_at[k]
+        return np.asarray(prob.dgdu(u, p, t), dtype=float) - np.asarray(
+            prob.dfdu(u, p, t), dtype=float).T @ v
+
+    v = _rk4_arrays(adjoint, np.zeros(n), traj.times, traj.dt, backward=True)[0]
+
+    kicks, direct = {}, np.zeros(n_par)
+    for t_k, term in zip(data_times, terms):
+        idx = odesens._node_index(float(t_k), traj.dt, m)
+        kick = kicks.setdefault(idx, np.zeros(n + n_par))
+        kick[:n] -= np.asarray(term.dgdu(traj.states[idx], p), dtype=float)
+        direct += np.asarray(term.dgdp(traj.states[idx], p), dtype=float)
+
+    def discrete(y, t, k):
+        u, v = u_at[k], y[:n]
+        return np.concatenate([-np.asarray(prob.dfdu(u, p, t), dtype=float).T @ v,
+                               np.asarray(prob.dfdp(u, p, t), dtype=float).T @ v])
+
+    ys, _ = _rk4_arrays(discrete, np.zeros(n + n_par), traj.times, traj.dt,
+                        backward=True, kicks=kicks)
+    return sens, v, -s0.T @ ys[0, :n] + ys[0, n:] + direct
+
+
+class TestFloatRhsAgainstNumpyRhs:
+    """The routes' float right-hand sides against the numpy ones they
+    replaced: bitwise equal at one state (every product a single term, in
+    the same order), within 1e-15 relative at 2 to 8 states, where a sum of
+    products may round in another order than numpy's matmul."""
+
+    M = 16
+
+    @staticmethod
+    def _both(prob, m):
+        data_times = [1.0, 0.5, 0.5, 0.25]
+        terms = [DataTerm(dgdu=lambda u, p, w=w: w * u, dgdp=lambda u, p, w=w: w * p)
+                 for w in (1.0, 0.5, -0.25, 2.0)]
+        _, sens = odesens.forward_sensitivity(prob, m)
+        got = (sens, odesens.adjoint_solve(prob, odesens.integrate_rk4(prob, m)),
+               odesens.grad_G_discrete_data(prob, data_times, terms, m))
+        return got, _numpy_rhs_routes(prob, m, data_times, terms)
+
+    @pytest.mark.parametrize("p", [(1.0, 0.5, -0.2), (0.7, 0.1, -0.5), (1.4, 0.9, -0.15)])
+    @pytest.mark.parametrize("m", [16, 200])
+    def test_reference_instance_bitwise(self, p, m):
+        got, ref = self._both(reference_instance(p=p), m)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
+
+    def test_one_state_linear_problem_bitwise(self):
+        got, ref = self._both(_linear_problem(1), self.M)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_longer_states_to_roundoff(self, n):
+        got, ref = self._both(_linear_problem(n), self.M)
+        for x, y in zip(got, ref):
+            assert np.max(np.abs(x - y)) <= 1e-15 * np.max(np.abs(y))
+
+
+class TestReferenceInstanceFloats:
+    """``reference_instance``'s callables compute on Python floats and return
+    the arrays (and the value of g) that the same formulas give on numpy's
+    float64 scalars, bit for bit."""
+
+    NUMPY_SCALAR = {
+        "f": lambda u, p, t: np.array([p[0] + p[1] * u[0] + p[2] * u[0] ** 2]),
+        "dfdu": lambda u, p, t: np.array([[p[1] + 2.0 * p[2] * u[0]]]),
+        "dfdp": lambda u, p, t: np.array([[1.0, u[0], u[0] ** 2]]),
+        "g": lambda u, p, t: (u[0] - t**3) ** 2,
+        "dgdu": lambda u, p, t: np.array([2.0 * (u[0] - t**3)]),
+        "dgdp": lambda u, p, t: np.zeros(3),
+    }
+
+    @pytest.mark.parametrize("name", list(NUMPY_SCALAR))
+    def test_bitwise_on_a_seeded_grid(self, name):
+        prob = reference_instance()
+        fn, ref = getattr(prob, name), self.NUMPY_SCALAR[name]
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            u = rng.uniform(-3.0, 3.0, size=1)
+            p = rng.standard_normal(3) * 2.0
+            t = rng.uniform(0.0, 2.0)
+            want = np.asarray(ref(u, p, np.float64(t)), dtype=float)
+            for t_as in (t, np.float64(t)):    # _rk4 passes floats, quadratures np.float64
+                got = np.asarray(fn(u, p, t_as))
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
