@@ -15,8 +15,9 @@ y = [u, vec S] and the backward adjoint sweeps -- runs through one classical
 RK4 stepper on a fixed grid.  It steps the state, stage slopes and kicks
 as Python floats, and its right-hand sides take and return lists of Python
 floats: each route converts the problem's callables in one place
-(``_checked``: float64, shape check, ``tolist()``) and forms the products
-f'(u) S + df/dp, (dg/du)^T - (df/du)^T v and (df/dp)^T v on floats.  On
+(``_checked``: float64 and a shape check, then ``tolist()``) and forms
+the products f'(u) S + df/dp, (dg/du)^T - (df/du)^T v and (df/dp)^T v on
+floats (``_vecmat``).  On
 the few-number states of these passes that is cheaper than numpy's per-call
 overhead, and at one state it is bitwise equal to the same arithmetic on
 float64 arrays.  The backward sweeps read u(t) at interval midpoints from
