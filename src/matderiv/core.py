@@ -19,6 +19,13 @@ The two LU regimes are bitwise equal; the Jacobi regimes agree to roundoff.
 The cuts are measured crossovers, not options.  The Thomas sweeps always
 run on Python floats (over memoryviews).
 
+``jacobi_eigen`` also takes a (k, n, n) stack of symmetric matrices.  The
+regime is still chosen by n alone: below the cut the members are swept one
+by one, above it all together, each round's products stacked so numpy's
+fixed cost is paid once per stack.  A member leaves the stack at the sweep
+where its own stopping test passes, so its q and lam are bitwise those of
+its own call.
+
 Conventions fixed by this module:
   - vectors are 1-D float64 arrays, matrices 2-D float64 arrays;
   - eigenvalues are returned ascending, with each eigenvector column signed
@@ -108,6 +115,11 @@ def frob(x) -> float:
         return big
     a = a / big
     return big * math.sqrt(float(np.add.reduce(a * a, axis=None)))
+
+
+def _sum_squares(v: np.ndarray) -> float:
+    """The sum of squares ``np.sum(v ** 2)`` forms, without its dispatch."""
+    return float(np.add.reduce(np.square(v)))
 
 
 def is_symmetric(a, norm: float | None = None) -> bool:
@@ -217,9 +229,22 @@ class TridiagSym:
         return a
 
     def norm(self) -> float:
-        return float(
-            np.sqrt(np.sum(self.diag**2) + 2.0 * np.sum(self.offdiag**2))
-        )
+        """Frobenius norm of the dense matrix, sqrt(sum d_i^2 + 2 sum e_i^2).
+
+        Where that sum overflows or falls below the normal range (entries
+        past about 1e154 or all below about 1e-154), the entries are first
+        divided by their largest magnitude, as in ``frob``.  The overflowing
+        squares raise no numpy warning."""
+        d, e = self.diag, self.offdiag
+        with np.errstate(over="ignore"):
+            s = _sum_squares(d) + 2.0 * _sum_squares(e)
+        if _TINY_NORMAL <= s < math.inf:
+            return math.sqrt(s)
+        big = max(float(np.maximum.reduce(np.abs(d))),
+                  float(np.maximum.reduce(np.abs(e), initial=0.0)))
+        if big == 0.0:
+            return 0.0
+        return big * math.sqrt(_sum_squares(d / big) + 2.0 * _sum_squares(e / big))
 
 
 @dataclass
@@ -536,53 +561,108 @@ def _jacobi_plan(n: int) -> tuple[np.ndarray, ...]:
                  for p, r in _jacobi_schedule(n))
 
 
+def _member(i) -> str:
+    """How ``jacobi_eigen``'s errors name member i of a stack ('' for a
+    single matrix, i = None)."""
+    return "" if i is None else f" (stack member {i})"
+
+
+def _require_within(x: np.ndarray, tol, what: str) -> None:
+    """One of ``jacobi_eigen``'s invariant checks: raise ``ContractError``
+    naming ``what`` unless frob(x) <= tol, for one matrix or for each
+    member of a (k, n, n) stack against its own tol.  A member's sum of
+    squares is the one ``frob`` forms, and one outside the normal range
+    goes to ``frob``, so each member is decided as alone."""
+    if x.ndim == 2:
+        if frob(x) > tol:
+            raise ContractError(f"jacobi_eigen: {what} invariant violated")
+        return
+    s = np.add.reduce(x * x, axis=(-2, -1))
+    norms = np.sqrt(s)
+    for i in np.flatnonzero(~((_TINY_NORMAL <= s) & (s < math.inf))):
+        norms[i] = frob(x[i])
+    over = np.flatnonzero(norms > tol)
+    if len(over):
+        raise ContractError(f"jacobi_eigen{_member(over[0])}: {what} invariant violated")
+
+
+def _jacobi_input(s: np.ndarray, what: str = "jacobi_eigen"):
+    """What ``jacobi_eigen`` sweeps for one finite square ``s``, after the
+    symmetry contract (its error names ``what``): (sym, norm, e) with
+    sym = (S + S^T) / 2^(e + 1) and norm = ||S||_F / 2^e, where e = 0
+    unless ||S||_F is outside 2^(+-400).  A zero S gives (zeros, 0.0, 0),
+    which sweeps to (I, 0)."""
+    norm = frob(s)
+    if norm == 0.0:
+        return np.zeros_like(s), 0.0, 0
+    require_symmetric(s, what, norm=norm)
+    sym = 0.5 * (s + s.T)
+    lo, hi = _JACOBI_SAFE_NORM
+    if lo <= norm <= hi:
+        return sym, norm, 0
+    # scaling by a power of two is exact: the sweeps run as on S itself
+    e = math.frexp(norm)[1]
+    return np.ldexp(sym, -e), math.ldexp(norm, -e), e
+
+
 def jacobi_eigen(s) -> EigenDecomp:
     """Jacobi eigensolver for symmetric matrices, Brent-Luk round-robin order.
+
+    ``s`` is one (n, n) matrix or a (k, n, n) stack of them.  A stack gives
+    ``q`` of shape (k, n, n) and ``lam`` of shape (k, n), each member's
+    bitwise those of its own call.
 
     Each sweep visits every off-diagonal pair once, in rounds of disjoint
     pairs.  The rotations of a round commute, so they are all computed from
     the same matrix and applied together: A <- J^T A J, with the rotated
     a_pr and a_rp set to exactly zero, and Q <- Q J, where J is the round's
-    block rotation.  Above JACOBI_SCALAR_MAX_N rows a round is two matrix
-    products with J (``_jacobi_products``); up to it, column-pair and
-    row-pair updates on Python floats (``_jacobi_scalar``).  Sweeps run until
-    the off-diagonal Frobenius norm falls below JACOBI_OFF_RTOL * ||S||_F.
-    An S with ||S||_F outside 2^(+-400) is swept as the exactly scaled
-    S / 2^e, so no sum of squares over- or underflows.
+    block rotation.  The regime is chosen by n alone.  Above
+    JACOBI_SCALAR_MAX_N rows a round is two matrix products with J
+    (``_jacobi_products``; for a stack, stacked products over all of it);
+    up to it, column-pair and row-pair updates on Python floats
+    (``_jacobi_scalar``, member by member).  Sweeps run until the
+    off-diagonal Frobenius norm falls below JACOBI_OFF_RTOL * ||S||_F, and a
+    member leaves its stack at the sweep where its own test passes.  An S
+    with ||S||_F outside 2^(+-400) is swept as the exactly scaled S / 2^e,
+    so no sum of squares over- or underflows.  These guards run member by
+    member; the sort, the sign fix and the invariant checks run once over a
+    stack, each member checked against its own norm.
     Asymmetric input (beyond SYM_RTOL relative) is a contract violation;
     failure to converge within JACOBI_MAX_SWEEPS raises ``ConvergenceError``.
+    Either error names the offending member of a stack.
     """
-    s = as_square(s)
-    n = s.shape[0]
-    norm = frob(s)
-    if norm == 0.0:
-        return EigenDecomp(q=np.eye(n), lam=np.zeros(n))
-    require_symmetric(s, "jacobi_eigen", norm=norm)
-    sym = 0.5 * (s + s.T)
-    lo, hi = _JACOBI_SAFE_NORM
-    e = 0
-    if not lo <= norm <= hi:
-        # scaling by a power of two is exact: the sweeps run as on S itself
-        e = math.frexp(norm)[1]
-        sym, norm = np.ldexp(sym, -e), math.ldexp(norm, -e)
+    s = np.asarray(s, dtype=float)
+    stack = s.ndim == 3
+    if not stack:
+        s = as_square(s)
+        sym, norm, e = _jacobi_input(s)
+    elif s.shape[1] != s.shape[2]:
+        raise ShapeError(f"expected a stack of square matrices, got shape {s.shape}")
+    else:
+        bad = np.flatnonzero(~np.isfinite(s).all(axis=(1, 2)))
+        if len(bad):
+            raise ContractError(f"jacobi_eigen{_member(bad[0])}: matrix contains non-finite entries")
+        parts = [_jacobi_input(m, "jacobi_eigen" + _member(i)) for i, m in enumerate(s)]
+        sym = np.array([p[0] for p in parts]).reshape(s.shape)
+        norm = np.array([p[1] for p in parts])
+        e = np.array([p[2] for p in parts], dtype=int)[:, None]
+    n = s.shape[-1]
     sweeps = _jacobi_scalar if n <= JACOBI_SCALAR_MAX_N else _jacobi_products
-    found = sweeps(sym, JACOBI_OFF_RTOL * norm)
-    if found is None:
-        raise ConvergenceError(
-            f"jacobi_eigen: off-diagonal norm not reduced in {JACOBI_MAX_SWEEPS} sweeps"
-        )
-    lam, q = found
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    q = q[:, order]
-    # deterministic column signs: each column's largest-magnitude entry > 0
-    lead = q[np.argmax(np.abs(q), axis=0), np.arange(n)]
-    q = np.where(lead < 0.0, -q, q)
-    if frob(q.T @ q - np.eye(n)) > 1e-10 * n:
-        raise ContractError("jacobi_eigen: orthogonality invariant violated")
-    if frob((q * lam) @ q.T - sym) > 1e-8 * norm:
-        raise ContractError("jacobi_eigen: reconstruction invariant violated")
-    return EigenDecomp(q=q, lam=np.ldexp(lam, e) if e else lam)
+    lam, q = sweeps(sym, JACOBI_OFF_RTOL * norm)
+    # ascending eigenvalues (stable sort), then deterministic column signs:
+    # each column's largest-magnitude entry > 0; the columns are worked on
+    # as the rows of q^T
+    pick = (np.arange(len(lam))[:, None],) if stack else ()
+    order = lam.argsort(kind="stable")
+    lam = lam[(*pick, order)]
+    cols = q.swapaxes(-1, -2)[(*pick, order)]
+    lead = cols[(*pick, np.arange(n), np.abs(cols).argmax(axis=-1))]
+    qt = cols * np.copysign(1.0, lead)[..., None]
+    q = qt.swapaxes(-1, -2)
+    _require_within(qt @ q - np.eye(n), 1e-10 * n, "orthogonality")
+    _require_within((q * lam[..., None, :]) @ qt - sym, 1e-8 * norm, "reconstruction")
+    # ldexp by 0 is exact, so a stack scales all its members back at once
+    return EigenDecomp(q=q, lam=np.ldexp(lam, e) if stack or e else lam)
 
 
 def _rotation(app, arr, apr, hypot, copysign, fmax):
@@ -600,27 +680,56 @@ def _rotation(app, arr, apr, hypot, copysign, fmax):
     return c, t * c
 
 
-def _jacobi_products(sym: np.ndarray, off_tol: float):
+def _not_converged(member) -> ConvergenceError:
+    return ConvergenceError(f"jacobi_eigen{_member(member)}: off-diagonal norm not reduced "
+                            f"in {JACOBI_MAX_SWEEPS} sweeps")
+
+
+def _jacobi_products(sym: np.ndarray, off_tol):
     """The sweeps of ``jacobi_eigen`` as matrix products over the cached
-    ``_jacobi_plan``: (eigenvalues unsorted, Q), or None when
-    JACOBI_MAX_SWEEPS sweeps leave the off-diagonal norm above ``off_tol``."""
-    n = sym.shape[0]
-    a = sym
-    q = eye = np.eye(n)
-    eye_flat = eye.ravel()
+    ``_jacobi_plan``, for one (n, n) matrix or a (k, n, n) stack with one
+    ``off_tol`` per member: (eigenvalues unsorted, Q), shaped as sym's
+    diagonals and sym.  A stack's rounds are stacked products, and a member
+    leaves the stack at the sweep where its own off-diagonal norm is within
+    its ``off_tol``, so it goes through the rounds of its own call.  Raises
+    ``ConvergenceError`` when JACOBI_MAX_SWEEPS sweeps leave a member above
+    it."""
+    n = sym.shape[-1]
     plan = _jacobi_plan(n)
+    eye = np.eye(n)
+    off_diagonal = 1.0 - eye
+    if sym.ndim == 3:
+        live = np.arange(len(sym))
+        lam, vecs = np.empty(sym.shape[:2]), np.empty(sym.shape)
+        # member i's flat indices lie i n^2 further on
+        plan = [idx[..., None] + n * n * live for idx in plan]
+        eye = np.repeat(eye[None], len(sym), axis=0)
+    a, q = sym, eye
     for _ in range(JACOBI_MAX_SWEEPS):
-        if frob(a - np.diag(a.diagonal())) <= off_tol:
-            return a.diagonal(), q
+        # each member's off-diagonal norm (1 - I zeroes the diagonal
+        # exactly); the plain square root decides as frob's scaled one
+        # would, as off_tol is 0 or far above the range where they differ
+        done = np.sqrt(np.add.reduce(np.square(a * off_diagonal), axis=(-2, -1))) <= off_tol
+        if sym.ndim == 2:
+            if done:
+                return a.diagonal(), q
+        else:
+            if done.any():
+                lam[live[done]] = a.diagonal(0, -2, -1)[done]
+                vecs[live[done]] = q[done]
+                keep = ~done
+                a, q, live, off_tol = a[keep], q[keep], live[keep], off_tol[keep]
+                eye, plan = eye[:len(live)], [idx[..., :len(live)] for idx in plan]
+            if not len(live):
+                return lam, vecs
         for idx in plan:
             c, sn = _rotation(*a.take(idx[:3]), np.hypot, np.copysign, np.fmax)
-            j = eye_flat.copy()
-            j[idx] = (c, c, sn, -sn)
-            j = j.reshape(n, n)
-            a = j.T @ a @ j
+            j = eye.copy()
+            j.put(idx, (c, c, sn, -sn))
+            a = j.swapaxes(-1, -2) @ a @ j
             a.put(idx[2:], 0.0)  # a_pr = a_rp = 0
             q = q @ j
-    return None
+    raise _not_converged(live[0] if sym.ndim == 3 else None)
 
 
 @functools.cache
@@ -630,19 +739,25 @@ def _jacobi_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple(zip(p.tolist(), r.tolist())) for p, r in _jacobi_schedule(n))
 
 
-def _jacobi_scalar(sym: np.ndarray, off_tol: float):
+def _jacobi_scalar(sym: np.ndarray, off_tol, member=None):
     """``_jacobi_products`` on lists of Python-float rows, where numpy's fixed
-    cost per call would outweigh the arithmetic.  A round computes all its
-    rotations from the same A, then applies them as column-pair updates of
-    the rows of A and Q and row-pair updates of A."""
+    cost per call would outweigh the arithmetic, member by member for a
+    stack.  A round computes all its rotations from the same A, then applies
+    them as column-pair updates of the rows of A and Q and row-pair updates
+    of A."""
+    if sym.ndim == 3:
+        lam, vecs = np.empty(sym.shape[:2]), np.empty(sym.shape)
+        for i in range(len(sym)):
+            lam[i], vecs[i] = _jacobi_scalar(sym[i], off_tol[i], i)
+        return lam, vecs
     n = sym.shape[0]
     a = sym.tolist()
     q = np.eye(n).tolist()
     a_and_q = a + q
     rounds = _jacobi_pairs(n)
     for _ in range(JACOBI_MAX_SWEEPS):
-        off = math.sqrt(sum(x * x for i, row in enumerate(a)
-                            for j, x in enumerate(row) if i != j))
+        off = math.sqrt(sum([x * x for i, row in enumerate(a)
+                             for j, x in enumerate(row) if i != j]))
         if off <= off_tol:
             return np.array([a[i][i] for i in range(n)]), np.array(q)
         for pairs in rounds:
@@ -659,7 +774,7 @@ def _jacobi_scalar(sym: np.ndarray, off_tol: float):
                 ap[:], ar[:] = ([c * x - sn * y for x, y in zip(ap, ar)],
                                 [sn * x + c * y for x, y in zip(ap, ar)])
                 ap[r] = ar[p] = 0.0
-    return None
+    raise _not_converged(member)
 
 
 def newton_root(f, x0, tol: float = 1e-12, max_iter: int = 50,

@@ -240,15 +240,37 @@ def _rel(delta: float, ref: float) -> float:
     return delta / (1.0 + ref)
 
 
+def _eigen_by_size(mats: list) -> list:
+    """``core.jacobi_eigen`` of every symmetric matrix in ``mats``, in order:
+    one call per distinct size, over the stack of that size's matrices."""
+    by_size = {}
+    for i, m in enumerate(mats):
+        by_size.setdefault(len(m), []).append(i)
+    decs = [None] * len(mats)
+    for members in by_size.values():
+        dec = core.jacobi_eigen(np.array([mats[i] for i in members]))
+        for i, q, lam in zip(members, dec.q, dec.lam):
+            decs[i] = core.EigenDecomp(q=q, lam=lam)
+    return decs
+
+
 def kron_identity_suite(seed: int = 0, trials: int = 50) -> dict:
     """Randomized check of seven Kronecker-product identities; returns the
-    worst relative residual seen per identity."""
+    worst relative residual seen per identity.
+
+    Each trial draws its matrices and notes the five identities that need
+    no eigendecomposition.  The symmetric parts S_a, S_b and S_a (x) S_b of
+    all trials are then decomposed together, one ``core.jacobi_eigen`` call
+    per distinct size (each member bitwise as its own call), and the
+    orthogonality and eigenpair identities are noted trial by trial.
+    """
     rng = np.random.default_rng(seed)
     worst = {name: 0.0 for name in KRON_IDENTITIES}
 
     def note(name, delta, ref):
         worst[name] = max(worst[name], _rel(delta, ref))
 
+    spectral = []  # S_a, S_b, S_a (x) S_b of each trial in turn
     for _ in range(trials):
         n = int(rng.integers(2, 5))
         m = int(rng.integers(2, 5))
@@ -275,18 +297,6 @@ def kron_identity_suite(seed: int = 0, trials: int = 50) -> dict:
         inv_big = core.lu_solve(big, np.eye(n * m))
         note("inverse", frob(inv_big - _kron(inv_a, inv_b)), frob(inv_big))
 
-        # one eigendecomposition per symmetric part serves the orthogonality
-        # and the eigenpair checks: a + a^T = 2 sa exactly, and a power-of-two
-        # scaling changes no rotation, so the q of sa is the q of a + a^T
-        sa = 0.5 * (a + a.T)
-        sb = 0.5 * (b + b.T)
-        dec_a = core.jacobi_eigen(sa)
-        dec_b = core.jacobi_eigen(sb)
-
-        # orthogonal (x) orthogonal is orthogonal
-        qq = _kron(dec_a.q, dec_b.q)
-        note("orthogonality", frob(qq.T @ qq - np.eye(n * m)), math.sqrt(n * m))
-
         # det(A (x) B) = det(A)^m det(B)^n
         lhs_d = core.det(ab)
         rhs_d = core.det(a) ** m * core.det(b) ** n
@@ -299,9 +309,24 @@ def kron_identity_suite(seed: int = 0, trials: int = 50) -> dict:
             abs(float(np.trace(a)) * float(np.trace(b))),
         )
 
+        # one eigendecomposition per symmetric part serves the orthogonality
+        # and the eigenpair checks: a + a^T = 2 sa exactly, and a power-of-two
+        # scaling changes no rotation, so the q of sa is the q of a + a^T
+        sa = 0.5 * (a + a.T)
+        sb = 0.5 * (b + b.T)
+        spectral += (sa, sb, _kron(sa, sb))
+
+    decs = _eigen_by_size(spectral)
+    for dec_a, dec_b, dec_ab in zip(decs[0::3], decs[1::3], decs[2::3]):
+        nm = dec_ab.lam.size
+
+        # orthogonal (x) orthogonal is orthogonal
+        qq = _kron(dec_a.q, dec_b.q)
+        note("orthogonality", frob(qq.T @ qq - np.eye(nm)), math.sqrt(nm))
+
         # eigenvalues of S_a (x) S_b are the pairwise products
         products = np.sort(np.outer(dec_a.lam, dec_b.lam).ravel())
-        direct = np.sort(core.jacobi_eigen(_kron(sa, sb)).lam)
+        direct = np.sort(dec_ab.lam)
         note(
             "eigenpairs",
             float(np.max(np.abs(products - direct))),

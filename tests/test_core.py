@@ -654,6 +654,97 @@ class TestJacobiEigen:
             core.jacobi_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+class TestJacobiStack:
+    """A (k, n, n) stack gives each member's q and lam bitwise as its own
+    call does, in either regime, whichever sweep each member stops at."""
+
+    @staticmethod
+    def _assert_members_are_single_calls(stack):
+        dec = core.jacobi_eigen(stack)
+        k, n = stack.shape[:2]
+        assert dec.q.shape == (k, n, n) and dec.lam.shape == (k, n)
+        for member, q, lam in zip(stack, dec.q, dec.lam):
+            alone = core.jacobi_eigen(member)
+            assert q.tobytes() == alone.q.tobytes()
+            assert lam.tobytes() == alone.lam.tobytes()
+
+    @staticmethod
+    def _symmetric_stack(rng, k, n):
+        raw = rng.uniform(-1.0, 1.0, (k, n, n))
+        return 0.5 * (raw + raw.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 12, 16])
+    def test_random_stacks(self, n):
+        rng = np.random.default_rng(200 + n)
+        for k in (1, 2, 7):
+            self._assert_members_are_single_calls(self._symmetric_stack(rng, k, n))
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_members_stop_at_different_sweeps(self, n):
+        """A diagonal member stops before the first round, beside dense
+        members and members scaled by 1e+-8, each stopping against its own
+        norm."""
+        stack = self._symmetric_stack(np.random.default_rng(300 + n), 5, n)
+        stack[1] = np.diag(np.diag(stack[1]))
+        stack[3] *= 1e8
+        stack[4] *= 1e-8
+        self._assert_members_are_single_calls(stack)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_zero_and_scaled_members(self, n):
+        """A zero member gives (I, 0); members past 2^(+-400) are swept
+        scaled, as alone."""
+        stack = self._symmetric_stack(np.random.default_rng(400 + n), 4, n)
+        stack[0] = 0.0
+        stack[2] = np.ldexp(stack[2], 500)
+        stack[3] = np.ldexp(stack[3], -500)
+        dec = core.jacobi_eigen(stack)
+        assert dec.lam[0].tobytes() == np.zeros(n).tobytes()
+        assert dec.q[0].tobytes() == np.eye(n).tobytes()
+        self._assert_members_are_single_calls(stack)
+
+    def test_two_dimensional_input_is_one_matrix(self):
+        """A matrix keeps its (n, n) and (n,) results, bitwise those of a
+        stack holding it."""
+        s = self._symmetric_stack(np.random.default_rng(500), 3, 7)
+        for member in s:
+            dec = core.jacobi_eigen(member)
+            assert dec.q.shape == (7, 7) and dec.lam.shape == (7,)
+        self._assert_members_are_single_calls(s[1:2])
+
+    def test_empty_stack(self):
+        dec = core.jacobi_eigen(np.zeros((0, 3, 3)))
+        assert dec.q.shape == (0, 3, 3) and dec.lam.shape == (0, 3)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_asymmetric_member_named(self, n):
+        stack = self._symmetric_stack(np.random.default_rng(600 + n), 4, n)
+        stack[2, 0, 1] += 0.5
+        with pytest.raises(ContractError, match="stack member 2"):
+            core.jacobi_eigen(stack)
+
+    def test_non_finite_member_named(self):
+        stack = self._symmetric_stack(np.random.default_rng(700), 3, 4)
+        stack[1, 2, 2] = np.nan
+        with pytest.raises(ContractError, match="stack member 1"):
+            core.jacobi_eigen(stack)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_unconverged_member_named(self, monkeypatch, n):
+        """With one sweep allowed, the diagonal member 0 stops and the dense
+        member 1 is the first left above its tolerance."""
+        monkeypatch.setattr(core, "JACOBI_MAX_SWEEPS", 1)
+        stack = self._symmetric_stack(np.random.default_rng(800 + n), 3, n)
+        stack[0] = np.diag(np.diag(stack[0]))
+        with pytest.raises(ConvergenceError, match="stack member 1"):
+            core.jacobi_eigen(stack)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3, 3), (2, 3, 4), (3,), ()])
+    def test_other_shapes_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            core.jacobi_eigen(np.ones(shape))
+
+
 class TestNormRange:
     """``frob`` stays accurate where the plain sum of squares overflows or
     underflows, and so do the tolerances scaled by it (numpy still warns of
@@ -688,6 +779,28 @@ class TestNormRange:
         with np.errstate(over="ignore"), pytest.raises(SingularMatrixError) as err:
             core.lu_solve(np.diag([1e155, 1.0]), [1.0, 1.0])
         assert err.value.pivot_index == 1
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e160, 1e200])
+    def test_tridiag_norm_far_from_one(self, scale):
+        """Its squares overflowed to an inf norm or underflowed to zero, and
+        numpy warned of the overflow; the warning is an error here."""
+        base = core.TridiagSym(diag=[2.0, -3.0, 2.0], offdiag=[1.0, 1.0])
+        t = core.TridiagSym(diag=scale * base.diag, offdiag=scale * base.offdiag)
+        assert t.norm() == pytest.approx(scale * base.norm(), rel=1e-15, abs=0.0)
+
+    def test_tridiag_norm_of_zero_and_single_entry_bands(self):
+        assert core.TridiagSym(diag=[0.0, 0.0], offdiag=[0.0]).norm() == 0.0
+        assert core.TridiagSym(diag=[-1e200], offdiag=[]).norm() == 1e200
+
+    def test_thomas_solve_with_large_entries(self):
+        """1e155 times a well-conditioned band failed its first pivot test
+        against an inf tolerance; it solves to 1e-155 times the solution of
+        the unscaled band."""
+        big = core.TridiagSym(diag=[2e155, 3e155, 2e155], offdiag=[1e155, 1e155])
+        unit = core.TridiagSym(diag=[2.0, 3.0, 2.0], offdiag=[1.0, 1.0])
+        b = np.array([1.0, 2.0, 4.0])
+        np.testing.assert_allclose(core.thomas_solve(big, b),
+                                   1e-155 * core.thomas_solve(unit, b), rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("s", [
         pytest.param(np.array([[1e155, 1e154], [1e154, 1.0]]), id="2x2-1e155"),

@@ -358,6 +358,49 @@ class TestJacobianDeterminants:
         assert fd_det * formula > 0
 
 
+def _per_trial_suite(seed, trials):
+    """``kron.kron_identity_suite`` as one loop that decomposes S_a, S_b and
+    S_a (x) S_b with a ``core.jacobi_eigen`` call each, trial by trial."""
+    rng = np.random.default_rng(seed)
+    worst = {name: 0.0 for name in kron.KRON_IDENTITIES}
+
+    def note(name, delta, ref):
+        worst[name] = max(worst[name], delta / (1.0 + ref))
+
+    frob = core.frob
+    for _ in range(trials):
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(2, 5))
+        a = rng.uniform(-1.0, 1.0, size=(n, n))
+        b = rng.uniform(-1.0, 1.0, size=(m, m))
+        c = rng.uniform(-1.0, 1.0, size=(n, n))
+        d = rng.uniform(-1.0, 1.0, size=(m, m))
+        ab = np.kron(a, b)
+        note("transpose", frob(ab.T - np.kron(a.T, b.T)), frob(ab))
+        rhs = np.kron(a @ c, b @ d)
+        note("mixed_product", frob(ab @ np.kron(c, d) - rhs), frob(rhs))
+        a1 = a + (n + 1.0) * np.eye(n)
+        b1 = b + (m + 1.0) * np.eye(m)
+        inv_big = core.lu_solve(np.kron(a1, b1), np.eye(n * m))
+        inv_ab = np.kron(core.lu_solve(a1, np.eye(n)), core.lu_solve(b1, np.eye(m)))
+        note("inverse", frob(inv_big - inv_ab), frob(inv_big))
+        sa = 0.5 * (a + a.T)
+        sb = 0.5 * (b + b.T)
+        dec_a = core.jacobi_eigen(sa)
+        dec_b = core.jacobi_eigen(sb)
+        qq = np.kron(dec_a.q, dec_b.q)
+        note("orthogonality", frob(qq.T @ qq - np.eye(n * m)), math.sqrt(n * m))
+        rhs_d = core.det(a) ** m * core.det(b) ** n
+        note("determinant", abs(core.det(ab) - rhs_d), abs(rhs_d))
+        tr = float(np.trace(a)) * float(np.trace(b))
+        note("trace", abs(float(np.trace(ab)) - tr), abs(tr))
+        products = np.sort(np.outer(dec_a.lam, dec_b.lam).ravel())
+        direct = np.sort(core.jacobi_eigen(np.kron(sa, sb)).lam)
+        note("eigenpairs", float(np.max(np.abs(products - direct))),
+             float(np.max(np.abs(products))))
+    return worst
+
+
 class TestIdentitySuite:
     def test_all_residuals_small(self):
         worst = kron.kron_identity_suite(seed=0, trials=50)
@@ -368,3 +411,11 @@ class TestIdentitySuite:
     def test_deterministic_in_seed(self):
         assert kron.kron_identity_suite(seed=7, trials=5) == \
             kron.kron_identity_suite(seed=7, trials=5)
+
+    @pytest.mark.parametrize("trials", [4, 50])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_trial_reference(self, seed, trials):
+        """Decomposing every trial's matrices in one call per size changes
+        no residual: the dicts are equal float for float."""
+        assert kron.kron_identity_suite(seed=seed, trials=trials) == \
+            _per_trial_suite(seed, trials)
