@@ -797,7 +797,7 @@ def newton_root(f, x0, tol: float = 1e-12, max_iter: int = 50,
     for _ in range(max_iter):
         if history is not None:
             history.append(x.copy())
-        fx = np.asarray([float(v) for v in f(list(x))], dtype=float)
+        fx = np.asarray([float(v) for v in f(x.tolist())], dtype=float)
         if len(fx) != len(x):
             raise ShapeError("newton_root needs a square system (len f(x) == len x)")
         if np.max(np.abs(fx)) <= tol:

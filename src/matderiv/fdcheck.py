@@ -72,20 +72,23 @@ LINEAR_TOL = 1e-12
 
 
 def rule_residual(entry, seed: int) -> float:
-    """Residual of a ``rules.RuleCheck`` at inputs from ``default_rng(seed)``:
-    ``relative_error`` of ``directional_fd`` of the primal against the action
-    L[d] along three Gaussian d, stacked so that no d near the kernel of L
-    decides it, or, where larger, RULE_TOL / LINEAR_TOL times the linearity
-    error ||L[2u - 3v] - 2 L[u] + 3 L[v]|| / ||stack||.  So it is within
-    RULE_TOL exactly when each error is within its own tolerance."""
+    """Residual of a ``rules.RuleCheck`` at inputs from ``default_rng(seed)``.
+    The entry's action is called once, for the operator L = f'(x), and L is
+    applied to three Gaussian d and to one linearity probe.  The residual is
+    ``relative_error`` of ``directional_fd`` of the primal against L[d], the
+    three d stacked so that no d near the kernel of L decides it, or, where
+    larger, RULE_TOL / LINEAR_TOL times the linearity error
+    ||L[2u - 3v] - 2 L[u] + 3 L[v]|| / ||stack||.  So it is within RULE_TOL
+    exactly when each error is within its own tolerance."""
     rng = np.random.default_rng(seed)
     params, x = entry.sample(rng)
     d = rng.standard_normal((3,) + np.shape(x))
-    action = partial(entry.action, params, x)
-    exact = np.array([action(u) for u in d])
+    derivative = entry.action(params, x)
+    exact = np.array([derivative(u) for u in d])
     fd_error = relative_error([directional_fd(partial(entry.primal, params), x, u) for u in d],
                               exact)
-    linear = frob(action(2.0 * d[0] - 3.0 * d[1]) - 2.0 * exact[0] + 3.0 * exact[1]) / frob(exact)
+    probe = derivative(2.0 * d[0] - 3.0 * d[1])
+    linear = frob(probe - 2.0 * exact[0] + 3.0 * exact[1]) / frob(exact)
     return max(fd_error, linear * (RULE_TOL / LINEAR_TOL))
 
 

@@ -15,11 +15,12 @@ x -> (A + y x^T)^{-1} b in quadratic time.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import core, counting
+from . import core, counting, eigsens, kron, linsys_adjoint, second_order
 from . import scalarfn as sf
 from .core import as_matrix, as_square, as_vector, frob
 from .errors import ContractError, DomainError, ShapeError, SingularMatrixError
@@ -301,11 +302,15 @@ def analytic_transform_jacobians(kind: str, theta: float, point) -> np.ndarray:
 # verification table --------------------------------------------------------
 
 class RuleCheck(NamedTuple):
-    """A rule beside its primal map, judged by ``fdcheck.rule_residual``:
-    ``sample(rng)`` draws (params, x) in the rule's domain, ``primal(params,
-    x)`` is f(x) in numpy alone (``np.linalg``, ``@``: no code shared with the
-    rule), ``action(params, x, dx)`` is f'(x)[dx] by the rule, looked up when
-    it runs."""
+    """A derivative route beside its primal map, judged by
+    ``fdcheck.rule_residual``: ``sample(rng)`` draws (params, x) in the
+    route's domain, ``primal(params, x)`` is f(x) in numpy alone
+    (``np.linalg``, ``@``: no code shared with the route), and
+    ``action(params, x)`` is the derivative itself, the operator
+    L = f'(x) as a callable dx -> f'(x)[dx], built by the route, which is
+    looked up when the action runs.  A second derivative is the operator
+    v -> f''(x)[u, v] at a u the sampler draws, beside the primal
+    x -> f'(x)[u]."""
 
     name: str
     sample: Callable
@@ -324,51 +329,142 @@ def _nonzero(rng, shape=4):
     return rng.uniform(0.5, 1.5, shape) * rng.choice((-1.0, 1.0), shape)
 
 
+def _spread(rng):
+    """Symmetric 3x3, entries in [-1, 1] plus diag(0, 3, 6).  Over 20 000
+    draws every eigenvalue gap was above 0.9 and each eigenvector's largest
+    entry led its next by more than 0.3, so the column signs hold under a
+    central difference."""
+    return _sym(rng.uniform(-1.0, 1.0, (3, 3))) + np.diag(3.0 * np.arange(3))
+
+
+def _sym(m):
+    return 0.5 * (m + m.T)
+
+
+def _on_sym(op):
+    """dS -> op(sym dS): the derivative of S -> f(sym S) from that of f."""
+    return lambda ds: op(_sym(ds))
+
+
+def _eigenvectors(s):
+    """numpy's eigenvectors of sym(s), each column signed as
+    ``core.jacobi_eigen`` signs it: its largest-magnitude entry positive."""
+    q = np.linalg.eigh(_sym(s))[1]
+    return q * np.sign(q[np.abs(q).argmax(axis=0), np.arange(len(q))])
+
+
+def _eigh_function(f, s):
+    """f(sym S) = Q f(Lambda) Q^T by numpy's eigh."""
+    lam, q = np.linalg.eigh(_sym(s))
+    return (q * f(lam)) @ q.T
+
+
+def _vec_action(jac):
+    """dA -> J vec(dA) for a Jacobian J in vec (column-stacked) coordinates."""
+    return lambda da: jac @ da.ravel(order="F")
+
+
+def _curved(xs):
+    """exp(x0 x1 / 2) + sin(x1 + x2 x3) + x0 x3^3, over scalar-likes."""
+    return sf.exp(0.5 * xs[0] * xs[1]) + sf.sin(xs[1] + xs[2] * xs[3]) + xs[0] * sf.powi(xs[3], 3)
+
+
+def _curved_gradient(x):
+    """The gradient of ``_curved`` in closed form, in numpy."""
+    e, c = np.exp(0.5 * x[0] * x[1]), np.cos(x[1] + x[2] * x[3])
+    return np.array([0.5 * x[1] * e + x[3] ** 3, 0.5 * x[0] * e + c,
+                     x[3] * c, x[2] * c + 3.0 * x[0] * x[3] ** 2])
+
+
 RULE_CHECKS = (
     RuleCheck("d_inverse", lambda rng: (None, _dominant(rng)),
-              lambda _, a: np.linalg.inv(a), lambda _, a, da: d_inverse(a, da)),
+              lambda _, a: np.linalg.inv(a), lambda _, a: partial(d_inverse, a)),
     RuleCheck("grad_det", lambda rng: (None, _dominant(rng)),
-              lambda _, a: np.linalg.det(a), lambda _, a, da: np.vdot(grad_det(a), da)),
+              lambda _, a: np.linalg.det(a), lambda _, a: partial(np.vdot, grad_det(a))),
     RuleCheck("d_logdet", lambda rng: (None, _dominant(rng)),
-              lambda _, a: np.linalg.slogdet(a)[1], lambda _, a, da: d_logdet(a, da)),
+              lambda _, a: np.linalg.slogdet(a)[1], lambda _, a: partial(d_logdet, a)),
     # the spectral radius is at most ||A||_inf <= 4 < x
     RuleCheck("d_charpoly", lambda rng: (rng.uniform(-1.0, 1.0, (4, 4)), 5.0 + rng.uniform()),
               lambda a, x: np.linalg.det(x * np.eye(4) - a),
-              lambda a, x, dx: d_charpoly(a, x) * dx),
+              lambda a, x: partial(np.multiply, d_charpoly(a, x))),
     # the derivative of A -> det A tr(A^-1 dA2) along dA
     RuleCheck("second_det", lambda rng: (rng.standard_normal((4, 4)), _dominant(rng)),
               lambda da2, a: np.linalg.det(a) * np.trace(np.linalg.inv(a) @ da2),
-              lambda da2, a, da: second_det(a, da, da2)),
+              lambda da2, a: partial(second_det, a, da2=da2)),
     RuleCheck("grad_quadform", lambda rng: (_dominant(rng), _nonzero(rng)),
-              lambda a, x: x @ a @ x, lambda a, x, dx: grad_quadform(a, x) @ dx),
+              lambda a, x: x @ a @ x, lambda a, x: partial(np.matmul, grad_quadform(a, x))),
     RuleCheck("grad_frobenius", lambda rng: (None, _nonzero(rng, (3, 4))),
-              lambda _, a: np.linalg.norm(a), lambda _, a, da: np.vdot(grad_frobenius(a), da)),
+              lambda _, a: np.linalg.norm(a), lambda _, a: partial(np.vdot, grad_frobenius(a))),
     RuleCheck("grad_bilinear_xay",
               lambda rng: ((_nonzero(rng), _nonzero(rng)), rng.uniform(-1.0, 1.0, (4, 4))),
               lambda xy, a: xy[0] @ a @ xy[1],
-              lambda xy, a, da: np.vdot(grad_bilinear_xay(*xy), da)),
+              lambda xy, a: partial(np.vdot, grad_bilinear_xay(*xy))),
     RuleCheck("d_matpow", lambda rng: (None, _dominant(rng)),
-              lambda _, a: np.linalg.matrix_power(a, 4), lambda _, a, da: d_matpow(a, da, 4)),
+              lambda _, a: np.linalg.matrix_power(a, 4), lambda _, a: partial(d_matpow, a, k=4)),
     # |x^T A^-1 y| <= ||x||_1 ||A^-1||_inf ||y||_inf < 0.4 keeps A + y x^T regular
     RuleCheck("jacobian_rank1_resolvent",
               lambda rng: ((_dominant(rng), rng.uniform(-1.0, 1.0, 4), _nonzero(rng)),
                            rng.uniform(-0.1, 0.1, 4)),
               lambda p, x: np.linalg.inv(p[0] + np.outer(p[1], x)) @ p[2],
-              lambda p, x, dx: jacobian_rank1_resolvent(np.linalg.inv(p[0]), p[1], x, p[2]) @ dx),
+              lambda p, x: partial(np.matmul,
+                                   jacobian_rank1_resolvent(np.linalg.inv(p[0]), p[1], x, p[2]))),
     # symmetric; A + diag(x) and A + 2 diag(x) strictly diagonally dominant
     RuleCheck("grad_diagm_quadratic",
-              lambda rng: (0.5 * ((s := rng.uniform(-1.0, 1.0, (4, 4))) + s.T) + 8.0 * np.eye(4),
-                           _nonzero(rng)),
+              lambda rng: (_sym(rng.uniform(-1.0, 1.0, (4, 4))) + 8.0 * np.eye(4), _nonzero(rng)),
               lambda a, x: x @ (a + np.diag(x)) @ (a + np.diag(x)) @ x,
-              lambda a, x, dx: grad_diagm_quadratic(a, x) @ dx),
+              lambda a, x: partial(np.matmul, grad_diagm_quadratic(a, x))),
     RuleCheck("d_projection", lambda rng: (None, _nonzero(rng)),
-              lambda _, x: np.outer(x, x) / (x @ x), lambda _, x, dx: d_projection(x, dx)),
+              lambda _, x: np.outer(x, x) / (x @ x), lambda _, x: partial(d_projection, x)),
     RuleCheck("jacobian_projection_b", lambda rng: (_nonzero(rng), _nonzero(rng)),
               lambda b, x: np.outer(x, x) @ b / (x @ x),
-              lambda b, x, dx: jacobian_projection_b(x, b) @ dx),
+              lambda b, x: partial(np.matmul, jacobian_projection_b(x, b))),
     *(RuleCheck(f"analytic_transform_jacobians[{kind}]",
                 lambda rng, kind=kind: ((kind, rng.uniform(-1.0, 1.0)), _nonzero(rng, 2)),
                 lambda kt, p: np.array(transform_map(*kt, p.tolist())),
-                lambda kt, p, dp: analytic_transform_jacobians(*kt, p) @ dp)
+                lambda kt, p: partial(np.matmul, analytic_transform_jacobians(*kt, p)))
       for kind in TRANSFORM_KINDS),
+    # the eigensystem of sym(S): symmetric inputs and directions
+    RuleCheck("eigsens.dlambda", lambda rng: (None, _spread(rng)),
+              lambda _, s: np.linalg.eigvalsh(_sym(s)),
+              lambda _, s: _on_sym(partial(eigsens.dlambda, eigsens.decompose(s)))),
+    RuleCheck("eigsens.dq", lambda rng: (None, _spread(rng)), lambda _, s: _eigenvectors(s),
+              lambda _, s: _on_sym(partial(eigsens.dq, eigsens.decompose(s)))),
+    RuleCheck("eigsens.grad_lambda", lambda rng: (int(rng.integers(3)), _spread(rng)),
+              lambda i, s: np.linalg.eigvalsh(_sym(s))[i],
+              lambda i, s: _on_sym(partial(np.vdot, eigsens.grad_lambda(eigsens.decompose(s), i)))),
+    RuleCheck("kron.jac_square_vec", lambda rng: (None, rng.uniform(-1.0, 1.0, (3, 3))),
+              lambda _, a: (a @ a).ravel(order="F"),
+              lambda _, a: _vec_action(kron.jac_square_vec(a))),
+    RuleCheck("kron.jac_cube_vec", lambda rng: (None, rng.uniform(-1.0, 1.0, (3, 3))),
+              lambda _, a: (a @ a @ a).ravel(order="F"),
+              lambda _, a: _vec_action(kron.jac_cube_vec(a))),
+    RuleCheck("kron.jac_inverse_vec", lambda rng: (None, _dominant(rng)),
+              lambda _, a: np.linalg.inv(a).ravel(order="F"),
+              lambda _, a: _vec_action(kron.jac_inverse_vec(a))),
+    RuleCheck("kron.jacobian_matrix_function", lambda rng: (np.exp, _spread(rng)),
+              lambda f, s: _eigh_function(f, s).ravel(order="F"),
+              lambda f, s: _on_sym(_vec_action(kron.jacobian_matrix_function(f, s)))),
+    # diagonal in [2.5, 3.5] and |p_k| <= 1/2: A(p) diagonally dominant
+    RuleCheck("linsys_adjoint.grad_g",
+              lambda rng: ((2.5 + rng.uniform(0.0, 1.0, 6), rng.standard_normal(6),
+                            rng.standard_normal(6)), 0.5 * rng.uniform(-1.0, 1.0, 5)),
+              lambda abc, p: (abc[2] @ np.linalg.solve(
+                  np.diag(abc[0]) + np.diag(p, 1) + np.diag(p, -1), abc[1])) ** 2,
+              lambda abc, p: partial(np.matmul, linsys_adjoint.grad_g(
+                  linsys_adjoint.TridiagProblem(abc[0], p, abc[1], abc[2])))),
+    # A(p) = A0 + sum_k p_k D_k with |p_k D_k| <= 0.05 entrywise stays
+    # diagonally dominant; f(x) = (w.x)^2 of the solution x of A(p) x = b
+    RuleCheck("linsys_adjoint.dense_linear_adjoint",
+              lambda rng: ((_dominant(rng), rng.uniform(-0.1, 0.1, (3, 4, 4)),
+                            rng.standard_normal(4), rng.standard_normal(4)),
+                           rng.uniform(-0.5, 0.5, 3)),
+              lambda adbw, p: (adbw[3] @ np.linalg.solve(adbw[0] + np.tensordot(p, adbw[1], 1),
+                                                         adbw[2])) ** 2,
+              lambda adbw, p: partial(np.matmul, linsys_adjoint.dense_linear_adjoint(
+                  adbw[0] + np.tensordot(p, adbw[1], 1), adbw[1], adbw[2],
+                  lambda x: 2.0 * (adbw[3] @ x) * adbw[3]))),
+    # v -> f''(x)[u, v] = (H u) . v, beside the closed-form x -> f'(x)[u]
+    RuleCheck("second_order.hvp", lambda rng: (rng.standard_normal(4), rng.uniform(-1.0, 1.0, 4)),
+              lambda u, x: _curved_gradient(x) @ u,
+              lambda u, x: partial(np.matmul, second_order.hvp(_curved, x, u))),
 )

@@ -7,6 +7,7 @@ differences, hand-derived instances, or instrumented op counts).
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -196,9 +197,7 @@ class TestAcceptance:
         dec = eigsens.decompose(s)
         dl = eigsens.dlambda(dec, ds)
 
-        h = 1e-6
-        fd = (core.jacobi_eigen(s + h * ds).lam
-              - core.jacobi_eigen(s - h * ds).lam) / (2 * h)
+        fd = fdcheck.directional_fd(lambda m: core.jacobi_eigen(m).lam, s, ds)
         assert np.max(np.abs(dl - fd) / np.maximum(np.abs(fd), 1e-12)) <= 1e-4
         assert abs(float(np.sum(dl)) - float(np.trace(ds))) <= 1e-12
 
@@ -233,15 +232,7 @@ class TestAcceptance:
             prog = progen.make_scalar_program(7000 + seed, need_hessian=True)
             h, defect = second_order.hessian(prog, prog.x0, return_defect=True)
             assert defect <= 1e-10, f"seed {seed}"
-            n = len(prog.x0)
-            fd = np.empty((n, n))
-            for j in range(n):
-                step = 1e-6 * (1.0 + abs(prog.x0[j]))
-                xp, xm = prog.x0.copy(), prog.x0.copy()
-                xp[j] += step
-                xm[j] -= step
-                fd[:, j] = (reverse.gradient(prog, xp)
-                            - reverse.gradient(prog, xm)) / (2 * step)
+            fd = fdcheck.fd_jacobian(partial(reverse.gradient, prog), prog.x0)
             scale = max(1.0, float(np.max(np.abs(h))))
             assert np.max(np.abs(h - fd)) / scale <= 1e-5, f"seed {seed}"
 
@@ -250,12 +241,7 @@ class TestAcceptance:
         x = np.array([0.9, -0.4, 1.3])
         got = second_order.grad_of_grad_function(inv_norm, cube_sum, x)
         composite = lambda v: -float(np.sum(v)) ** 3 / np.linalg.norm(v) ** 9
-        fd = np.empty(3)
-        for j in range(3):
-            xp, xm = x.copy(), x.copy()
-            xp[j] += 1e-6
-            xm[j] -= 1e-6
-            fd[j] = (composite(xp) - composite(xm)) / 2e-6
+        fd = fdcheck.fd_jacobian(composite, x)
         assert np.linalg.norm(got - fd) / np.linalg.norm(fd) <= 1e-6
 
     def test_10_ad_cross_mode_and_analytic_jacobians(self):

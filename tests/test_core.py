@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matderiv import core, counting, scalarfn as sf
+from matderiv.forward import Dual
 from matderiv.errors import (
     ContractError,
     ConvergenceError,
@@ -875,3 +876,13 @@ class TestNewtonRoot:
     def test_non_square_system_rejected(self):
         with pytest.raises(ShapeError):
             core.newton_root(lambda xs: [xs[0], xs[0]], [1.0])
+
+    def test_residuals_run_on_python_floats(self):
+        seen = set()
+        core.newton_root(lambda xs: seen.update(map(type, xs)) or [xs[0] * xs[0] - 4.0], [3.0])
+        assert seen - {Dual} == {float}  # Duals carry the Jacobian
+
+    def test_residual_division_by_zero_raises(self):
+        """As in float evaluation: ZeroDivisionError, not numpy's RuntimeWarning."""
+        with pytest.raises(ZeroDivisionError):
+            core.newton_root(lambda xs: [1.0 / xs[0] - 2.0], [0.0])

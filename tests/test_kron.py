@@ -137,23 +137,6 @@ class TestClosedFormJacobians:
         np.testing.assert_allclose(got, kron.vec(-inv @ e @ inv),
                                    rtol=1e-10, atol=1e-12)
 
-    def test_inverse_jacobian_vs_fd(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((3, 3)) + 3 * np.eye(3)
-        jac = kron.jac_inverse_vec(a)
-        h = 1e-6
-        fd = np.empty((9, 9))
-        col = 0
-        for j in range(3):
-            for i in range(3):
-                bump = np.zeros((3, 3))
-                bump[i, j] = h
-                fd[:, col] = kron.vec(
-                    np.linalg.inv(a + bump) - np.linalg.inv(a - bump)
-                ) / (2 * h)
-                col += 1
-        np.testing.assert_allclose(jac, fd, rtol=1e-4, atol=1e-7)
-
 
 class TestMatrixFunction:
     def test_square_matches_direct_product(self):

@@ -3,15 +3,21 @@
 Every rule is an entry of ``rules.RULE_CHECKS``, judged against a central
 difference of an independent numpy primal (``np.linalg.inv``, ``det``,
 ``slogdet`` and ``@``) and for linearity in dx by ``fdcheck.rule_residual``,
-the driver ``matderiv check`` also runs.  The classes below keep what the
-table does not check: closed forms, AD cross-checks, contracts, counts, and
-the finite differences whose tolerance is tighter than the table's.
+the driver ``matderiv check`` also runs; so is every derivative route of
+``eigsens``, ``kron``, ``linsys_adjoint`` and ``second_order`` that EXEMPT
+below does not name, each beside a numpy primal of its own.  The classes
+below keep what the table does not check: closed forms, AD cross-checks,
+contracts, counts, and the finite differences whose tolerance is tighter
+than the table's.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
-from matderiv import core, counting, fdcheck, forward, rules
+from matderiv import (core, counting, eigsens, fdcheck, forward, kron, linsys_adjoint, odesens,
+                      rules, second_order)
 from matderiv.errors import (
     ContractError,
     DomainError,
@@ -466,16 +472,75 @@ def test_rule_table(entry, seed):
 
 
 def test_rule_residual_judges_linearity_at_roundoff():
-    """An action off by 1e-8 ||dx|| relative passes the FD tolerance, not linearity."""
+    """An operator off by 1e-8 ||dx|| relative passes the FD tolerance, not linearity."""
     e = rules.RULE_CHECKS[0]
-    bent = e._replace(action=lambda p, a, da: e.action(p, a, da) * (1 + 1e-8 * np.linalg.norm(da)))
+
+    def bent_action(p, a):
+        derivative = e.action(p, a)
+        return lambda da: derivative(da) * (1 + 1e-8 * np.linalg.norm(da))
+
+    bent = e._replace(action=bent_action)
     assert fdcheck.rule_residual(e, 0) <= fdcheck.RULE_TOL < fdcheck.rule_residual(bent, 0)
 
 
+def test_rule_residual_builds_the_operator_once():
+    """One action call gives f'(x); the driver applies it four times."""
+    e = rules.RULE_CHECKS[0]
+    built, applied = [], []
+
+    def counted(p, a):
+        derivative = e.action(p, a)
+        built.append(1)
+        return lambda da: applied.append(1) or derivative(da)
+
+    fdcheck.rule_residual(e._replace(action=counted), 0)
+    assert (len(built), len(applied)) == (1, 4)
+
+
+# Public functions of the covered modules that have no entry, by reason.
+EXEMPT = {
+    "not a derivative": {
+        "eigsens.decompose", "kron.vec", "kron.unvec", "kron.kron", "kron.kron_vec_identity_check",
+        "kron.apply_bcat", "kron.apply_kron_vec", "kron.matrix_function",
+        "kron.matrix_function_general", "kron.theoretical_jacdet", "kron.kron_identity_suite",
+        "linsys_adjoint.solve_state", "linsys_adjoint.g_eval", "linsys_adjoint.partial_dA",
+        "linsys_adjoint.random_instance", "second_order.bilinear_identity_check",
+        "second_order.quadratic_model_check", "second_order.newton_min_step",
+        "odesens.integrate_rk4", "odesens.integrate_euler", "odesens.simpson", "odesens.loss_G",
+        "odesens.loss_discrete", "odesens.reference_instance"},
+    "a finite-difference reference route": {
+        "kron.jacobian_matrix_function_fd", "linsys_adjoint.fd_directional", "odesens.grad_G_fd",
+        "odesens.grad_discrete_fd"},
+    "dlambda and dq in one conjugation, checked through both": {"eigsens.perturbation"},
+    "a Taylor prediction, checked by its eps^3 remainder": {
+        "eigsens.second_order_taylor", "eigsens.second_order_taylor_general"},
+    "hvp composed, pinned against fd_jacobian in test_second_order": {
+        "second_order.hessian", "second_order.grad_of_grad_function"},
+    "an ODE route, waiting on an exact discrete RK4 adjoint": {
+        "odesens.forward_sensitivity", "odesens.grad_G_forward", "odesens.adjoint_solve",
+        "odesens.grad_G_adjoint", "odesens.grad_G_discrete_data"},
+}
+
+
+def _public_functions(module):
+    short = module.__name__.rsplit(".", 1)[-1]
+    return {f"{short}.{name}" for name, obj in vars(module).items()
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__
+            and not name.startswith("_")}
+
+
 def test_rule_table_is_complete():
-    """Every public d_*, grad_* and jacobian_* rule has an entry."""
+    """Every public d_*, grad_* and jacobian_* rule of ``rules`` has an entry,
+    and so does every public function of the other derivative modules that
+    EXEMPT does not name."""
+    names = {e.name for e in rules.RULE_CHECKS}
     public = {name for name in dir(rules) if name.startswith(("d_", "grad_", "jacobian_"))}
-    assert public <= {e.name for e in rules.RULE_CHECKS}
+    assert public <= names
+    routes = set().union(*map(_public_functions, (eigsens, kron, linsys_adjoint, odesens,
+                                                  second_order)))
+    exempt = set().union(*EXEMPT.values())
+    assert routes - exempt <= names
+    assert exempt <= routes and not exempt & names
 
 
 def test_rule_table_holds_at_arbitrary_seeds():

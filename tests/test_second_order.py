@@ -5,12 +5,13 @@ The closed-form workhorse is f(x) = sin(x1) + x1^2 x2^3 with Hessian
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 import progen
-from matderiv import reverse, scalarfn as sf, second_order
+from matderiv import fdcheck, reverse, scalarfn as sf
 from matderiv.core import frob
 from matderiv.errors import ContractError, SingularMatrixError
 from matderiv.second_order import (
@@ -102,15 +103,7 @@ class TestHessian:
             x = prog.x0
             h, defect = hessian(prog, x, return_defect=True)
             assert defect <= 1e-10, f"seed {seed}: defect {defect}"
-            n = len(x)
-            fd = np.empty((n, n))
-            for j in range(n):
-                step = 1e-6 * (1.0 + abs(x[j]))
-                xp, xm = x.copy(), x.copy()
-                xp[j] += step
-                xm[j] -= step
-                fd[:, j] = (reverse.gradient(prog, xp)
-                            - reverse.gradient(prog, xm)) / (2 * step)
+            fd = fdcheck.fd_jacobian(partial(reverse.gradient, prog), x)
             scale = max(1.0, np.max(np.abs(h)))
             assert np.max(np.abs(h - fd)) / scale <= 1e-5, f"seed {seed}"
 
@@ -301,13 +294,7 @@ class TestGradOfGradFunction:
         def composite(v):
             return -float(np.sum(v)) ** 3 / np.linalg.norm(v) ** 9
 
-        fd = np.empty(3)
-        for j in range(3):
-            h = 1e-6
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            fd[j] = (composite(xp) - composite(xm)) / (2 * h)
+        fd = fdcheck.fd_jacobian(composite, x)
         assert np.linalg.norm(got - fd) / np.linalg.norm(fd) <= 1e-6
 
     def test_quadratic_composition_closed_form(self):
