@@ -3,22 +3,23 @@
 Every subcommand is one entry of the ``_COMMANDS`` table: its name and help,
 the formats it can write (the first is the default ``--format``), its extra
 integer flag (``--n`` or ``--steps``, validated by its argparse type), and a
-runner mapping the parsed arguments to (exit code, JSON report, CSV text or
-None).  The parser is built from the table and ``main`` is one generic body,
-so parsing, validation, dispatch and output live in one place.
+runner mapping the parsed arguments to what is its own: (verdict, residuals,
+other report fields, CSV text or None), the verdict a bool, or None for a
+command that judges nothing.  The parser is built from the table, and
+``main`` is the one place that builds a report: the envelope tool_version,
+seed, config ({"subcommand": name} plus the size flag), residuals, then the
+command's fields and ``passed``, with numpy values written as plain JSON.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 numeric error
-(singularity / degeneracy / blow-up).  JSON reports always carry
-tool_version, seed, config, and residuals; CSV outputs always start with a
-header row.  All randomness flows from the --seed flag through one PCG64
-generator per run.
+Exit codes: 0 pass (or no verdict), 1 verification failure, 2 usage error,
+3 numeric error (singularity / degeneracy / blow-up).  CSV outputs always
+start with a header row.  All randomness flows from the --seed flag through
+one PCG64 generator per run.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import sys
@@ -44,31 +45,9 @@ from . import second_order
 from .errors import MatDerivError
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
-def _report(seed, config, residuals, **extra):
-    out = {
-        "tool_version": __version__,
-        "seed": int(seed),
-        "config": _jsonable(config),
-        "residuals": _jsonable(residuals),
-    }
-    out.update(_jsonable(extra))
-    return out
+def _plain(obj):
+    """``json.dumps`` default: a numpy array or scalar as Python values."""
+    return obj.tolist()
 
 
 def _write(text: str, out_path) -> None:
@@ -118,8 +97,8 @@ def _suite_matrix_rules(seed):
 
 def _suite_tridiag(seed):
     _, _, _, _, rel, solves = _tridiag_gradient_check(64, seed)
-    ok_solves = 0.0 if solves == 2 else 1.0
-    return max(rel, ok_solves), 1e-3, {"fd_rel_err": rel, "solves": solves}
+    detail = {"fd_rel_err": rel, "solves": solves}
+    return _tridiag_residual(rel, solves), _TRIDIAG_TOL, detail
 
 
 def _suite_ode(seed):
@@ -127,7 +106,7 @@ def _suite_ode(seed):
     gf = odesens.grad_G_forward(prob, 400)
     ga = odesens.grad_G_adjoint(prob, 400)
     rel = fdcheck.relative_error(ga, gf)
-    return rel, 1e-3, {"forward_vs_adjoint": rel}
+    return rel, _ODE_TOL, {"forward_vs_adjoint": rel}
 
 
 def _suite_eig(seed):
@@ -147,7 +126,7 @@ def _suite_eig(seed):
 
 def _suite_second_order(seed):
     _, _, _, r, defect = _hessian_vs_closed_form()
-    return max(r, defect), 1e-10, {"closed_form": r, "symmetry_defect": defect}
+    return max(r, defect), _HESSIAN_TOL, {"closed_form": r, "symmetry_defect": defect}
 
 
 def _suite_fd_sweep(seed):
@@ -171,21 +150,16 @@ _SUITES = [
 def run_check(args):
     """Run every module's invariant suite; exit 1 if any misses its tolerance."""
     suites = {}
-    all_ok = True
     for name, fn in _SUITES:
         worst, tol, detail = fn(args.seed)
-        ok = worst <= tol
-        all_ok = all_ok and ok
         suites[name] = {
-            "passed": bool(ok),
-            "worst_residual": float(worst),
+            "passed": worst <= tol,
+            "worst_residual": worst,
             "tolerance": tol,
             "detail": detail,
         }
     residuals = {name: s["worst_residual"] for name, s in suites.items()}
-    report = _report(args.seed, {"subcommand": "check"}, residuals, suites=suites,
-                     passed=all_ok)
-    return (0 if all_ok else 1), report, None
+    return all(s["passed"] for s in suites.values()), residuals, {"suites": suites}, None
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +176,10 @@ def _fdsweep_rows(seed: int):
 
 
 def run_fdsweep(args):
-    rows = _fdsweep_rows(args.seed)
-    report = _report(
-        args.seed, {"subcommand": "fdsweep"},
-        {"min_rel_err": min(r.relative_error for r in rows)},
-        rows=[[r.scale, r.perturbation_norm, r.relative_error] for r in rows],
-    )
-    csv_text = None
-    if args.format == "csv":
-        buf = io.StringIO()
-        fdcheck.sweep_to_csv(rows, buf)
-        csv_text = buf.getvalue()
-    return 0, report, csv_text
+    rows = [[r.scale, r.perturbation_norm, r.relative_error]
+            for r in _fdsweep_rows(args.seed)]
+    return (None, {"min_rel_err": min(row[2] for row in rows)}, {"rows": rows},
+            _csv("scale,perturbation_norm,relative_error", rows))
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +188,8 @@ def run_fdsweep(args):
 def _tridiag_gradient_check(n: int, seed: int):
     """Adjoint gradient of the seeded size-n tridiagonal instance: grad . dp
     along a random dp in [-1, 1]^(n-1) against ``fdcheck.directional_fd`` of g
-    (a forward difference's O(|dp|) error raises false alarms at the 1e-3
-    tolerance); returns (prob, grad, directional, fd, rel_err, solve_count)."""
+    (a forward difference's O(|dp|) error raises false alarms at
+    _TRIDIAG_TOL); returns (prob, grad, directional, fd, rel_err, solve_count)."""
     prob = linsys_adjoint.random_instance(n, seed=seed)
     with counting.tally() as counted:
         grad = linsys_adjoint.grad_g(prob)
@@ -236,28 +202,33 @@ def _tridiag_gradient_check(n: int, seed: int):
     return prob, grad, directional, fd, rel, counted.solves
 
 
+_TRIDIAG_TOL = 1e-3
+
+
+def _tridiag_residual(rel, solves):
+    """The tridiagonal verdict's residual, judged against _TRIDIAG_TOL: the
+    relative error, or 1.0 unless the adjoint gradient took its two solves."""
+    return max(rel, 0.0 if solves == 2 else 1.0)
+
+
 def run_tridiag(args):
-    n, seed = args.n, args.seed
-    prob, grad, directional, fd, rel, solves = _tridiag_gradient_check(n, seed)
-    g = linsys_adjoint.g_eval(prob)
-    ok = rel <= 1e-3 and solves == 2
-    report = _report(
-        seed,
-        {"subcommand": "tridiag", "n": n},
-        {"fd_rel_err": rel},
-        g=g,
+    prob, grad, directional, fd, rel, solves = _tridiag_gradient_check(args.n, args.seed)
+    fields = dict(
+        g=linsys_adjoint.g_eval(prob),
         grad=grad,
         fd_directional=fd,
         directional=directional,
         rel_err=rel,
         solve_count=solves,
-        passed=ok,
     )
-    return (0 if ok else 1), report, None
+    return _tridiag_residual(rel, solves) <= _TRIDIAG_TOL, {"fd_rel_err": rel}, fields, None
 
 
 # ---------------------------------------------------------------------------
 # odegrad
+
+_ODE_TOL = 1e-3
+
 
 def run_odegrad(args):
     steps = args.steps
@@ -273,11 +244,8 @@ def run_odegrad(args):
         "forward_vs_fd": fdcheck.relative_error(gd, gf),
         "adjoint_vs_fd": fdcheck.relative_error(gd, ga),
     }
-    ok = all(v <= 1e-3 for v in pair.values()) and counted.integrations == 2
-    report = _report(
-        args.seed,
-        {"subcommand": "odegrad", "steps": steps},
-        pair,
+    passed = all(v <= _ODE_TOL for v in pair.values()) and counted.integrations == 2
+    fields = dict(
         p=prob.p,
         n_steps=steps,
         G=loss,
@@ -286,16 +254,13 @@ def run_odegrad(args):
         grad_fd=gd,
         pairwise_rel_err=pair,
         adjoint_integrations=counted.integrations,
-        passed=ok,
     )
     csv_text = None
     if args.format == "csv":  # the adjoint trajectory costs one more pass
         v = odesens.adjoint_solve(prob, traj)
-        csv_text = _csv("t,u,v", (
-            (float(t), float(traj.states[i, 0]), float(v[i, 0]))
-            for i, t in enumerate(traj.times)
-        ))
-    return (0 if ok else 1), report, csv_text
+        csv_text = _csv("t,u,v", zip(traj.times.tolist(), traj.states[:, 0].tolist(),
+                                     v[:, 0].tolist()))
+    return passed, pair, fields, csv_text
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +272,7 @@ def _jacdet_case(f, f_prime, s):
     lam = core.jacobi_eigen(s).lam
     formula = kron.theoretical_jacdet(f, f_prime, lam)
     rel = abs(fd_det - formula) / abs(formula)
-    return fd_det, formula, rel
+    return {"fd_det": fd_det, "formula": formula, "rel_diff": rel}
 
 
 def run_jacdet(args):
@@ -317,17 +282,10 @@ def run_jacdet(args):
         "exp": (math.exp, math.exp),
         "sin": (math.sin, math.cos),
     }
-    out = {}
-    residuals = {}
-    ok = True
-    for name, (f, fp) in cases.items():
-        fd_det, formula, rel = _jacdet_case(f, fp, s)
-        out[name] = {"fd_det": fd_det, "formula": formula, "rel_diff": rel}
-        residuals[name] = rel
-        ok = ok and rel <= 1e-2 and (fd_det * formula > 0)
-    report = _report(args.seed, {"subcommand": "jacdet"}, residuals, cases=out,
-                     passed=ok)
-    return (0 if ok else 1), report, None
+    out = {name: _jacdet_case(f, fp, s) for name, (f, fp) in cases.items()}
+    passed = all(c["rel_diff"] <= 1e-2 and c["fd_det"] * c["formula"] > 0
+                 for c in out.values())
+    return passed, {name: c["rel_diff"] for name, c in out.items()}, {"cases": out}, None
 
 
 # ---------------------------------------------------------------------------
@@ -349,25 +307,18 @@ def run_eig(args):
     dec = eigsens.decompose(s)
     dl = eigsens.dlambda(dec, ds)
     fd = fdcheck.directional_fd(lambda m: core.jacobi_eigen(m).lam, s, ds)
-    rows = []
-    worst = 0.0
-    for i in range(n):
-        rel = abs(dl[i] - fd[i]) / max(abs(fd[i]), 1e-300)
-        worst = max(worst, rel)
-        rows.append((i, float(dl[i]), float(fd[i]), float(rel)))
-    ok = worst <= 1e-4
-    report = _report(
-        args.seed, {"subcommand": "eig", "n": n}, {"worst_rel_err": worst},
-        rows=[list(row) for row in rows], passed=ok,
-    )
-    csv_text = None
-    if args.format == "csv":
-        csv_text = _csv("index,dlambda,fd,rel_err", rows)
-    return (0 if ok else 1), report, csv_text
+    rel = np.abs(dl - fd) / np.maximum(np.abs(fd), 1e-300)
+    rows = list(zip(range(n), dl.tolist(), fd.tolist(), rel.tolist()))
+    worst = rel.max()
+    return (worst <= 1e-4, {"worst_rel_err": worst}, {"rows": rows},
+            _csv("index,dlambda,fd,rel_err", rows))
 
 
 # ---------------------------------------------------------------------------
 # hessian-demo
+
+_HESSIAN_TOL = 1e-10
+
 
 def _hessian_vs_closed_form():
     """Assembled Hessian of sin(x1) + x1^2 x2^3 at (0.7, 1.3) beside its
@@ -389,19 +340,15 @@ def run_hessian_demo(args):
     x, h, exact, rel, defect = _hessian_vs_closed_form()
     bowl = lambda xs: xs[0] * xs[0] + 2.0 * xs[1] * xs[1]
     step = second_order.newton_min_step(bowl, np.array([1.0, -1.0]))
-    ok = rel <= 1e-10 and defect <= 1e-10 and step.classification == "minimum"
-    report = _report(
-        args.seed,
-        {"subcommand": "hessian-demo"},
-        {"closed_form_rel_err": rel, "symmetry_defect": defect},
+    passed = max(rel, defect) <= _HESSIAN_TOL and step.classification == "minimum"
+    fields = dict(
         point=x,
         hessian=h,
         exact=exact,
         newton_step=step.step,
         newton_classification=step.classification,
-        passed=ok,
     )
-    return (0 if ok else 1), report, None
+    return passed, {"closed_form_rel_err": rel, "symmetry_defect": defect}, fields, None
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +364,13 @@ class _Size(NamedTuple):
 
 
 class _Command(NamedTuple):
-    """One subcommand; ``run`` maps the parsed arguments to (exit code, JSON
-    report, CSV text or None)."""
+    """One subcommand; ``run`` maps the parsed arguments to (verdict: a bool,
+    or None when the command judges nothing; residuals; the other report
+    fields, in report order; CSV text or None)."""
 
     name: str
     help: str
-    run: Callable[[argparse.Namespace], tuple[int, dict, str | None]]
+    run: Callable[[argparse.Namespace], tuple[bool | None, dict, dict, str | None]]
     formats: tuple[str, ...] = ("json",)  # the first is the default
     size: _Size | None = None
 
@@ -473,20 +421,32 @@ def _build_parser() -> argparse.ArgumentParser:
         if cmd.size is not None:
             p.add_argument(cmd.size.flag, type=_at_least(2, cmd.size.even),
                            default=cmd.size.default, help=cmd.size.help)
-        p.set_defaults(run=cmd.run)
+        p.set_defaults(command=cmd)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    cmd = args.command
     try:
-        code, report, csv_text = args.run(args)
+        passed, residuals, fields, csv_text = cmd.run(args)
     except MatDerivError as exc:
         sys.stderr.write(f"matderiv: numeric failure: {exc}\n")
         return 3
-    _write(csv_text if args.format == "csv" else json.dumps(report, indent=2),
-           args.out)
-    return code
+    if args.format == "csv":
+        text = csv_text
+    else:
+        config = {"subcommand": cmd.name}
+        if cmd.size is not None:
+            key = cmd.size.flag.lstrip("-")
+            config[key] = getattr(args, key)
+        report = {"tool_version": __version__, "seed": args.seed, "config": config,
+                  "residuals": residuals, **fields}
+        if passed is not None:
+            report["passed"] = passed
+        text = json.dumps(report, indent=2, default=_plain)
+    _write(text, args.out)
+    return 1 if passed is not None and not passed else 0
 
 
 if __name__ == "__main__":

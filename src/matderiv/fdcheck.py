@@ -1,11 +1,11 @@
 """Finite-difference verification harness.
 
 Forward and central differences under one central step rule, relative-error
-scoring, step-size suggestion, log-log error sweeps (CSV-exportable), and a
-"triple check" that pits an analytic derivative, an AD derivative and a
-finite difference against each other along random directions.  A failed
-comparison is a *result*, not an exception: the report says so and callers
-decide what to do.
+scoring, step-size suggestion, log-log error sweeps (``matderiv fdsweep``
+writes one as CSV), and a "triple check" that pits an analytic derivative, an
+AD derivative and a finite difference against each other along random
+directions.  A failed comparison is a *result*, not an exception: the report
+says so and callers decide what to do.
 """
 
 from __future__ import annotations
@@ -125,13 +125,6 @@ def error_sweep(f, df_action, x, direction, scales) -> list[SweepRow]:
         approx = forward_diff(f, x, dx)
         rows.append(SweepRow(float(s), frob(dx), relative_error(approx, df_action(dx))))
     return rows
-
-
-def sweep_to_csv(rows, stream) -> None:
-    """Write sweep rows as CSV (header + one line per row)."""
-    stream.write("scale,perturbation_norm,relative_error\n")
-    for r in rows:
-        stream.write(f"{r.scale!r},{r.perturbation_norm!r},{r.relative_error!r}\n")
 
 
 def best_scale(rows) -> float:

@@ -117,10 +117,10 @@ class Dual:
         except TypeError:
             return NotImplemented
         check_divisor(o.val)
-        return Dual(
-            self.val / o.val,
-            (self.deriv * o.val - self.val * o.deriv) / (o.val * o.val),
-        )
+        # w = a/b, w' = (a' - w b')/b: no b*b, which leaves the float range
+        # long before the quotient or its derivative does
+        q = self.val / o.val
+        return Dual(q, (self.deriv - q * o.deriv) / o.val)
 
     def __rtruediv__(self, other):
         return Dual.lift(other).__truediv__(self)

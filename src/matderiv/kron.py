@@ -19,7 +19,6 @@ from . import core, counting, eigsens, fdcheck
 from .core import as_square, as_vector, as_matrix, frob
 from .errors import (
     DegenerateEigenvaluesError,
-    DomainError,
     ShapeError,
     SingularMatrixError,
 )

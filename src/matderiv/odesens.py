@@ -139,6 +139,12 @@ def _checked(x, shape, what: str) -> np.ndarray:
     return a
 
 
+def _checked_scalar(x, what: str) -> float:
+    """``_checked(x, (), what)`` as a Python float; a float (np.float64
+    included) needs no check."""
+    return float(x if isinstance(x, float) else _checked(x, (), what))
+
+
 def _blow_up(what: str, step_index: int) -> BlowUpError:
     return BlowUpError(f"{what} became non-finite", step_index=step_index)
 
@@ -339,9 +345,8 @@ def simpson(vals, dt: float):
 
 
 def loss_G(prob: OdeProblem, traj: Trajectory) -> float:
-    vals = np.array(
-        [prob.g(traj.states[i], prob.p, t) for i, t in enumerate(traj.times)]
-    )
+    vals = np.array([_checked_scalar(prob.g(traj.states[i], prob.p, t), "g")
+                     for i, t in enumerate(traj.times)])
     return simpson(vals, traj.dt)
 
 
@@ -428,7 +433,7 @@ class DataTerm:
 
     dgdu: Callable                      # (u, p) -> (n,)
     dgdp: Optional[Callable] = None     # (u, p) -> (N,); default zero
-    g: Optional[Callable] = None        # optional value, for loss reporting
+    g: Optional[Callable] = None        # (u, p) -> float; optional, for the loss
 
 
 def _node_index(t: float, dt: float, n_steps: int) -> int:
@@ -486,7 +491,7 @@ def loss_discrete(prob: OdeProblem, data_times, g_k_list, n_steps: int) -> float
         if term.g is None:
             raise ContractError("DataTerm.g missing; cannot evaluate the loss")
         idx = _node_index(float(t_k), traj.dt, n_steps)
-        total += float(term.g(traj.states[idx], prob.p))
+        total += _checked_scalar(term.g(traj.states[idx], prob.p), "DataTerm.g")
     return total
 
 

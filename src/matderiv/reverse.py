@@ -93,9 +93,10 @@ class Var:
         tape = self.tape
         if other.__class__ is not Var or other.tape is not tape:
             other = tape.lift(other)
-        a, b = self.val, other.val
+        b = other.val
         fwd.check_divisor(fwd.primal(b))
-        return tape._push("div", self.index, other.index, 1.0 / b, -a / (b * b), a / b)
+        q = self.val / b  # the partials 1/b and -q/b form no b*b (see Dual)
+        return tape._push("div", self.index, other.index, 1.0 / b, -q / b, q)
 
     def __rtruediv__(self, other):
         return self.tape.lift(other).__truediv__(self)

@@ -10,7 +10,6 @@ import math
 from functools import partial
 
 import numpy as np
-import pytest
 
 import progen
 from matderiv import (

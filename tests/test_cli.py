@@ -4,13 +4,12 @@ All invocations go through cli.main(argv) in-process so exit codes and
 stdout can be asserted directly.
 """
 
-import io
 import json
 
 import numpy as np
 import pytest
 
-from matderiv import cli, fdcheck, rules
+from matderiv import cli, rules
 from matderiv.errors import ContractError
 
 _SUITE_NAMES = {
@@ -129,11 +128,12 @@ class TestFdsweep:
             assert scale > 0 and norm > 0 and err >= 0
         assert "np.float64" not in "\n".join(lines)
 
-    def test_csv_is_sweep_to_csv(self, capsys):
+    def test_csv_is_repr_of_sweep_rows(self, capsys):
         assert cli.main(["fdsweep", "--seed", "3"]) == 0
-        buf = io.StringIO()
-        fdcheck.sweep_to_csv(cli._fdsweep_rows(3), buf)
-        assert capsys.readouterr().out == buf.getvalue()
+        expected = "scale,perturbation_norm,relative_error\n" + "".join(
+            f"{r.scale!r},{r.perturbation_norm!r},{r.relative_error!r}\n"
+            for r in cli._fdsweep_rows(3))
+        assert capsys.readouterr().out == expected
 
     def test_json_format(self, capsys):
         code, report = _run_json(capsys, ["fdsweep", "--format", "json"])

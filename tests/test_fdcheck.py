@@ -1,6 +1,5 @@
 """Tests for the finite-difference checking harness."""
 
-import io
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from matderiv.fdcheck import (
     gaussian_direction,
     relative_error,
     suggest_step,
-    sweep_to_csv,
     triple_check,
 )
 
@@ -195,22 +193,6 @@ class TestErrorSweep:
                            a, direction, [1e-3])
         assert rows[0].scale == 1e-3
         assert rows[0].perturbation_norm == pytest.approx(1e-3, rel=1e-12)
-
-
-class TestSweepCsv:
-    def test_header_and_round_trip(self):
-        a = np.eye(3)
-        rng = np.random.default_rng(2)
-        rows = error_sweep(lambda m: m @ m, lambda dm: a @ dm + dm @ a,
-                           a, gaussian_direction(rng, (3, 3)), [1e-2, 1e-5])
-        buf = io.StringIO()
-        sweep_to_csv(rows, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "scale,perturbation_norm,relative_error"
-        assert len(lines) == 3
-        parsed = [float(v) for v in lines[1].split(",")]
-        assert parsed[0] == rows[0].scale
-        assert parsed[2] == rows[0].relative_error
 
 
 class TestBestScale:

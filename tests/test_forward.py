@@ -57,6 +57,27 @@ class TestDualArithmetic:
         with pytest.raises(DomainError):
             Dual(1.0, 0.0) / Dual(0.0, 1.0)
 
+    def test_quotient_tangent_past_a_huge_divisor(self):
+        """d/dt t/b = 1/b = 1e-155 for b = 1e155, whose square overflows:
+        the b*b form of the rule returned 0.0."""
+        assert derivative(lambda t: t / 1e155, 1.0) == 1.0 / 1e155
+
+    def test_quotient_tangent_past_a_tiny_divisor(self):
+        """For b = 1e-160, b*b = 1e-320 is subnormal: the b*b form lost five
+        digits and returned 1.000011132941258e+160."""
+        assert derivative(lambda t: t / 1e-160, 3.0) == 1.0 / 1e-160
+
+    def test_quotient_of_two_tiny_numbers(self):
+        """At a = b = 1e-300 the quotient is 1 and its gradient (1/b, -a/b^2)
+        = (1e300, -1e300); b*b underflowed to 0, which raised a plain
+        ZeroDivisionError (scalar tangent) or numpy's RuntimeWarning (block
+        tangent)."""
+        tiny = 1e-300
+        assert derivative(lambda t: t / tiny, tiny) == 1.0 / tiny
+        assert derivative(lambda t: tiny / t, tiny) == -1.0 / tiny
+        jac = forward.jacobian_forward(lambda xs: [xs[0] / xs[1]], np.array([tiny, tiny]))
+        assert jac.tolist() == [[1.0 / tiny, -1.0 / tiny]]
+
     def test_comparisons_read_primal_only(self):
         assert Dual(1.0, 99.0) < Dual(2.0, -99.0)
         assert Dual(2.0, 0.0) >= 2.0

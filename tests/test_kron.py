@@ -6,7 +6,6 @@ of squaring, exp and sin at that point have known values checked here
 against both the product formula and a finite-difference determinant.
 """
 
-import io
 import math
 
 import numpy as np

@@ -712,8 +712,8 @@ def _bad(shape):
 
 class TestCoefficientShapeContract:
     """Every coefficient and data-term callable is checked against its
-    shape: dfdu (n, n), dfdp (n, N), dgdu (n,), dgdp (N,), du0dp (n, N),
-    and DataTerm.dgdu (n,) and dgdp (N,).  A mismatch raises ShapeError
+    shape: dfdu (n, n), dfdp (n, N), g (), dgdu (n,), dgdp (N,), du0dp
+    (n, N), and DataTerm.g (), dgdu (n,) and dgdp (N,).  A mismatch raises ShapeError
     naming the callable instead of being broadcast.  The problem has n = 2
     states and N = 3 parameters."""
 
@@ -753,6 +753,22 @@ class TestCoefficientShapeContract:
         terms = [DataTerm(dgdu=lambda u, p: 2.0 * u, dgdp=_bad((2,)))]
         with pytest.raises(ShapeError, match=r"DataTerm\.dgdp must have shape \(3,\)"):
             odesens.grad_G_discrete_data(_two_state_problem(), [0.5], terms, 8)
+
+    @pytest.mark.parametrize("shape", [(1,), (2,)])
+    def test_running_cost_g(self, shape):
+        """A (1,) g made loss_G return a length-1 array, and a (2,) g made
+        grad_G_fd differentiate a vector loss."""
+        prob = replace(_two_state_problem(), g=_bad(shape))
+        for route in (lambda: odesens.loss_G(prob, odesens.integrate_rk4(prob, 8)),
+                      lambda: odesens.grad_G_fd(prob, 8)):
+            with pytest.raises(ShapeError, match=r"^g must have shape \(\)"):
+                route()
+
+    def test_data_term_g(self):
+        """A (1,) DataTerm.g made loss_discrete raise a plain TypeError."""
+        terms = [DataTerm(dgdu=lambda u, p: 2.0 * u, g=_bad((1,)))]
+        with pytest.raises(ShapeError, match=r"DataTerm\.g must have shape \(\)"):
+            odesens.loss_discrete(_two_state_problem(), [0.5], terms, 8)
 
     def test_forward_dfdp_is_not_broadcast(self):
         """A dfdp of shape (N,) was broadcast against (n, N) in dfdu S + dfdp."""

@@ -9,7 +9,7 @@ import pytest
 import progen
 from matderiv import forward, reverse, scalarfn as sf, second_order
 from matderiv.errors import ContractError, DomainError, ShapeError
-from matderiv.reverse import Tape, Var, gradient, vjp
+from matderiv.reverse import Tape, gradient, vjp
 
 
 class TestTapeMechanics:
@@ -59,6 +59,22 @@ class TestTapeMechanics:
         z = tape.input(0.0)
         with pytest.raises(DomainError):
             _ = x / z
+
+    def test_quotient_of_two_tiny_numbers(self):
+        """The partials 1/b and -q/b at a = b = 1e-300 are +-1e300; the old
+        partial -a/(b*b) divided by an underflowed 0 and raised a plain
+        ZeroDivisionError."""
+        tiny = 1e-300
+        grad = gradient(lambda xs: xs[0] / xs[1], np.array([tiny, tiny]))
+        assert grad.tolist() == [1.0 / tiny, -1.0 / tiny]
+
+    def test_quotient_partial_past_a_huge_divisor(self):
+        """d(a/b)/db = -a/b^2 = -1e-310 (subnormal) at (1, 1e155); the old
+        partial -a/(b*b) overflowed b*b and returned 0.0."""
+        grad = gradient(lambda xs: xs[0] / xs[1], np.array([1.0, 1e155]))
+        assert grad[0] == 1.0 / 1e155
+        assert grad[1] == -(1.0 / 1e155) / 1e155
+        assert grad[1] == pytest.approx(-1e-310, rel=1e-5)
 
     def test_integer_power_contracts(self):
         tape = Tape()
@@ -151,7 +167,7 @@ class TestFlatTape:
             ("add", (0, 1), (1.0, 1.0)),
             ("sub", (2, 0), (1.0, -1.0)),
             ("mul", (3, 1), (y0, b)),
-            ("div", (4, 0), (1.0 / x0, -c / (x0 * x0))),
+            ("div", (4, 0), (1.0 / x0, -(c / x0) / x0)),
             ("neg", (5,), (-1.0,)),
             ("powi", (6,), (3 * e**2,)),
             ("sin", (7,), (math.cos(f),)),
