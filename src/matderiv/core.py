@@ -30,6 +30,11 @@ Conventions fixed by this module:
   - vectors are 1-D float64 arrays, matrices 2-D float64 arrays;
   - eigenvalues are returned ascending, with each eigenvector column signed
     so its largest-magnitude entry is positive;
+  - every Frobenius norm is ``frob``, one sum of squares that raises no
+    numpy warning and is scaled where it leaves the normal range: the pivot
+    tolerances, the symmetry guard, ``TridiagSym.norm`` and the Jacobi
+    invariant checks, member by member for a stack.  Only the Jacobi sweeps'
+    stopping tests form their own sums, on data already scaled into range;
   - every pivot test uses the single tolerance ``PIVOT_RTOL * ||A||_F``;
   - the symmetry contract (``require_symmetric``, SYM_RTOL) and the
     eigenvalue-gap guard (``require_gaps``, GAP_RTOL) live here once and are
@@ -95,17 +100,16 @@ def as_square(x) -> np.ndarray:
 
 
 def frob(x) -> float:
-    """Frobenius norm: sqrt of the sum of squared entries (any shape).
+    """Frobenius norm: sqrt of the sum of squared entries (any shape), the
+    one Frobenius norm of the package.
 
-    Where that sum overflows or falls below the normal range (entries past
-    about 1e154 or all below about 1e-154), the entries are first divided by
-    max |a_ij|, so the norm is accurate wherever it is representable (numpy
-    still warns of the overflowing squares).  An inf or NaN entry gives inf
-    or NaN as before."""
+    The sum of squares is ``np.vdot(a, a)``, which raises no numpy warning
+    where it overflows.  Where it overflows or falls below the normal range
+    (entries past about 1e154 or all below about 1e-154), the entries are
+    first divided by max |a_ij|, so the norm is accurate wherever it is
+    representable.  An inf or NaN entry gives inf or NaN."""
     a = np.asarray(x, dtype=float)
-    # np.add.reduce is the sum np.sum computes, without its Python-level
-    # dispatch, which costs about as much as the sum itself on small matrices.
-    s = float(np.add.reduce(a * a, axis=None))
+    s = float(np.vdot(a, a))
     if _TINY_NORMAL <= s < math.inf:
         return math.sqrt(s)
     if s == 0.0 and not np.count_nonzero(a):
@@ -114,12 +118,7 @@ def frob(x) -> float:
     if not math.isfinite(big):
         return big
     a = a / big
-    return big * math.sqrt(float(np.add.reduce(a * a, axis=None)))
-
-
-def _sum_squares(v: np.ndarray) -> float:
-    """The sum of squares ``np.sum(v ** 2)`` forms, without its dispatch."""
-    return float(np.add.reduce(np.square(v)))
+    return big * math.sqrt(float(np.vdot(a, a)))
 
 
 def is_symmetric(a, norm: float | None = None) -> bool:
@@ -229,22 +228,9 @@ class TridiagSym:
         return a
 
     def norm(self) -> float:
-        """Frobenius norm of the dense matrix, sqrt(sum d_i^2 + 2 sum e_i^2).
-
-        Where that sum overflows or falls below the normal range (entries
-        past about 1e154 or all below about 1e-154), the entries are first
-        divided by their largest magnitude, as in ``frob``.  The overflowing
-        squares raise no numpy warning."""
-        d, e = self.diag, self.offdiag
-        with np.errstate(over="ignore"):
-            s = _sum_squares(d) + 2.0 * _sum_squares(e)
-        if _TINY_NORMAL <= s < math.inf:
-            return math.sqrt(s)
-        big = max(float(np.maximum.reduce(np.abs(d))),
-                  float(np.maximum.reduce(np.abs(e), initial=0.0)))
-        if big == 0.0:
-            return 0.0
-        return big * math.sqrt(_sum_squares(d / big) + 2.0 * _sum_squares(e / big))
+        """Frobenius norm of the dense matrix, sqrt(sum d_i^2 + 2 sum e_i^2),
+        from ``frob`` of each band."""
+        return math.hypot(frob(self.diag), math.sqrt(2.0) * frob(self.offdiag))
 
 
 @dataclass
@@ -570,20 +556,15 @@ def _member(i) -> str:
 def _require_within(x: np.ndarray, tol, what: str) -> None:
     """One of ``jacobi_eigen``'s invariant checks: raise ``ContractError``
     naming ``what`` unless frob(x) <= tol, for one matrix or for each
-    member of a (k, n, n) stack against its own tol.  A member's sum of
-    squares is the one ``frob`` forms, and one outside the normal range
-    goes to ``frob``, so each member is decided as alone."""
+    member of a (k, n, n) stack against its own tol, each member decided by
+    ``frob`` of that member alone."""
     if x.ndim == 2:
-        if frob(x) > tol:
-            raise ContractError(f"jacobi_eigen: {what} invariant violated")
-        return
-    s = np.add.reduce(x * x, axis=(-2, -1))
-    norms = np.sqrt(s)
-    for i in np.flatnonzero(~((_TINY_NORMAL <= s) & (s < math.inf))):
-        norms[i] = frob(x[i])
-    over = np.flatnonzero(norms > tol)
-    if len(over):
-        raise ContractError(f"jacobi_eigen{_member(over[0])}: {what} invariant violated")
+        members = [(None, x, tol)]
+    else:
+        members = zip(range(len(x)), x, np.broadcast_to(tol, len(x)).tolist())
+    for i, m, t in members:
+        if frob(m) > t:
+            raise ContractError(f"jacobi_eigen{_member(i)}: {what} invariant violated")
 
 
 def _jacobi_input(s: np.ndarray, what: str = "jacobi_eigen"):
@@ -647,6 +628,8 @@ def jacobi_eigen(s) -> EigenDecomp:
         norm = np.array([p[1] for p in parts])
         e = np.array([p[2] for p in parts], dtype=int)[:, None]
     n = s.shape[-1]
+    if n == 0:
+        return EigenDecomp(q=np.zeros(s.shape), lam=np.zeros(s.shape[:-1]))
     sweeps = _jacobi_scalar if n <= JACOBI_SCALAR_MAX_N else _jacobi_products
     lam, q = sweeps(sym, JACOBI_OFF_RTOL * norm)
     # ascending eigenvalues (stable sort), then deterministic column signs:
@@ -707,8 +690,9 @@ def _jacobi_products(sym: np.ndarray, off_tol):
     a, q = sym, eye
     for _ in range(JACOBI_MAX_SWEEPS):
         # each member's off-diagonal norm (1 - I zeroes the diagonal
-        # exactly); the plain square root decides as frob's scaled one
-        # would, as off_tol is 0 or far above the range where they differ
+        # exactly), stacked, with its own sum rather than frob's: the data is
+        # scaled into range, so no square overflows, and any that underflows
+        # lies far below off_tol
         done = np.sqrt(np.add.reduce(np.square(a * off_diagonal), axis=(-2, -1))) <= off_tol
         if sym.ndim == 2:
             if done:
@@ -756,6 +740,9 @@ def _jacobi_scalar(sym: np.ndarray, off_tol, member=None):
     a_and_q = a + q
     rounds = _jacobi_pairs(n)
     for _ in range(JACOBI_MAX_SWEEPS):
+        # the off-diagonal norm over Python floats, its own sum rather than
+        # frob's: the data is already scaled into range, and a numpy call
+        # per sweep would cost more than the sum itself
         off = math.sqrt(sum([x * x for i, row in enumerate(a)
                              for j, x in enumerate(row) if i != j]))
         if off <= off_tol:

@@ -78,10 +78,6 @@ class OdeProblem:
         if self.t_final <= 0:
             raise ContractError("t_final must be positive")
 
-    @property
-    def n_params(self) -> int:
-        return len(self.p)
-
     def with_p(self, p) -> "OdeProblem":
         return replace(self, p=np.asarray(p, dtype=float))
 

@@ -4,14 +4,16 @@ numpy.linalg serves as the reference oracle throughout; the routines under
 test never call it themselves.
 """
 
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matderiv import core, counting, scalarfn as sf
+from matderiv import core, counting, fdcheck, rules, scalarfn as sf
 from matderiv.forward import Dual
 from matderiv.errors import (
     ContractError,
@@ -650,6 +652,13 @@ class TestJacobiEigen:
         np.testing.assert_array_equal(dec.lam, np.zeros(3))
         np.testing.assert_array_equal(dec.q, np.eye(3))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0)])
+    def test_empty_matrices(self, shape):
+        """n = 0 gives the empty decomposition, as ``np.linalg.eigh`` does;
+        it raised numpy's AxisError (one matrix) or ValueError (a stack)."""
+        dec = core.jacobi_eigen(np.zeros(shape))
+        assert dec.q.shape == shape and dec.lam.shape == shape[:-1]
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ContractError):
             core.jacobi_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -746,45 +755,67 @@ class TestJacobiStack:
             core.jacobi_eigen(np.ones(shape))
 
 
+def _exact_frob(a) -> float:
+    """||a||_F from the exact sum of squares (fractions) of the entries
+    scaled by a power of two near their largest magnitude: within 0.75 eps."""
+    flat = np.ravel(a).tolist()
+    big = max(map(abs, flat), default=0.0)
+    if big == 0.0:
+        return 0.0
+    e = math.frexp(big)[1]
+    return math.ldexp(math.sqrt(sum(Fraction(math.ldexp(x, -e)) ** 2 for x in flat)), e)
+
+
+_A = np.array([[2.0, 1.0], [1.0, 3.0]])
+
+
 class TestNormRange:
     """``frob`` stays accurate where the plain sum of squares overflows or
-    underflows, and so do the tolerances scaled by it (numpy still warns of
-    the overflowing squares, which these tests silence)."""
+    underflows, and so do the tolerances scaled by it; none of these calls
+    raises numpy's overflow warning, an error here."""
 
     @pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e160, 1e200])
     def test_frob_far_from_one(self, scale):
         a = scale * np.array([[3.0, 0.0], [0.0, 4.0]])
-        with np.errstate(over="ignore"):
-            assert core.frob(a) == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+        assert core.frob(a) == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 4), (6, 6), (4, 3, 3)])
+    def test_frob_matches_an_exact_sum(self, shape):
+        """Within 2 eps of the exact norm for a vector, a matrix, a stack
+        and each of its members, at entries from 1e-300 to 1e300."""
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        for exponent in (-300, -250, -200, -160, -150, -1, 0, 1, 150, 160, 200, 250, 300):
+            for _ in range(10):
+                a = 10.0 ** exponent * rng.standard_normal(shape)
+                for part in [a, *a] if a.ndim == 3 else [a]:
+                    ref = _exact_frob(part)
+                    assert abs(core.frob(part) - ref) <= 2 * np.finfo(float).eps * ref
 
     def test_frob_keeps_zero_inf_and_nan(self):
         assert core.frob(np.zeros((2, 2))) == 0.0
         assert core.frob(np.zeros(0)) == 0.0
         assert core.frob([np.inf, 1.0]) == np.inf
         assert np.isnan(core.frob([np.nan, np.inf]))
-        with np.errstate(over="ignore"):
-            assert core.frob([1.7e308, 1.7e308]) == np.inf
+        assert core.frob([1.7e308, 1.7e308]) == np.inf
 
     def test_lu_solve_with_large_entries(self):
         """A well-conditioned matrix with entries past 1e154 failed its first
         pivot test against an inf norm."""
-        a = 1e155 * np.array([[2.0, 1.0], [1.0, 3.0]])
-        with np.errstate(over="ignore"):
-            x = core.lu_solve(a, [1.0, 1.0])
+        a = 1e155 * _A
+        x = core.lu_solve(a, [1.0, 1.0])
         np.testing.assert_allclose(x, np.linalg.solve(a, [1.0, 1.0]), rtol=1e-14)
 
     def test_lu_pivot_test_stays_relative_at_large_norms(self):
         """diag(1e155, 1) has condition number 1e155, so its second pivot is
         singular to PIVOT_RTOL * ||A||_F; the first one, which an inf norm
         failed, passes."""
-        with np.errstate(over="ignore"), pytest.raises(SingularMatrixError) as err:
+        with pytest.raises(SingularMatrixError) as err:
             core.lu_solve(np.diag([1e155, 1.0]), [1.0, 1.0])
         assert err.value.pivot_index == 1
 
     @pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e160, 1e200])
     def test_tridiag_norm_far_from_one(self, scale):
-        """Its squares overflowed to an inf norm or underflowed to zero, and
-        numpy warned of the overflow; the warning is an error here."""
+        """Its squares overflowed to an inf norm or underflowed to zero."""
         base = core.TridiagSym(diag=[2.0, -3.0, 2.0], offdiag=[1.0, 1.0])
         t = core.TridiagSym(diag=scale * base.diag, offdiag=scale * base.offdiag)
         assert t.norm() == pytest.approx(scale * base.norm(), rel=1e-15, abs=0.0)
@@ -814,8 +845,7 @@ class TestNormRange:
     def test_jacobi_far_from_one(self, s):
         """Entries past 1e154 gave an inf norm, so the sweeps stopped at
         once; entries around 1e-170 gave a zero norm and zero eigenvalues."""
-        with np.errstate(over="ignore"):
-            dec = core.jacobi_eigen(s)
+        dec = core.jacobi_eigen(s)
         ref = np.linalg.eigvalsh(s)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(dec.lam - ref)) <= 1e-13 * scale
@@ -828,10 +858,38 @@ class TestNormRange:
         s = _gapped_symmetric(np.random.default_rng(9), 4)
         base = core.jacobi_eigen(s)
         for e in (-600, 600):
-            with np.errstate(over="ignore"):
-                dec = core.jacobi_eigen(np.ldexp(s, e))
+            dec = core.jacobi_eigen(np.ldexp(s, e))
             np.testing.assert_array_equal(dec.lam, np.ldexp(base.lam, e))
             np.testing.assert_array_equal(dec.q, base.q)
+
+    @pytest.mark.parametrize("call, expected", [
+        pytest.param(lambda: core.is_symmetric(1e200 * _A), True, id="is_symmetric"),
+        pytest.param(lambda: core.is_symmetric(1e200 * (_A + np.triu(_A, 1))), False,
+                     id="is_asymmetric"),
+        pytest.param(lambda: rules.grad_frobenius(1e200 * _A), _A / math.sqrt(15.0),
+                     id="grad_frobenius"),
+        pytest.param(lambda: fdcheck.relative_error(1e200 * (_A + np.triu(_A, 1)), 1e200 * _A),
+                     1.0 / math.sqrt(15.0), id="relative_error"),
+        pytest.param(lambda: core.jacobi_eigen(np.stack([_A, 1e160 * _A])).lam,
+                     np.linalg.eigvalsh(np.stack([_A, 1e160 * _A])), id="jacobi_stack"),
+    ])
+    def test_callers_at_huge_entries(self, call, expected):
+        """Each read ``frob`` of entries past 1e154, whose overflowing
+        squares made numpy warn."""
+        np.testing.assert_allclose(call(), expected, rtol=1e-14, atol=0.0)
+
+    def test_invariant_check_reads_each_member_alone(self):
+        """A stack member passes its invariant check exactly when ``frob``
+        of that member alone is within its tolerance, at any scale."""
+        x = np.random.default_rng(10).standard_normal((4, 6, 6))
+        x *= np.array([1.0, 1e200, 1e-200, 3.0])[:, None, None]
+        norms = np.array([core.frob(m) for m in x])
+        core._require_within(x, norms, "test")
+        for i in range(len(x)):
+            tol = norms.copy()
+            tol[i] = np.nextafter(tol[i], 0.0)
+            with pytest.raises(ContractError, match=rf"stack member {i}\)"):
+                core._require_within(x, tol, "test")
 
 
 class TestNewtonRoot:
