@@ -85,7 +85,7 @@ def _suite_ad_cross_mode(seed):
     for prog in programs:
         x = rng.uniform(0.3, 1.5, size=3)
         g_rev = reverse.gradient(prog, x)
-        jac = forward.jacobian_forward(lambda xs: [prog(xs)], x)
+        jac = forward.jacobian_forward(prog, x)
         worst = max(worst, float(np.max(np.abs(g_rev - jac[0]))))
     return worst, 1e-10, {}
 

@@ -74,11 +74,17 @@ _TINY_NORMAL = float(np.finfo(float).tiny)
 _JACOBI_SAFE_NORM = (2.0 ** -400, 2.0 ** 400)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    # count_nonzero runs no ufunc reduction, which is most of the cost of
+    # np.isfinite(a).all() on the few entries of a derivative driver's point
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ShapeError(f"expected a 1-D vector, got ndim={v.ndim}")
-    if not np.isfinite(v).all():
+    if not _all_finite(v):
         raise ContractError("vector contains non-finite entries")
     return v
 
@@ -87,7 +93,7 @@ def as_matrix(x) -> np.ndarray:
     m = np.asarray(x, dtype=float)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
+    if not _all_finite(m):
         raise ContractError("matrix contains non-finite entries")
     return m
 
@@ -352,7 +358,7 @@ def lu_solve_factored(lu: np.ndarray, perm: np.ndarray, b) -> np.ndarray:
     n = lu.shape[0]
     if b.shape[0] != n:
         raise ShapeError(f"rhs has {b.shape[0]} rows, matrix is {n}x{n}")
-    if not np.isfinite(b).all():
+    if not _all_finite(b):
         raise ContractError("rhs contains non-finite entries")
     vector_rhs = b.ndim == 1
     if vector_rhs:
@@ -769,7 +775,8 @@ def newton_root(f, x0, tol: float = 1e-12, max_iter: int = 50,
     """Newton's method for f(x) = 0, f: R^n -> R^n.
 
     ``f`` follows the program convention: it takes a sequence of scalar-like
-    values and returns a sequence, so the same callable supplies both
+    values and returns its outputs in any form ``forward.as_outputs`` reads
+    (one scalar-like or an iterable of them), so the same callable supplies both
     residuals (on floats) and Jacobians (on dual numbers).  Each update
     solves J step = f(x) by LU.  Pass a list as ``history`` to capture the
     iterates (the converged point included).
@@ -778,13 +785,13 @@ def newton_root(f, x0, tol: float = 1e-12, max_iter: int = 50,
     last iterate if max_iter is exhausted, and ``SingularMatrixError`` if a
     Jacobian cannot be factored.
     """
-    from .forward import jacobian_forward  # deferred: forward builds on nothing here
+    from .forward import as_outputs, jacobian_forward  # deferred: forward imports core
 
     x = as_vector(x0).copy()
     for _ in range(max_iter):
         if history is not None:
             history.append(x.copy())
-        fx = np.asarray([float(v) for v in f(x.tolist())], dtype=float)
+        fx = np.asarray([float(v) for v in as_outputs(f(x.tolist()))], dtype=float)
         if len(fx) != len(x):
             raise ShapeError("newton_root needs a square system (len f(x) == len x)")
         if np.max(np.abs(fx)) <= tol:

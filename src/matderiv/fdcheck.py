@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import forward, reverse
-from .core import frob
+from .core import as_vector, frob
 from .errors import ContractError, DomainError
 
 EPS = 2.0**-52
@@ -49,7 +49,7 @@ def fd_jacobian(f, x) -> np.ndarray:
     """Central-difference Jacobian of f at a 1-D x: ``directional_fd`` along
     each unit vector.  The last axis indexes the coordinates of x, so a
     scalar f gives its gradient and an m-vector f an m-by-n matrix."""
-    x = np.asarray(x, dtype=float)
+    x = as_vector(x)
     return np.stack([directional_fd(f, x, e) for e in np.eye(len(x))], axis=-1)
 
 
@@ -69,6 +69,8 @@ def relative_error(approx, exact) -> float:
 
 RULE_TOL = 1e-6
 LINEAR_TOL = 1e-12
+AD_TOL = 1e-10  # triple_check: AD against the analytic action
+FD_TOL = 1e-4  # triple_check: the central difference against the analytic action
 
 
 def rule_residual(entry, seed: int) -> float:
@@ -145,8 +147,8 @@ class TripleCheckRow:
 @dataclass
 class TripleCheckReport:
     rows: list[TripleCheckRow] = field(default_factory=list)
-    ad_tol: float = 1e-10
-    fd_tol: float = 1e-4
+    ad_tol: float = AD_TOL
+    fd_tol: float = FD_TOL
 
     @property
     def passed(self) -> bool:
@@ -165,57 +167,45 @@ class TripleCheckReport:
 
 
 def _eval_outputs(program, xs: np.ndarray) -> np.ndarray:
-    out = program(xs.tolist())
-    if isinstance(out, (list, tuple)):
-        return np.array([forward.primal(v) for v in out], dtype=float)
-    return np.array([forward.primal(out)], dtype=float)
+    return np.array([forward.primal(v) for v in forward.as_outputs(program(xs.tolist()))],
+                    dtype=float)
 
 
-def _jacobian_reverse(program, x: np.ndarray) -> np.ndarray:
-    """m-by-n Jacobian from one recording, swept with the seed block I_m."""
-    tape, in_vars, outs = reverse._record_outputs(program, x)
-    return reverse._pullback(tape, in_vars, outs, np.eye(len(outs))).T
-
-
-def triple_check(
-    program,
-    analytic_action,
-    ad_mode: str,
-    x,
-    n_directions: int = 5,
-    seed: int = 0,
-    ad_tol: float = 1e-10,
-    fd_tol: float = 1e-4,
-) -> TripleCheckReport:
+def triple_check(program, analytic_action, ad_mode: str, x, n_directions: int = 5,
+                 seed: int = 0) -> TripleCheckReport:
     """Compare, along random unit directions d:
 
     * ``analytic_action(d)`` - the hand-derived directional derivative,
-    * an AD directional derivative of ``program`` (forward mode seeds d;
-      reverse mode builds the Jacobian from one recording and applies it),
+    * an AD directional derivative of ``program`` (forward mode seeds every
+      d in one dual pass; reverse mode builds the Jacobian from one recording
+      and applies it),
     * ``directional_fd``, a central difference at the step
       eps^(1/3) (1 + ||x||), whose O(h^2) truncation error keeps an exact
-      derivative well inside ``fd_tol``.
+      derivative well inside FD_TOL.
 
-    ``program`` maps a list of scalar-likes to a scalar-like or list of
-    them, so one source text serves all three evaluations.
+    A row is ok when the AD error is within AD_TOL and the difference's
+    within FD_TOL.  ``program`` maps a list of scalar-likes to a scalar-like
+    or an iterable of them, so one source text serves all three evaluations.
+    The point is read by the AD driver.
     """
-    x = np.asarray(x, dtype=float)
     if ad_mode not in ("forward", "reverse"):
         raise ContractError(f"unknown ad_mode {ad_mode!r}")
     rng = np.random.default_rng(seed)
-    report = TripleCheckReport(ad_tol=ad_tol, fd_tol=fd_tol)
-    jac = _jacobian_reverse(program, x) if ad_mode == "reverse" else None
-    for i in range(n_directions):
-        d = gaussian_direction(rng, x.shape)
+    n = np.size(x)
+    dirs = forward.stack_rows([gaussian_direction(rng, n) for _ in range(n_directions)], (n,))
+    if ad_mode == "forward":
+        ads = forward.directional_derivative(program, x, dirs.T).T
+    else:
+        jac = reverse.jacobian_reverse(program, x)
+        ads = [jac @ d for d in dirs]
+    x = np.asarray(x, dtype=float)
+    report = TripleCheckReport()
+    for i, (d, ad) in enumerate(zip(dirs, ads)):
         exact = np.atleast_1d(np.asarray(analytic_action(d), dtype=float))
-        if ad_mode == "forward":
-            ad = np.atleast_1d(forward.directional_derivative(program, x, d))
-        else:
-            ad = jac @ d
         fd = directional_fd(partial(_eval_outputs, program), x, d)
         ad_err = relative_error(ad, exact)
         fd_err = relative_error(fd, exact)
         report.rows.append(
-            TripleCheckRow(i, ad_err, fd_err, ad_err <= ad_tol and fd_err <= fd_tol)
+            TripleCheckRow(i, ad_err, fd_err, ad_err <= AD_TOL and fd_err <= FD_TOL)
         )
     return report

@@ -11,19 +11,22 @@ are built at import from one rule table and serve plain numbers, Duals and
 tape variables alike (a tape variable records through its ``_elem``
 method, so this module does not import ``reverse``).
 
-Program convention used by the drivers: a scalar program maps one
-scalar-like to one scalar-like; a vector program maps a sequence of
-scalar-likes to a sequence of scalar-likes.
+Program convention used by the drivers: a program maps a list of
+scalar-likes to one scalar-like (a number, or a value with a primal
+``val``) or to an iterable of them (a list, a tuple, a generator, an
+ndarray), and :func:`as_outputs` is the one reader of its outputs.  The
+drivers read their point through ``core.as_vector``: a point that is not
+1-D is a ShapeError and a non-finite one a ContractError.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
+from .core import as_vector
 from .errors import ContractError, DivisionByZeroError, DomainError, ShapeError
 
 _NUM = (int, float, np.integer, np.floating)
@@ -246,26 +249,6 @@ def powi(x, k):
     return _powi(x, k)
 
 
-@dataclass
-class DualVector:
-    """A vector of duals kept as parallel (vals, derivs) arrays; derivs of
-    shape (n, k) give dual i the tangent block derivs[i]."""
-
-    vals: np.ndarray
-    derivs: np.ndarray
-
-    def __post_init__(self):
-        self.vals = np.asarray(self.vals, dtype=float)
-        self.derivs = np.asarray(self.derivs, dtype=float)
-        if (self.vals.ndim != 1 or self.derivs.ndim > 2
-                or self.derivs.shape[:1] != self.vals.shape):
-            raise ShapeError("DualVector needs 1-D vals and derivs of shape "
-                             "(n,) or (n, k)")
-
-    def seeds(self) -> list[Dual]:
-        return [Dual(v, d) for v, d in zip(self.vals, self.derivs)]
-
-
 def stack_rows(rows, shape=()) -> np.ndarray:
     """Array of shape (len(rows), *shape) with row i = rows[i], a block of
     that shape or a float filling the row (e.g. a plain number's 0.0)."""
@@ -297,6 +280,14 @@ def babylonian(x, n_steps: int = 10):
     return t
 
 
+def as_outputs(out) -> list:
+    """A program's outputs as a list: a scalar-like (a number, or a value
+    with a primal ``val``) is one output; anything else is iterated."""
+    if isinstance(out, _NUM) or hasattr(out, "val"):
+        return [out]
+    return list(out)
+
+
 def directional_derivative(f, x, v) -> np.ndarray:
     """f'(x) v from one dual pass seeded with x + eps*v.
 
@@ -304,12 +295,16 @@ def directional_derivative(f, x, v) -> np.ndarray:
     shape (n, k) carries k directions at once and gives the (m, k) block.
     An output that is a plain number has a zero row.
     """
-    out = f(DualVector(x, v).seeds())
-    outs = [out] if isinstance(out, (Dual, *_NUM)) else list(out)
-    return stack_rows([o.deriv if isinstance(o, Dual) else 0.0 for o in outs],
-                      np.shape(v)[1:])
+    x = as_vector(x)
+    v = np.asarray(v, dtype=float)
+    if not 1 <= v.ndim <= 2 or v.shape[0] != len(x):
+        raise ShapeError(f"direction of shape {v.shape} at a point of {len(x)} entries; "
+                         "need (n,) or (n, k)")
+    outs = as_outputs(f([Dual(a, d) for a, d in zip(x.tolist(), v)]))
+    return stack_rows([o.deriv if isinstance(o, Dual) else 0.0 for o in outs], v.shape[1:])
 
 
 def jacobian_forward(f, x) -> np.ndarray:
-    """m-by-n Jacobian from one dual pass with the tangent block I_n."""
-    return directional_derivative(f, x, np.eye(len(x)))
+    """m-by-n Jacobian from one dual pass with the tangent block I_n (the
+    point is read by ``directional_derivative``)."""
+    return directional_derivative(f, x, np.eye(np.size(x)))

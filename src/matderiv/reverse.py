@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forward as fwd
+from .core import as_vector
 from .errors import ContractError, ShapeError
 from .forward import Dual
 
@@ -251,25 +252,23 @@ def gradient_generic(f, xs: list) -> list:
 
 def gradient(f, x) -> np.ndarray:
     """grad f as a plain vector, for float inputs."""
-    x = np.asarray(x, dtype=float)
-    gs = gradient_generic(f, [float(v) for v in x])
+    gs = gradient_generic(f, as_vector(x).tolist())
     return np.asarray([fwd.primal(g) if isinstance(g, Dual) else g for g in gs],
                       dtype=float)
 
 
 def _record_outputs(f, x):
-    """Record a vector program at the float point x: the tape, its input
+    """Record a vector program at the point x: the tape, its input
     variables and the program's outputs as a list."""
     tape = Tape()
-    in_vars = [tape.input(float(v)) for v in np.asarray(x, dtype=float)]
-    out = f(in_vars)
-    return tape, in_vars, [out] if isinstance(out, (Var, *_SCALARLIKE)) else list(out)
+    in_vars = [tape.input(v) for v in as_vector(x).tolist()]
+    return tape, in_vars, fwd.as_outputs(f(in_vars))
 
 
 def _pullback(tape: Tape, in_vars: list, outs: list, w: np.ndarray) -> np.ndarray:
     """f'(x)^T w from one multi-seed sweep of a recording of f at x."""
-    if len(outs) != len(w):
-        raise ShapeError(f"vjp: {len(outs)} outputs but len(w) == {len(w)}")
+    if not 1 <= w.ndim <= 2 or len(w) != len(outs):
+        raise ShapeError(f"vjp: {len(outs)} outputs but w has shape {w.shape}")
     seeds: dict[int, object] = {}
     # a weight vector seeds plain floats, keeping the scalar sweep's cost
     for o, wi in zip(outs, w.tolist() if w.ndim == 1 else w):
@@ -285,3 +284,9 @@ def vjp(f, x, w) -> np.ndarray:
     gives the (n, k) block f'(x)^T w, each adjoint a row of k components."""
     w = np.asarray(w, dtype=float)
     return _pullback(*_record_outputs(f, x), w)
+
+
+def jacobian_reverse(f, x) -> np.ndarray:
+    """m-by-n Jacobian from one recording, swept with the seed block I_m."""
+    tape, in_vars, outs = _record_outputs(f, x)
+    return _pullback(tape, in_vars, outs, np.eye(len(outs))).T

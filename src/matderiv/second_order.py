@@ -17,41 +17,30 @@ import numpy as np
 
 from . import core, forward, reverse
 from .core import frob
-from .errors import ContractError
+from .errors import ContractError, ShapeError
 
 HESSIAN_MAX_N = 50
 
 
-def _as_float_vec(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ContractError("expected a 1-D point")
-    return x
-
-
 def hvp(f, x, v) -> np.ndarray:
     """(Hessian of f at x) @ v for a scalar program f over a list of
-    scalar-likes."""
-    x = _as_float_vec(x)
-    v = _as_float_vec(v)
-    if x.shape != v.shape:
-        raise ContractError("hvp: x and v sizes differ")
+    scalar-likes.  A block v of shape (n, k) gives the (n, k) block H v,
+    column j bitwise the product with v[:, j]."""
     return forward.directional_derivative(partial(reverse.gradient_generic, f), x, v)
 
 
 def hessian(f, x, return_defect: bool = False):
-    """Dense Hessian from one forward-over-reverse pass whose tangent block
-    is I_n (column j is H e_j); the returned matrix is explicitly
-    symmetrized and the pre-symmetrization defect ||H - H^T||_F / ||H||_F
-    is available for diagnostics."""
-    x = _as_float_vec(x)
-    n = len(x)
+    """Dense Hessian ``hvp(f, x, I_n)`` from one forward-over-reverse pass
+    (column j is H e_j); the returned matrix is explicitly symmetrized and
+    the pre-symmetrization defect ||H - H^T||_F / ||H||_F is available for
+    diagnostics.  A point of more than HESSIAN_MAX_N entries is refused
+    before it is read."""
+    n = np.size(x)
     if n > HESSIAN_MAX_N:
         raise ContractError(
             f"dense Hessian capped at n = {HESSIAN_MAX_N}; got n = {n}"
         )
-    grad = partial(reverse.gradient_generic, f)
-    cols = forward.directional_derivative(grad, x, np.eye(n))
+    cols = hvp(f, x, np.eye(n))
     norm = frob(cols)
     defect = 0.0 if norm == 0.0 else frob(cols - cols.T) / norm
     h = 0.5 * (cols + cols.T)
@@ -61,16 +50,23 @@ def hessian(f, x, return_defect: bool = False):
 
 
 def _scalar_eval(f, x) -> float:
-    out = f([float(v) for v in x])
-    return float(out)
+    return float(f(x.tolist()))
+
+
+def _direction(d, x: np.ndarray) -> np.ndarray:
+    """d as a float vector of the point's shape, or a ShapeError."""
+    d = np.asarray(d, dtype=float)
+    if d.shape != x.shape:
+        raise ShapeError(f"direction of shape {d.shape} at a point of shape {x.shape}")
+    return d
 
 
 def bilinear_identity_check(f, x, dx1, dx2, h: float = 1e-4) -> float:
     """|second difference - dx1^T H dx2| for the four-corner second
     difference [f(x+h dx1+h dx2) - f(x+h dx1) - f(x+h dx2) + f(x)] / h^2."""
-    x = _as_float_vec(x)
-    dx1 = _as_float_vec(dx1)
-    dx2 = _as_float_vec(dx2)
+    x = core.as_vector(x)
+    dx1 = _direction(dx1, x)
+    dx2 = _direction(dx2, x)
     fx = _scalar_eval(f, x)
     f1 = _scalar_eval(f, x + h * dx1)
     f2 = _scalar_eval(f, x + h * dx2)
@@ -92,12 +88,12 @@ def quadratic_model_check(f, x, directions, scales=(1e-1, 1e-2, 1e-3)):
     f(x) + s g.d + s^2/2 d^T H d along the given directions, divided by
     s^2; bounded remainders mean the model really is second-order
     accurate."""
-    x = _as_float_vec(x)
+    x = core.as_vector(x)
     fx = _scalar_eval(f, x)
     g = reverse.gradient(f, x)
     rows = []
     for i, d in enumerate(directions):
-        d = _as_float_vec(d)
+        d = _direction(d, x)
         lin = float(g @ d)
         quad = 0.5 * float(d @ hvp(f, x, d))
         for s in scales:
@@ -118,7 +114,6 @@ def newton_min_step(f, x) -> NewtonStep:
     """Full Newton step -H^{-1} g plus a curvature classification from the
     Hessian spectrum (eigenvalues within 1e-8 ||H||_F of zero make the
     verdict 'indeterminate')."""
-    x = _as_float_vec(x)
     h = hessian(f, x)
     g = reverse.gradient(f, x)
     step = -core.lu_solve(h, g)
@@ -139,7 +134,6 @@ def grad_of_grad_function(f, g, x) -> np.ndarray:
     """Gradient of h(x) = g(grad f(x)): with z = grad f(x) and
     w = grad g(z), the chain rule gives grad h = H_f(x) w — two reverse
     passes and one forward-over-reverse pass, no Hessian materialized."""
-    x = _as_float_vec(x)
     z = reverse.gradient(f, x)
     w = reverse.gradient(g, z)
     return hvp(f, x, w)

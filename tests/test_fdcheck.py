@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import progen
-from matderiv import fdcheck, reverse
+from matderiv import reverse
 from matderiv.errors import ContractError, DomainError
 from matderiv.fdcheck import (
     best_scale,
@@ -290,7 +290,7 @@ class TestJacobianReverse:
             calls.append(type(xs[0]))
             return [xs[0] * (i + 1) + xs[1] for i in range(m)]
 
-        jac = fdcheck._jacobian_reverse(f, np.array([0.5, -1.0]))
+        jac = reverse.jacobian_reverse(f, np.array([0.5, -1.0]))
         np.testing.assert_array_equal(jac, np.column_stack([np.arange(1.0, m + 1), np.ones(m)]))
         assert len(calls) <= 2 and calls.count(reverse.Var) == 1
 
@@ -303,7 +303,7 @@ class TestJacobianReverse:
             calls.append([type(v) for v in xs])
             return [xs[0] * xs[1], xs[0] - 2.0, xs[1] * xs[1]]
 
-        jac = fdcheck._jacobian_reverse(f, np.array([0.5, -1.0]))
+        jac = reverse.jacobian_reverse(f, np.array([0.5, -1.0]))
         np.testing.assert_array_equal(jac, [[-1.0, 0.5], [1.0, 0.0], [0.0, -2.0]])
         assert calls == [[reverse.Var, reverse.Var]]
 
@@ -311,6 +311,6 @@ class TestJacobianReverse:
         """Row i of the one-recording Jacobian is bitwise vjp(e_i)."""
         for seed in range(30):
             prog = progen.make_vector_program(800 + seed)
-            jac = fdcheck._jacobian_reverse(prog, prog.x0)
+            jac = reverse.jacobian_reverse(prog, prog.x0)
             for i, e in enumerate(np.eye(prog.n_outputs)):
                 np.testing.assert_array_equal(jac[i], reverse.vjp(prog, prog.x0, e))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import progen
 from matderiv import forward
 from matderiv.errors import ContractError, DomainError, ShapeError
-from matderiv.forward import Dual, DualVector, babylonian, derivative, primal
+from matderiv.forward import Dual, babylonian, derivative, primal
 from matderiv.reverse import Tape, Var
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
@@ -254,19 +254,6 @@ class TestBabylonian:
             babylonian(Dual(0.0, 1.0))
 
 
-class TestDualVector:
-    def test_seeds_round_trip(self):
-        dv = DualVector(np.array([1.0, 2.0]), np.array([0.5, -0.5]))
-        seeds = dv.seeds()
-        assert [(s.val, s.deriv) for s in seeds] == [(1.0, 0.5), (2.0, -0.5)]
-
-    def test_shape_contract(self):
-        with pytest.raises(ShapeError):
-            DualVector(np.zeros(3), np.zeros(2))
-        with pytest.raises(ShapeError):
-            DualVector(np.zeros((2, 2)), np.zeros((2, 2)))
-
-
 class TestDirectionalDerivative:
     def test_linear_map(self):
         rng = np.random.default_rng(0)
@@ -280,10 +267,32 @@ class TestDirectionalDerivative:
         np.testing.assert_allclose(forward.directional_derivative(f, x, v),
                                    a @ v, rtol=1e-12, atol=1e-13)
 
+    def test_seeds_round_trip(self):
+        """Input i is seeded as Dual(x[i], v[i])."""
+        seen = []
+
+        def f(xs):
+            seen.extend((s.val, s.deriv) for s in xs)
+            return xs
+
+        forward.directional_derivative(f, np.array([1.0, 2.0]), np.array([0.5, -0.5]))
+        assert seen == [(1.0, 0.5), (2.0, -0.5)]
+
     def test_shape_contract(self):
-        with pytest.raises(ShapeError):
-            forward.directional_derivative(lambda xs: xs, np.zeros(3),
-                                           np.zeros(2))
+        """A direction of another length and a direction block of more
+        than two axes are each a ShapeError."""
+        for x, v in [(np.zeros(3), np.zeros(2)),
+                     (np.zeros(2), np.zeros((2, 2, 1)))]:
+            with pytest.raises(ShapeError):
+                forward.directional_derivative(lambda xs: xs, x, v)
+
+    def test_seed_shape_contract(self):
+        """Seeding checks x against v: a point of length 3 with a
+        direction of length 2, and a 2-D point, are each a ShapeError."""
+        for x, v in [(np.zeros(3), np.zeros(2)),
+                     (np.zeros((2, 2)), np.zeros((2, 2)))]:
+            with pytest.raises(ShapeError):
+                forward.directional_derivative(lambda xs: xs, x, v)
 
 
 class TestJacobianForward:

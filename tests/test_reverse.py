@@ -304,8 +304,11 @@ class TestVjp:
             assert np.linalg.norm(got - ref) <= 1e-10 * (1.0 + np.linalg.norm(ref))
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            vjp(lambda xs: [xs[0]], np.array([1.0]), np.array([1.0, 2.0]))
+        """A weight of another length, a 0-d weight and a weight block of
+        more than two axes are each a ShapeError."""
+        for w in (np.array([1.0, 2.0]), np.float64(2.0), np.ones((1, 1, 1))):
+            with pytest.raises(ShapeError):
+                vjp(lambda xs: [xs[0]], np.array([1.0]), w)
 
     def test_constant_outputs_contribute_nothing(self):
         got = vjp(lambda xs: [xs[0], 3.0], np.array([2.0]),

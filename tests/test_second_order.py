@@ -13,7 +13,7 @@ import pytest
 import progen
 from matderiv import fdcheck, reverse, scalarfn as sf
 from matderiv.core import frob
-from matderiv.errors import ContractError, SingularMatrixError
+from matderiv.errors import ContractError, ShapeError, SingularMatrixError
 from matderiv.second_order import (
     bilinear_identity_check,
     grad_of_grad_function,
@@ -72,10 +72,22 @@ class TestHvp:
         np.testing.assert_allclose(hvp(quad, x, v), 2.0 * a @ v, rtol=1e-12,
                                    atol=1e-13)
 
+    def test_block_columns_equal_single_products(self):
+        """hvp on an (n, k) block is bitwise its k single-direction calls,
+        which is what hessian = hvp(f, x, I_n) relies on."""
+        rng = np.random.default_rng(5)
+        for seed in range(30):
+            prog = progen.make_scalar_program(5000 + seed, need_hessian=True)
+            block = rng.standard_normal((prog.n_inputs, 3))
+            hv = hvp(prog, prog.x0, block)
+            assert hv.shape == block.shape
+            for j in range(3):
+                np.testing.assert_array_equal(hv[:, j], hvp(prog, prog.x0, block[:, j]))
+
     def test_size_contract(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ShapeError):
             hvp(_workhorse, np.zeros(2), np.zeros(3))
-        with pytest.raises(ContractError):
+        with pytest.raises(ShapeError):
             hvp(_workhorse, np.zeros((2, 2)), np.zeros(4))
 
 
