@@ -18,7 +18,7 @@ import numpy as np
 
 from . import forward, reverse
 from .core import as_vector, frob
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, ShapeError
 
 EPS = 2.0**-52
 
@@ -100,7 +100,10 @@ def suggest_step(x) -> float:
 
 
 def gaussian_direction(rng, shape):
-    """Unit-Frobenius-norm Gaussian direction."""
+    """Unit-Frobenius-norm Gaussian direction.  A shape with no entries
+    has no such direction (every draw has norm 0) and is a ShapeError."""
+    if np.prod(shape) == 0:
+        raise ShapeError(f"no unit direction of shape {shape}: it has no entries")
     g = rng.standard_normal(shape)
     norm = frob(g)
     while norm == 0.0:  # pragma: no cover - measure-zero

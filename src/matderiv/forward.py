@@ -30,7 +30,6 @@ from .core import as_vector
 from .errors import ContractError, DivisionByZeroError, DomainError, ShapeError
 
 _NUM = (int, float, np.integer, np.floating)
-_TANGENT = (float, np.ndarray)  # kept as is; any other tangent goes through float()
 
 
 def primal_cmp(op):
@@ -69,7 +68,11 @@ class Dual:
 
     def __init__(self, val, deriv=0.0):
         self.val = float(val)
-        self.deriv = deriv if type(deriv) in _TANGENT else float(deriv)
+        # a float or an array with an axis is kept as is; anything else,
+        # a 0-d array included, goes through float(), so arithmetic on
+        # tangents never yields a numpy scalar
+        t = type(deriv)
+        self.deriv = deriv if t is float or (t is np.ndarray and deriv.ndim) else float(deriv)
 
     def __repr__(self):
         return f"Dual({self.val!r}, {self.deriv!r})"
@@ -82,54 +85,78 @@ class Dual:
             return Dual(float(x), 0.0)
         raise TypeError(f"cannot lift {type(x).__name__} to Dual")
 
-    # arithmetic: NotImplemented for an operand lift rejects, so Python tries
-    # its reflected method (a tape variable records the operation); the
-    # reflected methods here have no such fallback and let lift raise
+    # arithmetic: a Dual or float operand takes a fast path, any other is
+    # lifted first; an operand lift rejects gives NotImplemented, so Python
+    # tries its reflected method (a tape variable records the operation),
+    # while the reflected methods let lift raise.  Every path forms the
+    # lifted form's expressions: a float c enters as (c, 0.0) with its 0.0
+    # tangent kept, since deriv + 0.0 turns a -0.0 tangent into +0.0
     def __add__(self, other):
-        try:
-            o = Dual.lift(other)
-        except TypeError:
-            return NotImplemented
-        return Dual(self.val + o.val, self.deriv + o.deriv)
+        if other.__class__ is not Dual:
+            if other.__class__ is float:
+                return _dual(self.val + other, self.deriv + 0.0)
+            try:
+                other = Dual.lift(other)
+            except TypeError:
+                return NotImplemented
+        return _dual(self.val + other.val, self.deriv + other.deriv)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        try:
-            o = Dual.lift(other)
-        except TypeError:
-            return NotImplemented
-        return Dual(self.val - o.val, self.deriv - o.deriv)
+        if other.__class__ is not Dual:
+            if other.__class__ is float:
+                return _dual(self.val - other, self.deriv - 0.0)
+            try:
+                other = Dual.lift(other)
+            except TypeError:
+                return NotImplemented
+        return _dual(self.val - other.val, self.deriv - other.deriv)
 
     def __rsub__(self, other):
-        o = Dual.lift(other)
-        return Dual(o.val - self.val, o.deriv - self.deriv)
+        if other.__class__ is float:
+            return _dual(other - self.val, 0.0 - self.deriv)
+        return Dual.lift(other).__sub__(self)
 
     def __mul__(self, other):
-        try:
-            o = Dual.lift(other)
-        except TypeError:
-            return NotImplemented
-        return Dual(self.val * o.val, self.deriv * o.val + self.val * o.deriv)
+        if other.__class__ is not Dual:
+            if other.__class__ is float:
+                return _dual(self.val * other, self.deriv * other + self.val * 0.0)
+            try:
+                other = Dual.lift(other)
+            except TypeError:
+                return NotImplemented
+        return _dual(self.val * other.val, self.deriv * other.val + self.val * other.deriv)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        try:
-            o = Dual.lift(other)
-        except TypeError:
-            return NotImplemented
-        check_divisor(o.val)
+        if other.__class__ is not Dual:
+            if other.__class__ is float:
+                check_divisor(other)
+                q = self.val / other
+                return _dual(q, (self.deriv - q * 0.0) / other)
+            try:
+                other = Dual.lift(other)
+            except TypeError:
+                return NotImplemented
+        b = other.val
+        check_divisor(b)
         # w = a/b, w' = (a' - w b')/b: no b*b, which leaves the float range
         # long before the quotient or its derivative does
-        q = self.val / o.val
-        return Dual(q, (self.deriv - q * o.deriv) / o.val)
+        q = self.val / b
+        return _dual(q, (self.deriv - q * other.deriv) / b)
 
     def __rtruediv__(self, other):
+        if other.__class__ is float:
+            b = self.val
+            check_divisor(b)
+            q = other / b
+            return _dual(q, (0.0 - q * self.deriv) / b)
         return Dual.lift(other).__truediv__(self)
 
     def __neg__(self):
-        return Dual(-self.val, -self.deriv)
+        return _dual(-self.val, -self.deriv)
 
     def __pow__(self, k):
         return powi(self, k)
@@ -140,6 +167,19 @@ class Dual:
     __le__ = primal_cmp(operator.le)
     __gt__ = primal_cmp(operator.gt)
     __ge__ = primal_cmp(operator.ge)
+
+
+_new = object.__new__
+
+
+def _dual(val: float, deriv) -> Dual:
+    """A Dual from a float primal and a float or ndarray tangent, without
+    ``__init__``'s conversions: arithmetic on Duals and floats yields no
+    other kinds."""
+    d = _new(Dual)
+    d.val = val
+    d.deriv = deriv
+    return d
 
 
 def check_divisor(p: float) -> None:

@@ -3,7 +3,9 @@
 A :class:`Tape` records every primitive application as one node, stored
 flat in parallel lists: the op kind, two parent indices (-1 where a parent
 is absent), the local partial with respect to each parent (evaluated at the
-recorded primals) and the primal value.  A :class:`Var` is a handle to one
+recorded primals) and the primal value.  A constant operand of ``+ - * /``
+folds into its consumer's node, which then has one parent, so ``const``
+nodes come only from ``Tape.lift``.  A :class:`Var` is a handle to one
 node that also keeps its primal.  Parents always precede children, so one
 append-only forward pass followed by one reverse sweep over the lists with
 ``+=`` accumulation yields all adjoints.  ``Tape.nodes`` is a read-only
@@ -51,7 +53,7 @@ class TapeNode:
 class Var:
     """Handle to one tape node and its primal; arithmetic on handles records
     new nodes.  An operand that is not a variable of the same tape goes
-    through ``Tape.lift``, which rejects what cannot be recorded."""
+    through ``Tape._constant``, which rejects what cannot be recorded."""
 
     __slots__ = ("tape", "index", "val")
 
@@ -63,44 +65,62 @@ class Var:
     def __repr__(self):
         return f"Var(#{self.index}={self.val!r})"
 
-    # arithmetic: every op records exactly one node -----------------------
+    # arithmetic: every op records exactly one node.  A constant operand c
+    # folds into that node, which then has one parent: its partial and
+    # primal are the ones the node would have with c lifted onto the tape,
+    # formed by the same operations, and a constant's adjoint flows nowhere,
+    # so every adjoint is that of the lifted form
     def __add__(self, other):
         tape = self.tape
-        if other.__class__ is not Var or other.tape is not tape:
-            other = tape.lift(other)
-        return tape._push("add", self.index, other.index, 1.0, 1.0, self.val + other.val)
+        if other.__class__ is Var and other.tape is tape:
+            return tape._push("add", self.index, other.index, 1.0, 1.0, self.val + other.val)
+        c = other if other.__class__ is float else tape._constant(other)
+        return tape._push("add", self.index, -1, 1.0, None, self.val + c)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         tape = self.tape
-        if other.__class__ is not Var or other.tape is not tape:
-            other = tape.lift(other)
-        return tape._push("sub", self.index, other.index, 1.0, -1.0, self.val - other.val)
+        if other.__class__ is Var and other.tape is tape:
+            return tape._push("sub", self.index, other.index, 1.0, -1.0, self.val - other.val)
+        c = other if other.__class__ is float else tape._constant(other)
+        return tape._push("sub", self.index, -1, 1.0, None, self.val - c)
 
     def __rsub__(self, other):
-        return self.tape.lift(other).__sub__(self)
+        tape = self.tape
+        c = other if other.__class__ is float else tape._constant(other)
+        return tape._push("sub", self.index, -1, -1.0, None, c - self.val)
 
     def __mul__(self, other):
         tape = self.tape
-        if other.__class__ is not Var or other.tape is not tape:
-            other = tape.lift(other)
-        a, b = self.val, other.val
-        return tape._push("mul", self.index, other.index, b, a, a * b)
+        a = self.val
+        if other.__class__ is Var and other.tape is tape:
+            b = other.val
+            return tape._push("mul", self.index, other.index, b, a, a * b)
+        c = other if other.__class__ is float else tape._constant(other)
+        return tape._push("mul", self.index, -1, c, None, a * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         tape = self.tape
-        if other.__class__ is not Var or other.tape is not tape:
-            other = tape.lift(other)
-        b = other.val
-        fwd.check_divisor(fwd.primal(b))
-        q = self.val / b  # the partials 1/b and -q/b form no b*b (see Dual)
-        return tape._push("div", self.index, other.index, 1.0 / b, -q / b, q)
+        if other.__class__ is Var and other.tape is tape:
+            b = other.val
+            fwd.check_divisor(fwd.primal(b))
+            q = self.val / b  # the partials 1/b and -q/b form no b*b (see Dual)
+            return tape._push("div", self.index, other.index, 1.0 / b, -q / b, q)
+        c = other if other.__class__ is float else tape._constant(other)
+        fwd.check_divisor(fwd.primal(c))
+        q = self.val / c
+        return tape._push("div", self.index, -1, 1.0 / c, None, q)
 
     def __rtruediv__(self, other):
-        return self.tape.lift(other).__truediv__(self)
+        tape = self.tape
+        c = other if other.__class__ is float else tape._constant(other)
+        b = self.val
+        fwd.check_divisor(fwd.primal(b))
+        q = c / b
+        return tape._push("div", self.index, -1, -q / b, None, q)
 
     def __neg__(self):
         return self.tape._push("neg", self.index, -1, -1.0, None, -self.val)
@@ -168,16 +188,23 @@ class Tape:
     def input(self, val) -> Var:
         return self._push("input", -1, -1, None, None, val)
 
+    def _constant(self, x):
+        """x itself if it can fold into a node as a constant: a number or a
+        Dual.  A variable of another tape is a ContractError and anything
+        else a TypeError."""
+        if isinstance(x, _SCALARLIKE):
+            return x
+        if isinstance(x, Var):
+            raise ContractError("cannot combine variables from different tapes")
+        raise TypeError(f"cannot lift {type(x).__name__} onto a tape")
+
     def lift(self, x) -> Var:
         """A Var on this tape: pass-through for own vars, a constant node
-        otherwise.  Vars from another tape are rejected."""
-        if isinstance(x, Var):
-            if x.tape is not self:
-                raise ContractError("cannot combine variables from different tapes")
+        otherwise (arithmetic folds its constants instead; ``powi(x, 0)``
+        records one)."""
+        if x.__class__ is Var and x.tape is self:
             return x
-        if isinstance(x, _SCALARLIKE):
-            return self._push("const", -1, -1, None, None, x)
-        raise TypeError(f"cannot lift {type(x).__name__} onto a tape")
+        return self._push("const", -1, -1, None, None, self._constant(x))
 
     def record(self, kind: str, parents: tuple, partials: tuple, val) -> Var:
         """Append one primitive application.

@@ -51,23 +51,28 @@ def _tree(rng, n_inputs: int, depth: int):
     return (kind, a)
 
 
-def _eval(node, xs):
+def _same(c):
+    return c
+
+
+def _eval(node, xs, const=_same):
+    """The tree's value at xs; each constant c enters as ``const(c)``."""
     kind = node[0]
     if kind == "x":
         return xs[node[1]]
     if kind == "c":
-        return node[1]
+        return const(node[1])
     if kind == "neg":
-        return -_eval(node[1], xs)
+        return -_eval(node[1], xs, const)
     if kind in ("sin", "cos", "exp"):
-        return getattr(sf, kind)(_eval(node[1], xs))
+        return getattr(sf, kind)(_eval(node[1], xs, const))
     if kind in ("log", "sqrt"):
-        u = _eval(node[1], xs)
-        return getattr(sf, kind)(node[2] + u * u)
+        u = _eval(node[1], xs, const)
+        return getattr(sf, kind)(const(node[2]) + u * u)
     if kind == "powi":
-        return sf.powi(_eval(node[1], xs), node[2])
-    a = _eval(node[1], xs)
-    b = _eval(node[2], xs)
+        return sf.powi(_eval(node[1], xs, const), node[2])
+    a = _eval(node[1], xs, const)
+    b = _eval(node[2], xs, const)
     if kind == "add":
         return a + b
     if kind == "sub":
@@ -75,7 +80,7 @@ def _eval(node, xs):
     if kind == "mul":
         return a * b
     if kind == "div":
-        return a / (node[3] + b * b)
+        return a / (const(node[3]) + b * b)
     raise ValueError(f"unknown node kind {kind!r}")
 
 
@@ -102,8 +107,10 @@ class Program:
         self.n_inputs = n_inputs
         self.x0 = np.asarray(x0, dtype=float)
 
-    def __call__(self, xs):
-        return _eval(self.tree, xs)
+    def __call__(self, xs, const=_same):
+        """The program at xs; ``const`` maps each constant before use
+        (``Tape.lift`` records it as its own node)."""
+        return _eval(self.tree, xs, const)
 
 
 class VectorProgram:

@@ -7,7 +7,7 @@ import pytest
 
 import progen
 from matderiv import reverse
-from matderiv.errors import ContractError, DomainError
+from matderiv.errors import ContractError, DomainError, ShapeError
 from matderiv.fdcheck import (
     best_scale,
     central_diff,
@@ -147,6 +147,13 @@ class TestGaussianDirection:
         d2 = gaussian_direction(np.random.default_rng(5), (4,))
         np.testing.assert_array_equal(d1, d2)
 
+    @pytest.mark.parametrize("shape", [0, (0,), (3, 0)])
+    def test_shape_without_entries_rejected(self, shape):
+        """Every draw of such a shape has norm 0, so the redraw loop never
+        ended."""
+        with pytest.raises(ShapeError):
+            gaussian_direction(np.random.default_rng(0), shape)
+
 
 class TestErrorSweep:
     def _setting(self):
@@ -273,6 +280,13 @@ class TestTripleCheck:
                               mode, [1e-5])
         assert not report.passed
         assert all(r.fd_vs_analytic > report.fd_tol for r in report.rows)
+
+    @pytest.mark.parametrize("mode", ["forward", "reverse"])
+    def test_empty_point_rejected(self, mode):
+        """An empty point has no direction to check along; the direction
+        draw looped forever on it."""
+        with pytest.raises(ShapeError):
+            triple_check(lambda xs: [1.0], lambda d: d, mode, [])
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ContractError):

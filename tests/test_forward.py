@@ -135,6 +135,49 @@ class TestDualArithmetic:
         d = -Dual(2.0, 3.0)
         assert (d.val, d.deriv) == (-2.0, -3.0)
 
+    @staticmethod
+    def _lifted(op, x, y):
+        """op on Duals and numbers by its rule, each number lifted to
+        (float(c), 0.0), as (val, deriv)."""
+        a, da = (x.val, x.deriv) if isinstance(x, Dual) else (float(x), 0.0)
+        b, db = (y.val, y.deriv) if isinstance(y, Dual) else (float(y), 0.0)
+        if op is operator.add:
+            return a + b, da + db
+        if op is operator.sub:
+            return a - b, da - db
+        if op is operator.mul:
+            return a * b, da * b + a * db
+        q = a / b
+        return q, (da - q * db) / b
+
+    @staticmethod
+    def _bits(val, deriv):
+        t = deriv.tobytes() if isinstance(deriv, np.ndarray) else deriv.hex()
+        return val.hex(), type(deriv), t
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv])
+    def test_every_operand_kind_is_bitwise_the_lifted_form(self, op):
+        """Dual and float operands take fast paths, every other number is
+        lifted: each gives the lifted form's bits in both orders, a -0.0
+        tangent included (deriv + 0.0 is +0.0)."""
+        duals = [Dual(0.7, -0.0), Dual(-0.7, -0.0), Dual(-0.7, np.array([-0.0, 1.5, 0.0])),
+                 Dual(0.7, np.array([-0.0, -0.0, -2.0]))]
+        others = [Dual(-1.3, -0.0), Dual(1.3, np.array([0.5, -0.0, 0.0])), -1.3, 0.0, -0.0,
+                  3, np.float64(-1.3)]
+        for x in duals:
+            for y in others:
+                for lhs, rhs in ((x, y), (y, x)):
+                    if op is operator.truediv and forward.primal(rhs) == 0.0:
+                        continue
+                    got = op(lhs, rhs)
+                    assert type(got) is Dual
+                    assert self._bits(got.val, got.deriv) == \
+                        self._bits(*self._lifted(op, lhs, rhs)), (lhs, rhs)
+        # a 0-d array tangent is read as a float, so no result holds a
+        # numpy scalar tangent
+        assert type(op(Dual(0.7, np.array(-2.0)), 1.5).deriv) is float
+
     def test_lift_rejects_foreign_types(self):
         with pytest.raises(TypeError):
             Dual.lift("not a number")

@@ -8,7 +8,7 @@ import pytest
 
 import progen
 from matderiv import forward, reverse, scalarfn as sf, second_order
-from matderiv.errors import ContractError, DomainError, ShapeError
+from matderiv.errors import ContractError, DivisionByZeroError, DomainError, ShapeError
 from matderiv.reverse import Tape, gradient, vjp
 
 
@@ -22,11 +22,16 @@ class TestTapeMechanics:
         assert tape.primitive_count == 3
 
     def test_constants_are_lifted_once_per_use(self):
+        """Arithmetic folds a constant into its node; ``Tape.lift`` records
+        one const node per call."""
         tape = Tape()
         x = tape.input(2.0)
-        _ = 3.0 * x  # one const node + one mul node
+        _ = 3.0 * x  # one mul node, the constant folded
+        c = tape.lift(3.0)
+        _ = c * x + c
+        assert tape.lift(c) is c
         kinds = [n.kind for n in tape.nodes]
-        assert kinds == ["input", "const", "mul"]
+        assert kinds == ["input", "mul", "const", "mul", "add"]
 
     def test_cross_tape_mixing_rejected(self):
         t1, t2 = Tape(), Tape()
@@ -184,8 +189,8 @@ class TestFlatTape:
                                                       forward.Dual(-1.3, 0.5))])
     def test_variable_keeps_the_recorded_primal(self, x0, y0):
         tape, vs = _covering_program(x0, y0)
-        _ = 2.0 * vs[-1]  # a const node and a mul node
-        assert len(tape.nodes) == 11
+        _ = 2.0 * vs[-1]  # one mul node, the constant folded
+        assert len(tape.nodes) == 10
         for v in vs:
             assert v.val is tape.nodes[v.index].val
 
@@ -231,6 +236,67 @@ class TestFlatTape:
         got = tape.backward(seeds)
         ref = _reference_backward(tape, seeds)
         assert [_bits(v) for v in got] == [_bits(v) for v in ref]
+
+
+class TestConstantFolding:
+    X0, C = 0.7, -1.3
+
+    @pytest.mark.parametrize("op, kind, partial, val", [
+        (lambda x, c: x + c, "add", 1.0, X0 + C),
+        (lambda x, c: c + x, "add", 1.0, X0 + C),
+        (lambda x, c: x - c, "sub", 1.0, X0 - C),
+        (lambda x, c: c - x, "sub", -1.0, C - X0),
+        (lambda x, c: x * c, "mul", C, X0 * C),
+        (lambda x, c: c * x, "mul", C, X0 * C),
+        (lambda x, c: x / c, "div", 1.0 / C, X0 / C),
+        (lambda x, c: c / x, "div", -(C / X0) / X0, C / X0),
+    ], ids=["x+c", "c+x", "x-c", "c-x", "x*c", "c*x", "x/c", "c/x"])
+    def test_one_node_with_one_parent(self, op, kind, partial, val):
+        tape = Tape()
+        x = tape.input(self.X0)
+        out = op(x, self.C)
+        assert len(tape.nodes) == 2 and out.index == 1
+        assert tape.nodes[1] == reverse.TapeNode(kind, (0,), (partial,), val)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0, 0, np.float64(0.0), forward.Dual(0.0, 1.0)],
+                             ids=["float", "-0.0", "int", "float64", "dual"])
+    def test_zero_constant_divisor(self, zero):
+        tape = Tape()
+        x = tape.input(self.X0)
+        with pytest.raises(DivisionByZeroError):
+            x / zero
+        assert len(tape.nodes) == 1
+
+    @staticmethod
+    def _adjoints(prog, primals, lift):
+        """Input adjoints of prog at primals, its constants folded or
+        passed through ``tape.lift``, and the tape's node kinds."""
+        tape = Tape()
+        xs = [tape.input(v) for v in primals]
+        out = prog(xs, tape.lift) if lift else prog(xs)
+        adj = tape.backward({out.index: 1.0})
+        return [adj[v.index] for v in xs], {n.kind for n in tape.nodes}
+
+    @pytest.mark.parametrize("primal_kind", ["float", "dual", "block dual"])
+    def test_adjoints_equal_the_lifted_program_bitwise(self, primal_kind):
+        with_constants = 0
+        for seed in range(40):
+            prog = progen.make_scalar_program(seed)
+            n = prog.n_inputs
+            x0 = prog.x0.tolist()
+            if primal_kind == "float":
+                primals = x0
+            elif primal_kind == "dual":
+                v = np.random.default_rng(seed).standard_normal(n)
+                primals = [forward.Dual(a, d) for a, d in zip(x0, v.tolist())]
+            else:
+                primals = [forward.Dual(a, e) for a, e in zip(x0, np.eye(n))]
+            folded, folded_kinds = self._adjoints(prog, primals, lift=False)
+            lifted, lifted_kinds = self._adjoints(prog, primals, lift=True)
+            assert [_bits(a) for a in folded] == [_bits(a) for a in lifted], seed
+            assert "const" not in folded_kinds
+            with_constants += "const" in lifted_kinds
+        assert with_constants >= 20  # 25 of these 40 programs read a constant
 
 
 class TestGradient:
