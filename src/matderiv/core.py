@@ -777,21 +777,21 @@ def newton_root(f, x0, tol: float = 1e-12, max_iter: int = 50,
     ``f`` follows the program convention: it takes a sequence of scalar-like
     values and returns its outputs in any form ``forward.as_outputs`` reads
     (one scalar-like or an iterable of them), so the same callable supplies both
-    residuals (on floats) and Jacobians (on dual numbers).  Each update
-    solves J step = f(x) by LU.  Pass a list as ``history`` to capture the
-    iterates (the converged point included).
+    residuals (on floats, through ``forward.evaluate``) and Jacobians (on dual
+    numbers).  Each update solves J step = f(x) by LU.  Pass a list as
+    ``history`` to capture the iterates (the converged point included).
 
     Stops when ||f(x)||_inf <= tol; raises ``ConvergenceError`` carrying the
     last iterate if max_iter is exhausted, and ``SingularMatrixError`` if a
     Jacobian cannot be factored.
     """
-    from .forward import as_outputs, jacobian_forward  # deferred: forward imports core
+    from .forward import evaluate, jacobian_forward  # deferred: forward imports core
 
     x = as_vector(x0).copy()
     for _ in range(max_iter):
         if history is not None:
             history.append(x.copy())
-        fx = np.asarray([float(v) for v in as_outputs(f(x.tolist()))], dtype=float)
+        fx = evaluate(f, x)
         if len(fx) != len(x):
             raise ShapeError("newton_root needs a square system (len f(x) == len x)")
         if np.max(np.abs(fx)) <= tol:

@@ -169,11 +169,6 @@ class TripleCheckReport:
         return "\n".join(lines)
 
 
-def _eval_outputs(program, xs: np.ndarray) -> np.ndarray:
-    return np.array([forward.primal(v) for v in forward.as_outputs(program(xs.tolist()))],
-                    dtype=float)
-
-
 def triple_check(program, analytic_action, ad_mode: str, x, n_directions: int = 5,
                  seed: int = 0) -> TripleCheckReport:
     """Compare, along random unit directions d:
@@ -205,7 +200,7 @@ def triple_check(program, analytic_action, ad_mode: str, x, n_directions: int = 
     report = TripleCheckReport()
     for i, (d, ad) in enumerate(zip(dirs, ads)):
         exact = np.atleast_1d(np.asarray(analytic_action(d), dtype=float))
-        fd = directional_fd(partial(_eval_outputs, program), x, d)
+        fd = directional_fd(partial(forward.evaluate, program), x, d)
         ad_err = relative_error(ad, exact)
         fd_err = relative_error(fd, exact)
         report.rows.append(

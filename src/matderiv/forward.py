@@ -16,7 +16,8 @@ scalar-likes to one scalar-like (a number, or a value with a primal
 ``val``) or to an iterable of them (a list, a tuple, a generator, an
 ndarray), and :func:`as_outputs` is the one reader of its outputs.  The
 drivers read their point through ``core.as_vector``: a point that is not
-1-D is a ShapeError and a non-finite one a ContractError.
+1-D is a ShapeError and a non-finite one a ContractError.  :func:`evaluate`
+is the one float evaluation of a program, under the same contract.
 """
 
 from __future__ import annotations
@@ -77,28 +78,17 @@ class Dual:
     def __repr__(self):
         return f"Dual({self.val!r}, {self.deriv!r})"
 
-    @staticmethod
-    def lift(x) -> "Dual":
-        if isinstance(x, Dual):
-            return x
-        if isinstance(x, _NUM):
-            return Dual(float(x), 0.0)
-        raise TypeError(f"cannot lift {type(x).__name__} to Dual")
-
-    # arithmetic: a Dual or float operand takes a fast path, any other is
-    # lifted first; an operand lift rejects gives NotImplemented, so Python
-    # tries its reflected method (a tape variable records the operation),
-    # while the reflected methods let lift raise.  Every path forms the
-    # lifted form's expressions: a float c enters as (c, 0.0) with its 0.0
-    # tangent kept, since deriv + 0.0 turns a -0.0 tangent into +0.0
+    # arithmetic: a Dual or a float operand takes its own path; any other
+    # number reaches the float path through float(), and anything else gives
+    # NotImplemented, so Python tries the other operand's method (a tape
+    # variable records the operation) or raises TypeError.  The float path
+    # forms the expressions of the Dual (c, 0.0): its 0.0 tangent is kept,
+    # since deriv + 0.0 turns a -0.0 tangent into +0.0
     def __add__(self, other):
         if other.__class__ is not Dual:
             if other.__class__ is float:
                 return _dual(self.val + other, self.deriv + 0.0)
-            try:
-                other = Dual.lift(other)
-            except TypeError:
-                return NotImplemented
+            return self.__add__(float(other)) if isinstance(other, _NUM) else NotImplemented
         return _dual(self.val + other.val, self.deriv + other.deriv)
 
     __radd__ = __add__
@@ -107,25 +97,19 @@ class Dual:
         if other.__class__ is not Dual:
             if other.__class__ is float:
                 return _dual(self.val - other, self.deriv - 0.0)
-            try:
-                other = Dual.lift(other)
-            except TypeError:
-                return NotImplemented
+            return self.__sub__(float(other)) if isinstance(other, _NUM) else NotImplemented
         return _dual(self.val - other.val, self.deriv - other.deriv)
 
     def __rsub__(self, other):
         if other.__class__ is float:
             return _dual(other - self.val, 0.0 - self.deriv)
-        return Dual.lift(other).__sub__(self)
+        return self.__rsub__(float(other)) if isinstance(other, _NUM) else NotImplemented
 
     def __mul__(self, other):
         if other.__class__ is not Dual:
             if other.__class__ is float:
                 return _dual(self.val * other, self.deriv * other + self.val * 0.0)
-            try:
-                other = Dual.lift(other)
-            except TypeError:
-                return NotImplemented
+            return self.__mul__(float(other)) if isinstance(other, _NUM) else NotImplemented
         return _dual(self.val * other.val, self.deriv * other.val + self.val * other.deriv)
 
     __rmul__ = __mul__
@@ -136,10 +120,7 @@ class Dual:
                 check_divisor(other)
                 q = self.val / other
                 return _dual(q, (self.deriv - q * 0.0) / other)
-            try:
-                other = Dual.lift(other)
-            except TypeError:
-                return NotImplemented
+            return self.__truediv__(float(other)) if isinstance(other, _NUM) else NotImplemented
         b = other.val
         check_divisor(b)
         # w = a/b, w' = (a' - w b')/b: no b*b, which leaves the float range
@@ -153,7 +134,7 @@ class Dual:
             check_divisor(b)
             q = other / b
             return _dual(q, (0.0 - q * self.deriv) / b)
-        return Dual.lift(other).__truediv__(self)
+        return self.__rtruediv__(float(other)) if isinstance(other, _NUM) else NotImplemented
 
     def __neg__(self):
         return _dual(-self.val, -self.deriv)
@@ -299,9 +280,14 @@ def stack_rows(rows, shape=()) -> np.ndarray:
 
 
 def derivative(f, x: float) -> float:
-    """f'(x) for a scalar program, exact to roundoff (tangent seeded 1)."""
-    out = f(Dual(float(x), 1.0))
-    return out.deriv if isinstance(out, Dual) else 0.0
+    """f'(x) for a program of one variable and one output, exact to
+    roundoff: the directional derivative of xs -> f(xs[0]) at [x] along
+    [1], so x is read as the point [x].  Any other number of outputs is a
+    ContractError."""
+    d = directional_derivative(lambda xs: f(xs[0]), [x], [1.0])
+    if len(d) != 1:
+        raise ContractError(f"derivative needs a program with one output, got {len(d)}")
+    return float(d[0])
 
 
 def babylonian(x, n_steps: int = 10):
@@ -326,6 +312,13 @@ def as_outputs(out) -> list:
     if isinstance(out, _NUM) or hasattr(out, "val"):
         return [out]
     return list(out)
+
+
+def evaluate(f, x) -> np.ndarray:
+    """A program's outputs at the point x as a float vector: the point is
+    read through ``core.as_vector`` and the outputs through
+    :func:`as_outputs`, as every derivative driver reads them."""
+    return np.array([primal(o) for o in as_outputs(f(as_vector(x).tolist()))], dtype=float)
 
 
 def directional_derivative(f, x, v) -> np.ndarray:

@@ -201,30 +201,12 @@ class Tape:
     def lift(self, x) -> Var:
         """A Var on this tape: pass-through for own vars, a constant node
         otherwise (arithmetic folds its constants instead; ``powi(x, 0)``
-        records one)."""
+        records one).  The drivers read each output variable through it, so
+        one of another tape is a ContractError, not a seed of the wrong
+        node."""
         if x.__class__ is Var and x.tape is self:
             return x
         return self._push("const", -1, -1, None, None, self._constant(x))
-
-    def record(self, kind: str, parents: tuple, partials: tuple, val) -> Var:
-        """Append one primitive application.
-
-        ``parents`` are Vars (at most two), ``partials`` the matching
-        d(node)/d(parent) values at the recorded primals.
-        """
-        idx = []
-        for p in parents:
-            if not isinstance(p, Var) or p.tape is not self:
-                raise ContractError("record: parents must be variables of this tape")
-            idx.append(p.index)
-        if len(idx) > 2:
-            raise ContractError("primitives take at most two parents")
-        partials = tuple(partials)
-        if len(partials) != len(idx):
-            raise ContractError("record: one partial per parent")
-        p0, p1 = (*idx, -1, -1)[:2]
-        d0, d1 = (*partials, None, None)[:2]
-        return self._push(kind, p0, p1, d0, d1, val)
 
     @property
     def primitive_count(self) -> int:
@@ -273,7 +255,7 @@ def gradient_generic(f, xs: list) -> list:
         return [0.0] * len(xs)  # constant program
     if not isinstance(out, Var):
         raise ContractError("gradient needs a scalar-output program")
-    adj = tape.backward({out.index: 1.0})
+    adj = tape.backward({tape.lift(out).index: 1.0})
     return [adj[v.index] for v in in_vars]
 
 
@@ -300,7 +282,8 @@ def _pullback(tape: Tape, in_vars: list, outs: list, w: np.ndarray) -> np.ndarra
     # a weight vector seeds plain floats, keeping the scalar sweep's cost
     for o, wi in zip(outs, w.tolist() if w.ndim == 1 else w):
         if isinstance(o, Var):
-            seeds[o.index] = seeds.get(o.index, 0.0) + wi
+            i = tape.lift(o).index
+            seeds[i] = seeds.get(i, 0.0) + wi
     adj = tape.backward(seeds)
     return fwd.stack_rows([adj[v.index] for v in in_vars], w.shape[1:])
 

@@ -50,7 +50,7 @@ def hessian(f, x, return_defect: bool = False):
 
 
 def _scalar_eval(f, x) -> float:
-    return float(f(x.tolist()))
+    return float(forward.evaluate(f, x)[0])
 
 
 def _direction(d, x: np.ndarray) -> np.ndarray:
@@ -67,12 +67,14 @@ def bilinear_identity_check(f, x, dx1, dx2, h: float = 1e-4) -> float:
     x = core.as_vector(x)
     dx1 = _direction(dx1, x)
     dx2 = _direction(dx2, x)
+    # the AD driver reads f first, so a program that is not scalar-valued
+    # meets its ContractError before a float evaluation reads its outputs
+    exact = float(dx1 @ hvp(f, x, dx2))
     fx = _scalar_eval(f, x)
     f1 = _scalar_eval(f, x + h * dx1)
     f2 = _scalar_eval(f, x + h * dx2)
     f12 = _scalar_eval(f, x + h * dx1 + h * dx2)
     second = (f12 - f1 - f2 + fx) / (h * h)
-    exact = float(dx1 @ hvp(f, x, dx2))
     return abs(second - exact)
 
 
@@ -89,8 +91,8 @@ def quadratic_model_check(f, x, directions, scales=(1e-1, 1e-2, 1e-3)):
     s^2; bounded remainders mean the model really is second-order
     accurate."""
     x = core.as_vector(x)
+    g = reverse.gradient(f, x)  # first, as in bilinear_identity_check
     fx = _scalar_eval(f, x)
-    g = reverse.gradient(f, x)
     rows = []
     for i, d in enumerate(directions):
         d = _direction(d, x)

@@ -3,8 +3,10 @@
 Each driver reads its point through ``core.as_vector``: a point that is not
 1-D is a ShapeError, a non-finite one a ContractError, and a direction (or
 weight vector) of the wrong length a ShapeError, whichever driver is asked.
-Each reads a vector program's outputs through ``forward.as_outputs``, so a
-list, a tuple, a generator and an ndarray of outputs give one Jacobian.
+``forward.evaluate``, the float evaluation, reads it the same way, and
+``forward.derivative`` reads its scalar x as the point [x].  Each reads a
+vector program's outputs through ``forward.as_outputs``, so a list, a
+tuple, a generator and an ndarray of outputs give one Jacobian.
 """
 
 import math
@@ -28,6 +30,7 @@ def _vector(xs):
 # each driver as call(x, v); v is its direction (the weight vector of vjp)
 # and is None for the drivers that take none
 DRIVERS = {
+    "evaluate": lambda x, v: forward.evaluate(_vector, x),
     "directional_derivative": lambda x, v: forward.directional_derivative(_vector, x, v),
     "jacobian_forward": lambda x, v: forward.jacobian_forward(_vector, x),
     "gradient": lambda x, v: reverse.gradient(_scalar, x),
@@ -74,6 +77,23 @@ def test_every_driver_rejects_a_point_with_one_type(driver, case):
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 def test_every_driver_accepts_the_point_as_a_list(driver):
     DRIVERS[driver]([0.5, -1.0], [1.0, 0.0])
+
+
+# derivative's x is the point [x], so one axis more is one too many for it,
+# as one axis fewer is for the drivers above
+SCALAR_INPUTS = {
+    "1-D point": ([0.5, -1.0], ShapeError),
+    "2-D point": ([[0.5]], ShapeError),
+    "nan point": (math.nan, ContractError),
+    "inf point": (-math.inf, ContractError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALAR_INPUTS))
+def test_derivative_rejects_a_point_with_one_type(case):
+    x, error = SCALAR_INPUTS[case]
+    with pytest.raises(error):
+        forward.derivative(lambda t: t * sf.sin(t), x)
 
 
 OUTPUT_FORMS = {

@@ -115,9 +115,13 @@ class TestDualArithmetic:
             assert isinstance(out, Var)
             want = op(d, 2.0) if dual_left else op(2.0, d)
             assert (out.val.val, out.val.deriv) == pytest.approx((want.val, want.deriv))
-            adj = Dual.lift(tape.backward({out.index: 1.0})[x.index])
-            want_adj = Dual.lift(dx(d, 2.0))
-            assert (adj.val, adj.deriv) == pytest.approx((want_adj.val, want_adj.deriv))
+            adj = tape.backward({out.index: 1.0})[x.index]
+            assert self._pair(adj) == pytest.approx(self._pair(dx(d, 2.0)))
+
+    @staticmethod
+    def _pair(x):
+        """(val, deriv) of a Dual, or of the constant (x, 0.0)."""
+        return (x.val, x.deriv) if isinstance(x, Dual) else (float(x), 0.0)
 
     def test_block_tangent(self):
         """An ndarray tangent is kept as a block; each component follows the
@@ -179,8 +183,14 @@ class TestDualArithmetic:
         assert type(op(Dual(0.7, np.array(-2.0)), 1.5).deriv) is float
 
     def test_lift_rejects_foreign_types(self):
+        """An operand that is not a number, a Dual or a tape variable gives
+        NotImplemented in both orders, so Python raises TypeError."""
         with pytest.raises(TypeError):
-            Dual.lift("not a number")
+            Dual(1.0) + "x"
+        with pytest.raises(TypeError):
+            "x" - Dual(1.0)
+        with pytest.raises(TypeError):
+            "x" / Dual(1.0)
 
 
 class TestElementaryFunctions:
@@ -268,6 +278,16 @@ class TestDerivativeDriver:
 
     def test_constant_program(self):
         assert derivative(lambda t: 4.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("form", [list, tuple, np.array])
+    def test_one_output_in_any_form(self, form):
+        """One output is read by ``as_outputs`` in any form: a one-element
+        list, tuple or ndarray gave 0.0, with no error, before."""
+        assert derivative(lambda t: form([t * t]), 3.0) == 6.0
+
+    def test_two_outputs_rejected(self):
+        with pytest.raises(ContractError):
+            derivative(lambda t: [t * t, t], 3.0)
 
 
 class TestBabylonian:

@@ -36,6 +36,12 @@ def _workhorse_hessian(x):
     ])
 
 
+# programs with two outputs, which the second-order checks reject as the AD
+# drivers do, before any float evaluation reads them
+NON_SCALAR = {"list": lambda xs: [xs[0] * xs[1], xs[0]],
+              "ndarray": lambda xs: np.array([xs[0] * xs[1], xs[0]])}
+
+
 def _inv_norm(xs):
     return 1.0 / sf.sqrt(sum(v * v for v in xs))
 
@@ -187,6 +193,12 @@ class TestBilinearIdentity:
         r_fine = bilinear_identity_check(cubic, x, d1, d2, h=1e-3)
         assert 5.0 <= r_coarse / r_fine <= 20.0
 
+    @pytest.mark.parametrize("form", sorted(NON_SCALAR))
+    def test_non_scalar_program_rejected(self, form):
+        """hvp's ContractError, where the float evaluation raised TypeError."""
+        with pytest.raises(ContractError):
+            bilinear_identity_check(NON_SCALAR[form], [1.0, 2.0], [1.0, 0.0], [0.0, 1.0])
+
 
 class TestQuadraticModel:
     def test_quadratic_has_no_remainder(self):
@@ -218,6 +230,13 @@ class TestQuadraticModel:
                                      [np.eye(2)[0], np.eye(2)[1]])
         assert {r.direction_index for r in rows} == {0, 1}
         assert len(rows) == 2 * 3
+
+    @pytest.mark.parametrize("form", sorted(NON_SCALAR))
+    def test_non_scalar_program_rejected(self, form):
+        """gradient's ContractError, where the float evaluation raised
+        TypeError."""
+        with pytest.raises(ContractError):
+            quadratic_model_check(NON_SCALAR[form], [1.0, 2.0], [[1.0, 0.0]])
 
 
 class TestNewtonStep:
