@@ -14,10 +14,12 @@ method, so this module does not import ``reverse``).
 Program convention used by the drivers: a program maps a list of
 scalar-likes to one scalar-like (a number, or a value with a primal
 ``val``) or to an iterable of them (a list, a tuple, a generator, an
-ndarray), and :func:`as_outputs` is the one reader of its outputs.  The
-drivers read their point through ``core.as_vector``: a point that is not
-1-D is a ShapeError and a non-finite one a ContractError.  :func:`evaluate`
-is the one float evaluation of a program, under the same contract.
+ndarray), and :func:`as_outputs` is the one reader of its outputs;
+:func:`scalar_output`, built on it, reads the one output of a scalar
+program for every mode.  The drivers read their point through
+``core.as_vector``: a point that is not 1-D is a ShapeError and a
+non-finite one a ContractError.  :func:`evaluate` is the one float
+evaluation of a program, under the same contract.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import numpy as np
 from .core import as_vector
 from .errors import ContractError, DivisionByZeroError, DomainError, ShapeError
 
-_NUM = (int, float, np.integer, np.floating)
+# the real number types: what folds into Dual and tape arithmetic as a constant
+REAL = (int, float, np.integer, np.floating)
 
 
 def primal_cmp(op):
@@ -38,21 +41,11 @@ def primal_cmp(op):
     NotImplemented for an operand that is not a number, a Dual or of the
     receiver's class, so Python tries the mirrored method or raises."""
     def cmp(self, other):
-        a = self.val
-        if other.__class__ is Dual:
-            b = other.val
-        elif other.__class__ is float:
-            b = other
-        elif isinstance(other, (Dual, type(self))):
-            b = other.val
-        elif isinstance(other, _NUM):
-            b = float(other)
-        else:
+        if isinstance(other, (Dual, type(self))):
+            other = other.val
+        elif not isinstance(other, REAL):
             return NotImplemented
-        # a Dual's primal is always a float; a tape variable's may be a Dual
-        if a.__class__ is float and b.__class__ is float:
-            return op(a, b)
-        return op(primal(a), primal(b))
+        return op(primal(self.val), primal(other))
     return cmp
 
 
@@ -88,7 +81,7 @@ class Dual:
         if other.__class__ is not Dual:
             if other.__class__ is float:
                 return _dual(self.val + other, self.deriv + 0.0)
-            return self.__add__(float(other)) if isinstance(other, _NUM) else NotImplemented
+            return self.__add__(float(other)) if isinstance(other, REAL) else NotImplemented
         return _dual(self.val + other.val, self.deriv + other.deriv)
 
     __radd__ = __add__
@@ -97,19 +90,19 @@ class Dual:
         if other.__class__ is not Dual:
             if other.__class__ is float:
                 return _dual(self.val - other, self.deriv - 0.0)
-            return self.__sub__(float(other)) if isinstance(other, _NUM) else NotImplemented
+            return self.__sub__(float(other)) if isinstance(other, REAL) else NotImplemented
         return _dual(self.val - other.val, self.deriv - other.deriv)
 
     def __rsub__(self, other):
         if other.__class__ is float:
             return _dual(other - self.val, 0.0 - self.deriv)
-        return self.__rsub__(float(other)) if isinstance(other, _NUM) else NotImplemented
+        return self.__rsub__(float(other)) if isinstance(other, REAL) else NotImplemented
 
     def __mul__(self, other):
         if other.__class__ is not Dual:
             if other.__class__ is float:
                 return _dual(self.val * other, self.deriv * other + self.val * 0.0)
-            return self.__mul__(float(other)) if isinstance(other, _NUM) else NotImplemented
+            return self.__mul__(float(other)) if isinstance(other, REAL) else NotImplemented
         return _dual(self.val * other.val, self.deriv * other.val + self.val * other.deriv)
 
     __rmul__ = __mul__
@@ -120,7 +113,7 @@ class Dual:
                 check_divisor(other)
                 q = self.val / other
                 return _dual(q, (self.deriv - q * 0.0) / other)
-            return self.__truediv__(float(other)) if isinstance(other, _NUM) else NotImplemented
+            return self.__truediv__(float(other)) if isinstance(other, REAL) else NotImplemented
         b = other.val
         check_divisor(b)
         # w = a/b, w' = (a' - w b')/b: no b*b, which leaves the float range
@@ -134,7 +127,7 @@ class Dual:
             check_divisor(b)
             q = other / b
             return _dual(q, (0.0 - q * self.deriv) / b)
-        return self.__rtruediv__(float(other)) if isinstance(other, _NUM) else NotImplemented
+        return self.__rtruediv__(float(other)) if isinstance(other, REAL) else NotImplemented
 
     def __neg__(self):
         return _dual(-self.val, -self.deriv)
@@ -183,7 +176,7 @@ def primal(x) -> float:
 # the rule table of the elementary primitives ------------------------------
 
 def _number(x, kind: str) -> float:
-    if isinstance(x, _NUM):
+    if isinstance(x, REAL):
         return float(x)
     raise TypeError(f"{kind} needs a number, a Dual or a tape variable, "
                     f"got {type(x).__name__}")
@@ -280,14 +273,10 @@ def stack_rows(rows, shape=()) -> np.ndarray:
 
 
 def derivative(f, x: float) -> float:
-    """f'(x) for a program of one variable and one output, exact to
-    roundoff: the directional derivative of xs -> f(xs[0]) at [x] along
-    [1], so x is read as the point [x].  Any other number of outputs is a
-    ContractError."""
-    d = directional_derivative(lambda xs: f(xs[0]), [x], [1.0])
-    if len(d) != 1:
-        raise ContractError(f"derivative needs a program with one output, got {len(d)}")
-    return float(d[0])
+    """f'(x) for a scalar program of one variable, exact to roundoff: the
+    directional derivative of xs -> f(xs[0]) at [x] along [1], so x is read
+    as the point [x], and the output through :func:`scalar_output`."""
+    return float(directional_derivative(lambda xs: scalar_output(f(xs[0])), [x], [1.0])[0])
 
 
 def babylonian(x, n_steps: int = 10):
@@ -309,9 +298,19 @@ def babylonian(x, n_steps: int = 10):
 def as_outputs(out) -> list:
     """A program's outputs as a list: a scalar-like (a number, or a value
     with a primal ``val``) is one output; anything else is iterated."""
-    if isinstance(out, _NUM) or hasattr(out, "val"):
+    if isinstance(out, REAL) or hasattr(out, "val"):
         return [out]
     return list(out)
+
+
+def scalar_output(out):
+    """The one output of a scalar program, read through :func:`as_outputs`,
+    so a one-element list, tuple, ndarray or generator is its element; any
+    other number of outputs is a ContractError."""
+    outs = as_outputs(out)
+    if len(outs) != 1:
+        raise ContractError(f"a scalar program has one output, got {len(outs)}")
+    return outs[0]
 
 
 def evaluate(f, x) -> np.ndarray:

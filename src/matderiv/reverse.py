@@ -36,8 +36,6 @@ from .core import as_vector
 from .errors import ContractError, ShapeError
 from .forward import Dual
 
-_SCALARLIKE = (int, float, np.integer, np.floating, Dual)
-
 
 @dataclass(frozen=True)
 class TapeNode:
@@ -52,8 +50,8 @@ class TapeNode:
 
 class Var:
     """Handle to one tape node and its primal; arithmetic on handles records
-    new nodes.  An operand that is not a variable of the same tape goes
-    through ``Tape._constant``, which rejects what cannot be recorded."""
+    new nodes.  Any other operand goes through ``_folds``; one that does not
+    fold gives NotImplemented, so an ndarray broadcasts as on floats."""
 
     __slots__ = ("tape", "index", "val")
 
@@ -74,8 +72,9 @@ class Var:
         tape = self.tape
         if other.__class__ is Var and other.tape is tape:
             return tape._push("add", self.index, other.index, 1.0, 1.0, self.val + other.val)
-        c = other if other.__class__ is float else tape._constant(other)
-        return tape._push("add", self.index, -1, 1.0, None, self.val + c)
+        if other.__class__ is float or _folds(other):
+            return tape._push("add", self.index, -1, 1.0, None, self.val + other)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -83,13 +82,14 @@ class Var:
         tape = self.tape
         if other.__class__ is Var and other.tape is tape:
             return tape._push("sub", self.index, other.index, 1.0, -1.0, self.val - other.val)
-        c = other if other.__class__ is float else tape._constant(other)
-        return tape._push("sub", self.index, -1, 1.0, None, self.val - c)
+        if other.__class__ is float or _folds(other):
+            return tape._push("sub", self.index, -1, 1.0, None, self.val - other)
+        return NotImplemented
 
     def __rsub__(self, other):
-        tape = self.tape
-        c = other if other.__class__ is float else tape._constant(other)
-        return tape._push("sub", self.index, -1, -1.0, None, c - self.val)
+        if other.__class__ is float or _folds(other):
+            return self.tape._push("sub", self.index, -1, -1.0, None, other - self.val)
+        return NotImplemented
 
     def __mul__(self, other):
         tape = self.tape
@@ -97,8 +97,9 @@ class Var:
         if other.__class__ is Var and other.tape is tape:
             b = other.val
             return tape._push("mul", self.index, other.index, b, a, a * b)
-        c = other if other.__class__ is float else tape._constant(other)
-        return tape._push("mul", self.index, -1, c, None, a * c)
+        if other.__class__ is float or _folds(other):
+            return tape._push("mul", self.index, -1, other, None, a * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -109,18 +110,19 @@ class Var:
             fwd.check_divisor(fwd.primal(b))
             q = self.val / b  # the partials 1/b and -q/b form no b*b (see Dual)
             return tape._push("div", self.index, other.index, 1.0 / b, -q / b, q)
-        c = other if other.__class__ is float else tape._constant(other)
-        fwd.check_divisor(fwd.primal(c))
-        q = self.val / c
-        return tape._push("div", self.index, -1, 1.0 / c, None, q)
+        if other.__class__ is float or _folds(other):
+            fwd.check_divisor(fwd.primal(other))
+            q = self.val / other
+            return tape._push("div", self.index, -1, 1.0 / other, None, q)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        tape = self.tape
-        c = other if other.__class__ is float else tape._constant(other)
-        b = self.val
-        fwd.check_divisor(fwd.primal(b))
-        q = c / b
-        return tape._push("div", self.index, -1, -q / b, None, q)
+        if other.__class__ is float or _folds(other):
+            b = self.val
+            fwd.check_divisor(fwd.primal(b))
+            q = other / b
+            return self.tape._push("div", self.index, -1, -q / b, None, q)
+        return NotImplemented
 
     def __neg__(self):
         return self.tape._push("neg", self.index, -1, -1.0, None, -self.val)
@@ -138,6 +140,16 @@ class Var:
     __le__ = fwd.primal_cmp(operator.le)
     __gt__ = fwd.primal_cmp(operator.gt)
     __ge__ = fwd.primal_cmp(operator.ge)
+
+
+def _folds(x) -> bool:
+    """Whether x folds into a node as a constant: a number or a Dual.  A
+    variable (of another tape, where it reaches here) is a ContractError."""
+    if x.__class__ is Dual or isinstance(x, fwd.REAL):
+        return True
+    if isinstance(x, Var):
+        raise ContractError("cannot combine variables from different tapes")
+    return False
 
 
 class _NodeView(Sequence):
@@ -188,25 +200,17 @@ class Tape:
     def input(self, val) -> Var:
         return self._push("input", -1, -1, None, None, val)
 
-    def _constant(self, x):
-        """x itself if it can fold into a node as a constant: a number or a
-        Dual.  A variable of another tape is a ContractError and anything
-        else a TypeError."""
-        if isinstance(x, _SCALARLIKE):
-            return x
-        if isinstance(x, Var):
-            raise ContractError("cannot combine variables from different tapes")
-        raise TypeError(f"cannot lift {type(x).__name__} onto a tape")
-
     def lift(self, x) -> Var:
         """A Var on this tape: pass-through for own vars, a constant node
         otherwise (arithmetic folds its constants instead; ``powi(x, 0)``
-        records one).  The drivers read each output variable through it, so
-        one of another tape is a ContractError, not a seed of the wrong
-        node."""
+        and the constant output of ``gradient_generic`` record one).  The
+        drivers read each output variable through it, so one of another
+        tape is a ContractError, not a seed of the wrong node."""
         if x.__class__ is Var and x.tape is self:
             return x
-        return self._push("const", -1, -1, None, None, self._constant(x))
+        if not _folds(x):
+            raise TypeError(f"cannot lift {type(x).__name__} onto a tape")
+        return self._push("const", -1, -1, None, None, x)
 
     @property
     def primitive_count(self) -> int:
@@ -245,25 +249,20 @@ def gradient_generic(f, xs: list) -> list:
     """Gradient of a scalar program at scalar-like inputs.
 
     Returns one adjoint per input, in order; adjoints are Duals when the
-    inputs were (that is what forward-over-reverse consumes).  The output
-    adjoint is seeded with 1; unused inputs get adjoint 0.
+    inputs were (that is what forward-over-reverse consumes).  The output,
+    read by ``forward.scalar_output`` and ``Tape.lift``, is seeded with 1;
+    unused inputs get adjoint 0, as every input of a constant program does.
     """
     tape = Tape()
     in_vars = [tape.input(v) for v in xs]
-    out = f(in_vars)
-    if isinstance(out, _SCALARLIKE):
-        return [0.0] * len(xs)  # constant program
-    if not isinstance(out, Var):
-        raise ContractError("gradient needs a scalar-output program")
-    adj = tape.backward({tape.lift(out).index: 1.0})
+    adj = tape.backward({tape.lift(fwd.scalar_output(f(in_vars))).index: 1.0})
     return [adj[v.index] for v in in_vars]
 
 
 def gradient(f, x) -> np.ndarray:
     """grad f as a plain vector, for float inputs."""
     gs = gradient_generic(f, as_vector(x).tolist())
-    return np.asarray([fwd.primal(g) if isinstance(g, Dual) else g for g in gs],
-                      dtype=float)
+    return np.asarray([fwd.primal(g) for g in gs], dtype=float)
 
 
 def _record_outputs(f, x):

@@ -102,11 +102,9 @@ def d_charpoly(a, x: float) -> float:
     """
     a = as_square(a)
     n = a.shape[0]
-    try:  # jacobi_eigen is the symmetry test: it rejects an asymmetric a
-        near = frob(a) > 0 and np.min(np.abs(core.jacobi_eigen(a).lam - x)) <= 1e-10
-    except ContractError:
-        near = False
-    if near:
+    norm = frob(a)
+    if (norm > 0 and core.is_symmetric(a, norm)
+            and np.min(np.abs(core.jacobi_eigen(a).lam - x)) <= 1e-10):
         raise SingularMatrixError(f"x={x} is within 1e-10 of an eigenvalue")
     inv, sign, piv = core.lu_solve_pivots(x * np.eye(n) - a, np.eye(n))
     return float(core.det_times(sign, piv, np.trace(inv)))

@@ -50,7 +50,7 @@ def hessian(f, x, return_defect: bool = False):
 
 
 def _scalar_eval(f, x) -> float:
-    return float(forward.evaluate(f, x)[0])
+    return float(forward.scalar_output(forward.evaluate(f, x)))
 
 
 def _direction(d, x: np.ndarray) -> np.ndarray:
@@ -67,8 +67,8 @@ def bilinear_identity_check(f, x, dx1, dx2, h: float = 1e-4) -> float:
     x = core.as_vector(x)
     dx1 = _direction(dx1, x)
     dx2 = _direction(dx2, x)
-    # the AD driver reads f first, so a program that is not scalar-valued
-    # meets its ContractError before a float evaluation reads its outputs
+    # the AD driver reads f at x first, so a zero divisor there is its
+    # DivisionByZeroError (a DomainError), not float division's error
     exact = float(dx1 @ hvp(f, x, dx2))
     fx = _scalar_eval(f, x)
     f1 = _scalar_eval(f, x + h * dx1)

@@ -6,9 +6,14 @@ weight vector) of the wrong length a ShapeError, whichever driver is asked.
 ``forward.evaluate``, the float evaluation, reads it the same way, and
 ``forward.derivative`` reads its scalar x as the point [x].  Each reads a
 vector program's outputs through ``forward.as_outputs``, so a list, a
-tuple, a generator and an ndarray of outputs give one Jacobian.
+tuple, a generator and an ndarray of outputs give one Jacobian, and every
+scalar driver reads a scalar program's output through
+``forward.scalar_output``, so a bare scalar and a one-element list, tuple,
+ndarray or generator give one result, and any other number of outputs is
+one ContractError.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +21,7 @@ import pytest
 
 from matderiv import fdcheck, forward, reverse, second_order
 from matderiv import scalarfn as sf
-from matderiv.errors import ContractError, ShapeError
+from matderiv.errors import ContractError, ShapeError, SingularMatrixError
 
 
 def _scalar(xs):
@@ -117,3 +122,77 @@ def test_every_output_form_gives_one_jacobian(form):
         report = fdcheck.triple_check(prog, lambda d: 2.0 * d, mode, x)
         assert report.passed, report.summary()
         assert max(r.ad_vs_analytic for r in report.rows) == 0.0
+
+
+# every driver of a scalar program as call(prog) at one point; prog maps a
+# list of scalar-likes to an output in one of SCALAR_FORMS (derivative's
+# program is prog([t]) of its one variable t)
+SCALAR_DRIVERS = {
+    "derivative": lambda prog: forward.derivative(lambda t: prog([t]), 0.5),
+    "gradient": lambda prog: reverse.gradient(prog, [0.5, -1.0]),
+    "hvp": lambda prog: second_order.hvp(prog, [0.5, -1.0], [1.0, 2.0]),
+    "hessian": lambda prog: second_order.hessian(prog, [0.5, -1.0]),
+    "newton_min_step": lambda prog: second_order.newton_min_step(prog, [0.5, -1.0]),
+    "grad_of_grad_function":
+        lambda prog: second_order.grad_of_grad_function(prog, prog, [0.5, -1.0]),
+    "bilinear_identity_check": lambda prog: second_order.bilinear_identity_check(
+        prog, [0.5, -1.0], [1.0, 0.0], [0.0, 1.0]),
+    "quadratic_model_check":
+        lambda prog: second_order.quadratic_model_check(prog, [0.5, -1.0], [[0.6, 0.8]]),
+}
+SCALAR_FORMS = {
+    "scalar": lambda outs: outs[0],
+    "list": list,
+    "tuple": tuple,
+    "ndarray": np.array,
+    "generator": lambda outs: (o for o in outs),
+}
+# the outputs of each program as a list: one varying output, a constant one,
+# and two or no outputs
+SCALAR_BODIES = {
+    "varying": lambda xs: [xs[0] * xs[-1] + sf.sin(xs[0])],
+    "constant": lambda xs: [2.5],
+    "two outputs": lambda xs: [xs[0] * xs[-1], xs[0]],
+    "no outputs": lambda xs: [],
+}
+
+# the one cell whose scalar form raises: a constant has a zero Hessian
+SCALAR_ERRORS = {("newton_min_step", "constant"): SingularMatrixError}
+
+
+def _bits(out):
+    """A driver's result as bytes, field by field for a dataclass or a list
+    of them, so two results compare bitwise."""
+    if isinstance(out, list):
+        return [_bits(o) for o in out]
+    if dataclasses.is_dataclass(out):
+        return [_bits(v) for v in vars(out).values()]
+    return np.asarray(out).tobytes()
+
+
+@pytest.mark.parametrize("form", sorted(SCALAR_FORMS))
+@pytest.mark.parametrize("body", ["varying", "constant"])
+@pytest.mark.parametrize("driver", sorted(SCALAR_DRIVERS))
+def test_every_one_output_form_gives_the_scalar_result(driver, body, form):
+    """A one-element list, tuple, ndarray or generator is its element.  The
+    list and ndarray forms were a ContractError in the gradient family (the
+    gradient, both Hessian routes, the Newton step, the gradient of a
+    gradient function and the two checks), which read a tape variable only,
+    while forward mode read every form."""
+    run, outputs = SCALAR_DRIVERS[driver], SCALAR_BODIES[body]
+    prog = lambda xs: SCALAR_FORMS[form](outputs(xs))
+    error = SCALAR_ERRORS.get((driver, body))
+    if error is not None:
+        with pytest.raises(error):
+            run(prog)
+    else:
+        assert _bits(run(prog)) == _bits(run(lambda xs: outputs(xs)[0]))
+
+
+@pytest.mark.parametrize("form", [f for f in SCALAR_FORMS if f != "scalar"])
+@pytest.mark.parametrize("body", ["two outputs", "no outputs"])
+@pytest.mark.parametrize("driver", sorted(SCALAR_DRIVERS))
+def test_any_other_output_count_is_one_contract_error(driver, body, form):
+    outputs = SCALAR_BODIES[body]
+    with pytest.raises(ContractError, match="a scalar program has one output"):
+        SCALAR_DRIVERS[driver](lambda xs: SCALAR_FORMS[form](outputs(xs)))

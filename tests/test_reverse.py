@@ -481,6 +481,28 @@ class TestModesAgree:
             raised[kind] = type(info.value)
         assert len(set(raised.values())) == 1, raised
 
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv])
+    def test_array_operand_broadcasts_in_every_kind(self, op):
+        """An ndarray operand broadcasts in both orders, each entry the
+        float result: a tape variable returns NotImplemented for it, as a
+        Dual does, where it raised "cannot lift ndarray onto a tape" with
+        the variable on the left."""
+        arr = np.array([1.0, 2.0])
+        for kind, x in self._kinds(2.0).items():
+            for out, want in ((op(x, arr), op(2.0, arr)), (op(arr, x), op(arr, 2.0))):
+                assert out.shape == (2,), kind
+                assert [forward.primal(o) for o in out] == want.tolist(), kind
+        with pytest.raises(TypeError, match="cannot lift ndarray"):
+            Tape().lift(arr)
+
+    def test_array_constant_gives_one_jacobian_in_every_mode(self):
+        prog = lambda xs: xs[0] * np.array([1.0, 2.0])
+        want = np.array([[1.0], [2.0]])
+        np.testing.assert_array_equal(forward.jacobian_forward(prog, [3.0]), want)
+        np.testing.assert_array_equal(reverse.jacobian_reverse(prog, [3.0]), want)
+        np.testing.assert_array_equal(forward.evaluate(prog, [3.0]), [3.0, 6.0])
+
     def test_sqrt_at_zero_has_no_derivative(self):
         kinds = self._kinds(0.0)
         assert sf.sqrt(kinds.pop("float")) == 0.0

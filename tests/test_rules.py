@@ -116,6 +116,21 @@ class TestDCharpoly:
         with pytest.raises(SingularMatrixError):
             rules.d_charpoly(s, 2.0)
 
+    def test_eigensolver_invariant_error_propagates(self, monkeypatch):
+        """Symmetry is read from ``core.is_symmetric``, so an invariant
+        violation inside ``jacobi_eigen`` is raised; it was taken for an
+        asymmetric input, and the proximity guard skipped, when the
+        eigensolver's ContractError was the symmetry test."""
+        def violated(x, tol, what):
+            raise ContractError(f"jacobi_eigen: {what} invariant violated")
+
+        monkeypatch.setattr(core, "_require_within", violated)
+        with pytest.raises(ContractError, match="invariant violated"):
+            rules.d_charpoly(np.diag([1.0, 2.0, 3.0]), 5.0)
+        # an asymmetric input never reaches the eigensolver
+        a = np.array([[1.0, 2.0], [0.0, 3.0]])
+        assert rules.d_charpoly(a, 5.0) == pytest.approx(2 * 5.0 - 4.0, rel=1e-14)
+
 
 class TestSecondDet:
     def test_symmetric_in_arguments(self):

@@ -13,7 +13,7 @@ import pytest
 import progen
 from matderiv import fdcheck, reverse, scalarfn as sf
 from matderiv.core import frob
-from matderiv.errors import ContractError, ShapeError, SingularMatrixError
+from matderiv.errors import ContractError, DivisionByZeroError, ShapeError, SingularMatrixError
 from matderiv.second_order import (
     bilinear_identity_check,
     grad_of_grad_function,
@@ -195,9 +195,20 @@ class TestBilinearIdentity:
 
     @pytest.mark.parametrize("form", sorted(NON_SCALAR))
     def test_non_scalar_program_rejected(self, form):
-        """hvp's ContractError, where the float evaluation raised TypeError."""
+        """``forward.scalar_output``'s ContractError, whichever of the float
+        evaluation and hvp reads the program first."""
         with pytest.raises(ContractError):
             bilinear_identity_check(NON_SCALAR[form], [1.0, 2.0], [1.0, 0.0], [0.0, 1.0])
+
+
+    def test_zero_divisor_is_the_ad_error(self):
+        """The AD driver reads f at x before any float evaluation, so a zero
+        divisor there is a DivisionByZeroError, as in every AD mode, and
+        not float division's ZeroDivisionError."""
+        with pytest.raises(DivisionByZeroError):
+            bilinear_identity_check(lambda xs: 1.0 / xs[0], [0.0], [1.0], [1.0])
+        with pytest.raises(DivisionByZeroError):
+            quadratic_model_check(lambda xs: 1.0 / xs[0], [0.0], [[1.0]])
 
 
 class TestQuadraticModel:
@@ -233,8 +244,8 @@ class TestQuadraticModel:
 
     @pytest.mark.parametrize("form", sorted(NON_SCALAR))
     def test_non_scalar_program_rejected(self, form):
-        """gradient's ContractError, where the float evaluation raised
-        TypeError."""
+        """``forward.scalar_output``'s ContractError, whichever of the float
+        evaluation and gradient reads the program first."""
         with pytest.raises(ContractError):
             quadratic_model_check(NON_SCALAR[form], [1.0, 2.0], [[1.0, 0.0]])
 
