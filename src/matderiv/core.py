@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import counting
-from .errors import ( # noqa: F401  (re-exported for convenience)
+from .errors import (
     ContractError,
     ConvergenceError,
     DegenerateEigenvaluesError,
@@ -180,7 +180,7 @@ def matmul(a, b) -> np.ndarray:
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ ({a.shape} @ {b.shape})")
-    counting.add_flops(2 * a.shape[0] * a.shape[1] * b.shape[1])
+    counting.add(flops=2 * a.shape[0] * a.shape[1] * b.shape[1])
     return a @ b
 
 
@@ -189,7 +189,7 @@ def matvec(a, x) -> np.ndarray:
     x = as_vector(x)
     if a.shape[1] != x.shape[0]:
         raise ShapeError(f"matvec: inner dimensions differ ({a.shape} @ {x.shape})")
-    counting.add_flops(2 * a.shape[0] * a.shape[1])
+    counting.add(flops=2 * a.shape[0] * a.shape[1])
     return a @ x
 
 
@@ -198,7 +198,7 @@ def dot(x, y) -> float:
     y = as_vector(y)
     if x.shape != y.shape:
         raise ShapeError("dot: length mismatch")
-    counting.add_flops(2 * len(x))
+    counting.add(flops=2 * len(x))
     return float(x @ y)
 
 
@@ -335,7 +335,7 @@ def lu_factor(a) -> tuple[np.ndarray, np.ndarray, float]:
             f"matrix singular to tolerance at elimination step {k}",
             pivot_index=k,
         )
-    counting.add_flops(_lu_factor_flops(a.shape[0]))
+    counting.add(flops=_lu_factor_flops(a.shape[0]))
     return lu, perm, sign
 
 
@@ -376,7 +376,7 @@ def lu_solve_factored(lu: np.ndarray, perm: np.ndarray, b) -> np.ndarray:
         for k in range(n - 1, -1, -1):  # backward
             x[k] /= lu[k, k]
             x[:k] -= lu[:k, k, None] * x[k]
-    counting.add_flops(2 * n * n * b.shape[1])
+    counting.add(flops=2 * n * n * b.shape[1])
     return x[:, 0] if vector_rhs else x
 
 
@@ -400,7 +400,7 @@ def lu_solve_pivots(a, b) -> tuple[np.ndarray, float, np.ndarray]:
     gives A^-1 b and, through ``det_times``, det(A)."""
     lu, perm, sign = lu_factor(a)
     x = lu_solve_factored(lu, perm, b)
-    counting.add_solve(1)
+    counting.add(solves=1)
     return x, sign, lu.diagonal()
 
 
@@ -514,8 +514,7 @@ def thomas_solve(t: TridiagSym, b) -> np.ndarray:
     xp = xv[n - 1] = rp / dp
     for i in range(n - 2, -1, -1):
         xp = xv[i] = (xv[i] - e[i] * xp) / d[i]
-    counting.add_flops(8 * n - 7)
-    counting.add_solve(1)
+    counting.add(flops=8 * n - 7, solves=1)
     return x
 
 

@@ -3,9 +3,9 @@
 Cost-model checks (linear tridiagonal solves, quadratic Sherman-Morrison,
 Kronecker materialization vs. direct evaluation, solve/integration budgets)
 are asserted against *nominal* counts: each instrumented routine reports the
-textbook operation count for its input size.  Counters are kept on a
-thread-local stack so nested tallies each see their own slice; when no tally
-is active the hooks are no-ops.
+textbook operation count for its input size through the one hook ``add``.
+Tallies are process-wide: every open tally, nested or not, counts every
+``add`` call; when no tally is open the hook does nothing.
 
 Usage::
 
@@ -16,7 +16,6 @@ Usage::
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -29,43 +28,25 @@ class Counter:
     integrations: int = 0       # full ODE integration passes
 
 
-_local = threading.local()
-
-
-def _stack() -> list[Counter]:
-    if not hasattr(_local, "stack"):
-        _local.stack = []
-    return _local.stack
+_open: list[Counter] = []
 
 
 @contextmanager
 def tally():
     c = Counter()
-    stack = _stack()
-    stack.append(c)
+    _open.append(c)
     try:
         yield c
     finally:
         # by identity: Counters compare by value, so list.remove could pop
         # an equal (e.g. still empty) outer tally instead
-        del stack[next(i for i, x in enumerate(stack) if x is c)]
+        del _open[next(i for i, x in enumerate(_open) if x is c)]
 
 
-def add_flops(n: int) -> None:
-    for c in _stack():
-        c.flops += n
-
-
-def add_solve(n: int = 1) -> None:
-    for c in _stack():
-        c.solves += n
-
-
-def add_rhs_components(n: int) -> None:
-    for c in _stack():
-        c.rhs_components += n
-
-
-def add_integration(n: int = 1) -> None:
-    for c in _stack():
-        c.integrations += n
+def add(*, flops=0, solves=0, rhs_components=0, integrations=0) -> None:
+    """Add the given counts to every open tally."""
+    for c in _open:
+        c.flops += flops
+        c.solves += solves
+        c.rhs_components += rhs_components
+        c.integrations += integrations

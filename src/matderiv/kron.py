@@ -46,7 +46,7 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def kron(a, b) -> np.ndarray:
     a = as_matrix(a)
     b = as_matrix(b)
-    counting.add_flops(a.size * b.size)
+    counting.add(flops=a.size * b.size)
     return _kron(a, b)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import core, counting
+from . import core, counting, fdcheck
 from .core import TridiagSym, as_square, as_vector
 from .errors import ShapeError
 
@@ -64,7 +64,7 @@ def solve_state(prob: TridiagProblem) -> np.ndarray:
 def g_eval(prob: TridiagProblem) -> float:
     x = solve_state(prob)
     s = core.dot(prob.c, x)
-    counting.add_flops(1)
+    counting.add(flops=1)
     return s * s
 
 
@@ -75,10 +75,10 @@ def grad_g(prob: TridiagProblem) -> np.ndarray:
     x = core.thomas_solve(t, prob.b)
     s = core.dot(prob.c, x)
     rhs = (-2.0 * s) * prob.c
-    counting.add_flops(prob.n + 1)
+    counting.add(flops=prob.n + 1)
     v = core.thomas_solve(t, rhs)
     grad = v[:-1] * x[1:] + v[1:] * x[:-1]
-    counting.add_flops(3 * (prob.n - 1))
+    counting.add(flops=3 * (prob.n - 1))
     return grad
 
 
@@ -95,7 +95,7 @@ def fd_directional(prob: TridiagProblem, dp) -> float:
     dp = as_vector(dp)
     if len(dp) != prob.n - 1:
         raise ShapeError("dp must match the parameter count")
-    return g_eval(prob.with_p(prob.p + dp)) - g_eval(prob)
+    return fdcheck.forward_diff(lambda p: g_eval(prob.with_p(p)), prob.p, dp)
 
 
 def dense_linear_adjoint(a, da_list, b, grad_f) -> np.ndarray:

@@ -194,8 +194,8 @@ def _rk4(rhs, y, times, dt: float, what: str, width: int, backward: bool = False
     overhead; on much longer states an array stepper would be faster again.
 
     ``width`` is the rhs component count of one rhs call.  The stepper counts
-    4 * width for every step it began, the one that blows up included, in
-    one ``counting`` call when it stops, so the rhs itself counts nothing.
+    4 * width for every step it began (the one that blows up included) and
+    the integration if it completed, in one ``counting`` call when it stops.
     """
     m = len(times) - 1
     nodes, h = (range(m, -1, -1), -float(dt)) if backward else (range(m + 1), float(dt))
@@ -223,7 +223,7 @@ def _rk4(rhs, y, times, dt: float, what: str, width: int, backward: bool = False
 
     y = add_kick(y.tolist(), nodes[0])
     ys[nodes[0]] = y
-    steps = 0
+    steps = integrations = 0
     try:
         for steps, (a, b) in enumerate(zip(nodes, nodes[1:]), 1):
             ta = times[a]
@@ -238,9 +238,9 @@ def _rk4(rhs, y, times, dt: float, what: str, width: int, backward: bool = False
             y = add_kick(y, b)
             k1s[a] = k1
             ys[b] = y
+        integrations = 1
     finally:
-        counting.add_rhs_components(4 * width * steps)
-    counting.add_integration(1)
+        counting.add(rhs_components=4 * width * steps, integrations=integrations)
     return ys, k1s
 
 
@@ -255,23 +255,32 @@ def _state_slope(prob: OdeProblem, n: int):
     return f
 
 
+def _initial_state(prob: OdeProblem) -> np.ndarray:
+    """u0(p) as a vector; a shape other than (n,) is a ShapeError naming u0."""
+    u = np.asarray(prob.u0(prob.p), dtype=float)
+    if u.ndim != 1:
+        raise _shape_error("u0", "(n,)", u.shape)
+    return as_vector(u)
+
+
 def integrate_rk4(prob: OdeProblem, n_steps: int) -> Trajectory:
     """Classical 4-stage Runge-Kutta on a uniform grid."""
     times, dt = _grid(prob, n_steps)
-    u = as_vector(prob.u0(prob.p))
+    u = _initial_state(prob)
     n = len(u)
     f = _state_slope(prob, n)
     states, slopes = _rk4(f, u, times, dt, "state", n)
-    counting.add_rhs_components(n)
+    counting.add(rhs_components=n)
     slopes[n_steps] = f(states[n_steps].tolist(), times[n_steps])
     return Trajectory(times, states, slopes)
 
 
 def integrate_euler(prob: OdeProblem, n_steps: int) -> Trajectory:
     """Explicit Euler on the same grid (the order-1 yardstick), stepping
-    Python floats through the same checked slope as ``integrate_rk4``."""
+    Python floats through the same checked slope as ``integrate_rk4``.  Like
+    ``_rk4`` it counts once when it stops: n per slope begun."""
     times, dt = _grid(prob, n_steps)
-    u = as_vector(prob.u0(prob.p))
+    u = _initial_state(prob)
     n = len(u)
     f = _state_slope(prob, n)
     ts = times.tolist()
@@ -279,17 +288,21 @@ def integrate_euler(prob: OdeProblem, n_steps: int) -> Trajectory:
     slopes = np.empty((n_steps + 1, n))
     y = u.tolist()
     states[0] = y
-    for i in range(n_steps):
-        counting.add_rhs_components(n)
-        k = f(y, ts[i])
-        slopes[i] = k
-        y = [a + dt * b for a, b in zip(y, k)]
-        if not all(map(isfinite, y)):
-            raise _blow_up("state", i)
-        states[i + 1] = y
-    counting.add_rhs_components(n)
-    slopes[n_steps] = f(y, ts[n_steps])
-    counting.add_integration(1)
+    evals = integrations = 0
+    try:
+        for i in range(n_steps):
+            evals = i + 1
+            k = f(y, ts[i])
+            slopes[i] = k
+            y = [a + dt * b for a, b in zip(y, k)]
+            if not all(map(isfinite, y)):
+                raise _blow_up("state", i)
+            states[i + 1] = y
+        evals += 1
+        slopes[n_steps] = f(y, ts[n_steps])
+        integrations = 1
+    finally:
+        counting.add(rhs_components=n * evals, integrations=integrations)
     return Trajectory(times, states, slopes)
 
 
@@ -301,7 +314,7 @@ def forward_sensitivity(prob: OdeProblem, n_steps: int):
     times, dt = _grid(prob, n_steps)
     p = prob.p
     n_par = len(p)
-    u = as_vector(prob.u0(p))
+    u = _initial_state(prob)
     n = len(u)
     s = _checked(prob.du0dp(p), (n, n_par), "du0dp")
     s_starts = range(n, n + n * n_par, n_par)
@@ -320,7 +333,7 @@ def forward_sensitivity(prob: OdeProblem, n_steps: int):
     width = n * (1 + n_par)
     ys, slopes = _rk4(aug, np.concatenate((u, s.ravel())), times, dt,
                       "state or sensitivity", width)
-    counting.add_rhs_components(width)
+    counting.add(rhs_components=width)
     slopes[n_steps] = aug(ys[n_steps].tolist(), times[n_steps], None)
     sens = ys[:, n:].reshape(n_steps + 1, n, n_par)
     return Trajectory(times, ys[:, :n], slopes[:, :n]), sens

@@ -183,7 +183,7 @@ def sherman_morrison_solve(a_inv, y, x, b) -> np.ndarray:
     if abs(denom) <= 1e-12:
         raise SingularMatrixError("rank-1 update is singular: 1 + x^T A^-1 y ~ 0")
     s = core.dot(x, u)
-    counting.add_flops(2 * n + 2)
+    counting.add(flops=2 * n + 2)
     return u - z * (s / denom)
 
 
@@ -193,7 +193,7 @@ def jacobian_rank1_resolvent(a_inv, y, x, b) -> np.ndarray:
     one outer product (quadratic total cost)."""
     c = sherman_morrison_solve(a_inv, y, x, y)
     fx = sherman_morrison_solve(a_inv, y, x, b)
-    counting.add_flops(len(c) * len(fx))
+    counting.add(flops=len(c) * len(fx))
     return -np.outer(c, fx)
 
 

@@ -116,6 +116,14 @@ class TestCountedArithmetic:
         assert inner.flops == 0
         assert outer.flops == 2
 
+    def test_tally_left_by_an_exception_is_closed(self):
+        with pytest.raises(ShapeError):
+            with counting.tally() as left:
+                core.dot([1.0], [1.0])
+                core.dot([1.0], [1.0, 2.0])
+        core.dot([1.0], [1.0])
+        assert left.flops == 2
+
     def test_no_tally_is_a_noop(self):
         core.dot([1.0], [1.0])  # must not raise without an active tally
 

@@ -279,16 +279,6 @@ class TestDerivativeDriver:
     def test_constant_program(self):
         assert derivative(lambda t: 4.0, 1.0) == 0.0
 
-    @pytest.mark.parametrize("form", [list, tuple, np.array])
-    def test_one_output_in_any_form(self, form):
-        """One output is read by ``as_outputs`` in any form: a one-element
-        list, tuple or ndarray gave 0.0, with no error, before."""
-        assert derivative(lambda t: form([t * t]), 3.0) == 6.0
-
-    def test_two_outputs_rejected(self):
-        with pytest.raises(ContractError):
-            derivative(lambda t: [t * t, t], 3.0)
-
 
 class TestBabylonian:
     def test_golden_iterates_at_four(self):

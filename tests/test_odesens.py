@@ -149,6 +149,24 @@ class TestExactCounts:
             odesens.integrate_rk4(prob, 10)
         assert (c.rhs_components, c.integrations) == (20, 0)
 
+    def test_integrate_euler(self):
+        """One n-component slope per step and one for the final stored
+        slope, n = 2 states."""
+        with counting.tally() as c:
+            odesens.integrate_euler(_two_state_problem(), self.N)
+        assert (c.rhs_components, c.integrations) == ((self.N + 1) * 2, 1) == (42, 1)
+
+    def test_euler_blow_up_counts_the_steps_it_began(self):
+        """The rhs of ``TestBlowUpStepIndex.test_integrate_euler`` on two
+        states: steps 0-4 and the failing step 5 each evaluate one slope, and
+        no integration completes."""
+        prob = TestBlowUpStepIndex._problem(
+            u0=lambda p: np.ones(2),
+            f=lambda u, p, t: u * (np.nan if t > 0.42 else 1.0))
+        with counting.tally() as c, pytest.raises(BlowUpError):
+            odesens.integrate_euler(prob, 10)
+        assert (c.rhs_components, c.integrations) == (6 * 2, 0)
+
 
 class TestBlowUpStepIndex:
     """An rhs that turns nan from a chosen time on pins the reported step.
@@ -181,6 +199,15 @@ class TestBlowUpStepIndex:
         with pytest.raises(BlowUpError) as err:
             odesens.integrate_rk4(prob, 10)
         assert err.value.step_index == 4
+
+    def test_integrate_euler(self):
+        """Euler step i reads the slope at 0.1 i only, so step 5 is the
+        first past 0.42."""
+        prob = self._problem(f=lambda u, p, t: np.array(
+            [u[0] * (np.nan if t > 0.42 else 1.0)]))
+        with pytest.raises(BlowUpError) as err:
+            odesens.integrate_euler(prob, 10)
+        assert err.value.step_index == 5
 
     def test_forward_sensitivity_state(self):
         prob = self._problem(f=lambda u, p, t: np.array(
@@ -712,12 +739,14 @@ def _bad(shape):
 
 class TestCoefficientShapeContract:
     """Every coefficient and data-term callable is checked against its
-    shape: dfdu (n, n), dfdp (n, N), g (), dgdu (n,), dgdp (N,), du0dp
-    (n, N), and DataTerm.g (), dgdu (n,) and dgdp (N,).  A mismatch raises ShapeError
+    shape: u0 (n,), dfdu (n, n), dfdp (n, N), g (), dgdu (n,), dgdp (N,),
+    du0dp (n, N), and DataTerm.g (), dgdu (n,) and dgdp (N,).  A mismatch raises ShapeError
     naming the callable instead of being broadcast.  The problem has n = 2
     states and N = 3 parameters."""
 
     ROUTES = {
+        "integrate_rk4": lambda prob: odesens.integrate_rk4(prob, 8),
+        "integrate_euler": lambda prob: odesens.integrate_euler(prob, 8),
         "forward_sensitivity": lambda prob: odesens.forward_sensitivity(prob, 8),
         "grad_G_forward": lambda prob: odesens.grad_G_forward(prob, 8),
         "grad_G_adjoint": lambda prob: odesens.grad_G_adjoint(prob, 8),
@@ -725,6 +754,8 @@ class TestCoefficientShapeContract:
             prob, [0.5], [DataTerm(dgdu=lambda u, p: 2.0 * u)], 8),
     }
     CASES = [
+        ("u0", (2, 1), ["integrate_rk4", "integrate_euler", "forward_sensitivity"]),
+        ("u0", (), ["integrate_rk4", "integrate_euler", "forward_sensitivity"]),
         ("dfdu", (2,), ["forward_sensitivity", "grad_G_adjoint", "grad_G_discrete_data"]),
         ("dfdu", (2, 1), ["forward_sensitivity", "grad_G_adjoint", "grad_G_discrete_data"]),
         ("dfdp", (3,), ["forward_sensitivity", "grad_G_adjoint", "grad_G_discrete_data"]),
@@ -735,11 +766,18 @@ class TestCoefficientShapeContract:
     ]
 
     @pytest.mark.parametrize("name, shape, route", [
-        pytest.param(name, shape, route, id=f"{name}-{'x'.join(map(str, shape))}-{route}")
+        pytest.param(name, shape, route,
+                     id=f"{name}-{'x'.join(map(str, shape)) or '0d'}-{route}")
         for name, shape, routes in CASES for route in routes])
     def test_problem_callable(self, name, shape, route):
         prob = replace(_two_state_problem(), **{name: _bad(shape)})
         with pytest.raises(ShapeError, match=rf"^{name}\b"):
+            self.ROUTES[route](prob)
+
+    @pytest.mark.parametrize("route", ["integrate_rk4", "integrate_euler", "forward_sensitivity"])
+    def test_non_finite_u0(self, route):
+        prob = replace(_two_state_problem(), u0=lambda p: np.array([1.0, np.nan]))
+        with pytest.raises(ContractError, match="non-finite"):
             self.ROUTES[route](prob)
 
     def test_data_term_dgdu(self):
