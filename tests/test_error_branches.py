@@ -1,8 +1,6 @@
-"""Error and edge branches that no other test reaches, one case each.
-
-Every size, shape and finiteness contract below raises before any
-arithmetic; the two value cases pin what a degenerate input returns
-instead of an error.
+"""Error and edge branches that no other test reaches, one case each: size,
+shape and finiteness contracts that raise, and two degenerate inputs that
+return a value instead of an error.
 """
 
 import re
