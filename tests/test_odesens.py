@@ -753,9 +753,10 @@ class TestCoefficientShapeContract:
         "grad_G_discrete_data": lambda prob: odesens.grad_G_discrete_data(
             prob, [0.5], [DataTerm(dgdu=lambda u, p: 2.0 * u)], 8),
     }
+    U0_ROUTES = ["integrate_rk4", "integrate_euler", "forward_sensitivity"]
     CASES = [
-        ("u0", (2, 1), ["integrate_rk4", "integrate_euler", "forward_sensitivity"]),
-        ("u0", (), ["integrate_rk4", "integrate_euler", "forward_sensitivity"]),
+        ("u0", (2, 1), U0_ROUTES),
+        ("u0", (), U0_ROUTES),
         ("dfdu", (2,), ["forward_sensitivity", "grad_G_adjoint", "grad_G_discrete_data"]),
         ("dfdu", (2, 1), ["forward_sensitivity", "grad_G_adjoint", "grad_G_discrete_data"]),
         ("dfdp", (3,), ["forward_sensitivity", "grad_G_adjoint", "grad_G_discrete_data"]),
@@ -774,7 +775,7 @@ class TestCoefficientShapeContract:
         with pytest.raises(ShapeError, match=rf"^{name}\b"):
             self.ROUTES[route](prob)
 
-    @pytest.mark.parametrize("route", ["integrate_rk4", "integrate_euler", "forward_sensitivity"])
+    @pytest.mark.parametrize("route", U0_ROUTES)
     def test_non_finite_u0(self, route):
         prob = replace(_two_state_problem(), u0=lambda p: np.array([1.0, np.nan]))
         with pytest.raises(ContractError, match="non-finite"):
