@@ -112,9 +112,9 @@ def _suite_ode(seed):
 def _suite_eig(seed):
     s, ds = _symmetric_instance(5, seed)
     dec = eigsens.decompose(s)
-    dl = eigsens.dlambda(dec, ds)
-    r1 = abs(float(np.sum(dl)) - float(np.trace(ds)))
     pert = eigsens.perturbation(dec, ds)
+    dl = pert.dlambda
+    r1 = abs(float(np.sum(dl)) - float(np.trace(ds)))
     r2 = float(np.max(np.abs(pert.qt_dq + pert.qt_dq.T)))
     pair = max(
         abs(dl[i] - float(np.sum(eigsens.grad_lambda(dec, i) * ds)))

@@ -14,7 +14,8 @@ method, so this module does not import ``reverse``).
 Program convention used by the drivers: a program maps a list of
 scalar-likes to one scalar-like (a number, or a value with a primal
 ``val``) or to an iterable of them (a list, a tuple, a generator, an
-ndarray), and :func:`as_outputs` is the one reader of its outputs;
+ndarray); :func:`as_outputs` is the one reader of its outputs and alone
+decides what an output may be, for every mode.
 :func:`scalar_output`, built on it, reads the one output of a scalar
 program for every mode.  The drivers read their point through
 ``core.as_vector``: a point that is not 1-D is a ShapeError and a
@@ -297,10 +298,16 @@ def babylonian(x, n_steps: int = 10):
 
 def as_outputs(out) -> list:
     """A program's outputs as a list: a scalar-like (a number, or a value
-    with a primal ``val``) is one output; anything else is iterated."""
+    with a primal ``val``) is one output; anything else is iterated, and
+    an item that is not a scalar-like is a TypeError naming its position."""
     if isinstance(out, REAL) or hasattr(out, "val"):
         return [out]
-    return list(out)
+    outs = list(out)
+    for i, o in enumerate(outs):
+        if not (hasattr(o, "val") or isinstance(o, REAL)):
+            raise TypeError(f"output {i} has type {type(o).__name__}; an output is "
+                            "a number or a scalar-like with a primal val")
+    return outs
 
 
 def scalar_output(out):

@@ -256,11 +256,14 @@ def _state_slope(prob: OdeProblem, n: int):
 
 
 def _initial_state(prob: OdeProblem) -> np.ndarray:
-    """u0(p) as a vector; a shape other than (n,) is a ShapeError naming u0."""
+    """u0(p) as a vector; a shape other than (n,) is a ShapeError and a
+    non-finite entry a ContractError, each naming u0."""
     u = np.asarray(prob.u0(prob.p), dtype=float)
     if u.ndim != 1:
         raise _shape_error("u0", "(n,)", u.shape)
-    return as_vector(u)
+    if not np.isfinite(u).all():
+        raise ContractError("u0 contains non-finite entries")
+    return u
 
 
 def integrate_rk4(prob: OdeProblem, n_steps: int) -> Trajectory:

@@ -203,9 +203,10 @@ class Tape:
     def lift(self, x) -> Var:
         """A Var on this tape: pass-through for own vars, a constant node
         otherwise (arithmetic folds its constants instead; ``powi(x, 0)``
-        and the constant output of ``gradient_generic`` record one).  The
-        drivers read each output variable through it, so one of another
-        tape is a ContractError, not a seed of the wrong node."""
+        and a constant output of a driver record one).  The drivers seed
+        every output through it, so one of another tape is a ContractError,
+        not a seed of the wrong node, and a constant's seed reaches no
+        input."""
         if x.__class__ is Var and x.tape is self:
             return x
         if not _folds(x):
@@ -280,9 +281,8 @@ def _pullback(tape: Tape, in_vars: list, outs: list, w: np.ndarray) -> np.ndarra
     seeds: dict[int, object] = {}
     # a weight vector seeds plain floats, keeping the scalar sweep's cost
     for o, wi in zip(outs, w.tolist() if w.ndim == 1 else w):
-        if isinstance(o, Var):
-            i = tape.lift(o).index
-            seeds[i] = seeds.get(i, 0.0) + wi
+        i = tape.lift(o).index
+        seeds[i] = seeds.get(i, 0.0) + wi
     adj = tape.backward(seeds)
     return fwd.stack_rows([adj[v.index] for v in in_vars], w.shape[1:])
 

@@ -10,7 +10,10 @@ tuple, a generator and an ndarray of outputs give one Jacobian, and every
 scalar driver reads a scalar program's output through
 ``forward.scalar_output``, so a bare scalar and a one-element list, tuple,
 ndarray or generator give one result, and any other number of outputs is
-one ContractError.
+one ContractError.  ``as_outputs`` alone decides what an output may be: an
+item that is not a number or a scalar-like with a primal ``val`` (a
+string, None, a nested list, a matrix row, a 0-d array, any other object)
+is one TypeError naming its position and type, whichever driver is asked.
 """
 
 import dataclasses
@@ -196,3 +199,50 @@ def test_any_other_output_count_is_one_contract_error(driver, body, form):
     outputs = SCALAR_BODIES[body]
     with pytest.raises(ContractError, match="a scalar program has one output"):
         SCALAR_DRIVERS[driver](lambda xs: SCALAR_FORMS[form](outputs(xs)))
+
+
+# every driver of a vector program as call(prog) at a point of two entries
+VECTOR_DRIVERS = {
+    "evaluate": lambda prog: forward.evaluate(prog, [0.5, -1.0]),
+    "directional_derivative":
+        lambda prog: forward.directional_derivative(prog, [0.5, -1.0], [1.0, 2.0]),
+    "jacobian_forward": lambda prog: forward.jacobian_forward(prog, [0.5, -1.0]),
+    "vjp": lambda prog: reverse.vjp(prog, [0.5, -1.0], [1.0, 2.0]),
+    "jacobian_reverse": lambda prog: reverse.jacobian_reverse(prog, [0.5, -1.0]),
+    "triple_check_forward":
+        lambda prog: fdcheck.triple_check(prog, lambda d: d, "forward", [0.5, -1.0]),
+    "triple_check_reverse":
+        lambda prog: fdcheck.triple_check(prog, lambda d: d, "reverse", [0.5, -1.0]),
+}
+# (program, position and type name of the first item that is no output)
+BAD_OUTPUTS = {
+    "string item": (lambda xs: [xs[0], "a"], 1, "str"),
+    "None item": (lambda xs: [xs[0], None], 1, "NoneType"),
+    "nested list": (lambda xs: [xs[0], [xs[1]]], 1, "list"),
+    "2x2 matrix": (lambda xs: np.array([[xs[0], xs[1]], [xs[1], xs[0]]]), 0, "ndarray"),
+    "0-d ndarray item": (lambda xs: [xs[0] * xs[1], np.array(2.0)], 1, "ndarray"),
+    "object item": (lambda xs: [xs[0], object()], 1, "object"),
+}
+# the one output of a scalar program in a form that is no output
+BAD_SCALAR_OUTPUTS = {
+    "string": (lambda xs: "a", "str"),
+    "nested list": (lambda xs: [[xs[0] * xs[-1]]], "list"),
+    "1x1 object matrix": (lambda xs: np.array([[xs[0] * xs[-1]]], dtype=object), "ndarray"),
+    "None in a list": (lambda xs: [None], "NoneType"),
+}
+
+
+@pytest.mark.parametrize("kind", list(BAD_OUTPUTS))
+@pytest.mark.parametrize("driver", list(VECTOR_DRIVERS))
+def test_every_vector_driver_rejects_a_non_scalar_output_with_one_type(driver, kind):
+    prog, i, name = BAD_OUTPUTS[kind]
+    with pytest.raises(TypeError, match=rf"^output {i} has type {name};"):
+        VECTOR_DRIVERS[driver](prog)
+
+
+@pytest.mark.parametrize("form", list(BAD_SCALAR_OUTPUTS))
+@pytest.mark.parametrize("driver", sorted(SCALAR_DRIVERS))
+def test_every_scalar_driver_rejects_a_non_scalar_output_with_one_type(driver, form):
+    prog, name = BAD_SCALAR_OUTPUTS[form]
+    with pytest.raises(TypeError, match=rf"^output 0 has type {name};"):
+        SCALAR_DRIVERS[driver](prog)

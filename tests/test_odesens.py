@@ -778,7 +778,7 @@ class TestCoefficientShapeContract:
     @pytest.mark.parametrize("route", U0_ROUTES)
     def test_non_finite_u0(self, route):
         prob = replace(_two_state_problem(), u0=lambda p: np.array([1.0, np.nan]))
-        with pytest.raises(ContractError, match="non-finite"):
+        with pytest.raises(ContractError, match=r"^u0\b"):
             self.ROUTES[route](prob)
 
     def test_data_term_dgdu(self):

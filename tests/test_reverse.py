@@ -462,13 +462,14 @@ class TestModesAgree:
         (2.0, lambda x: sf.powi(x, 0.5), ContractError),
         (2.0, lambda x: x + "a", TypeError),
         (2.0, lambda x: "a" / x, TypeError),
+        (2.0, lambda x: "a" - x, TypeError),
         *[(2.0, lambda x, fn=fn: x * fn("a"), TypeError)
           for fn in (sf.sin, sf.cos, sf.exp, sf.log, sf.sqrt)],
         (2.0, lambda x: x * sf.powi("a", 2), TypeError),
         (2.0, lambda x: x * sf.powi("a", 0), TypeError),
     ], ids=["log(0)", "log(-1)", "sqrt(-1)", "powi(0,-1)", "powi(x,0.5)",
-            "x+str", "str/x", "sin(str)", "cos(str)", "exp(str)", "log(str)",
-            "sqrt(str)", "powi(str,2)", "powi(str,0)"])
+            "x+str", "str/x", "str-x", "sin(str)", "cos(str)", "exp(str)",
+            "log(str)", "sqrt(str)", "powi(str,2)", "powi(str,0)"])
     def test_every_kind_rejects_with_one_type(self, x0, f, error):
         raised = {}
         for kind, x in self._kinds(x0).items():
