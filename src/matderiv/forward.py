@@ -299,10 +299,17 @@ def babylonian(x, n_steps: int = 10):
 def as_outputs(out) -> list:
     """A program's outputs as a list: a scalar-like (a number, or a value
     with a primal ``val``) is one output; anything else is iterated, and
-    an item that is not a scalar-like is a TypeError naming its position."""
+    an item that is not a scalar-like is a TypeError naming its position,
+    as is a bare output that cannot be iterated (naming its type)."""
     if isinstance(out, REAL) or hasattr(out, "val"):
         return [out]
-    outs = list(out)
+    try:
+        items = iter(out)
+    except TypeError:
+        raise TypeError(f"the output has type {type(out).__name__}; a program returns a "
+                        "number, a scalar-like with a primal val or an iterable of them"
+                        ) from None
+    outs = list(items)
     for i, o in enumerate(outs):
         if not (hasattr(o, "val") or isinstance(o, REAL)):
             raise TypeError(f"output {i} has type {type(o).__name__}; an output is "

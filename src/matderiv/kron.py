@@ -6,7 +6,9 @@ Kronecker Jacobians for squaring, cubing, inversion and matrix functions
 f(S) of symmetric matrices.  The matrix-function Jacobian is produced by the
 Daleckii-Krein closed form; a finite-difference Jacobian through the general
 spectral route f(M) = X f(Lambda) X^{-1} verifies it, and the product formula
-predicts its determinant.
+predicts its determinant.  The finite-difference route takes several f at
+once and decomposes each perturbed M once for all of them, each Jacobian
+bitwise that of its own call.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from . import core, counting, eigsens, fdcheck
 from .core import as_square, as_vector, as_matrix, frob
 from .errors import (
+    ContractError,
     DegenerateEigenvaluesError,
     ShapeError,
     SingularMatrixError,
@@ -147,21 +150,30 @@ def _eig_near_symmetric(m: np.ndarray):
     return cols, lams
 
 
-def matrix_function_general(f, m) -> np.ndarray:
-    """f(M) = X f(Lambda) X^{-1} for a (possibly slightly non-symmetric)
-    real matrix with distinct real eigenvalues.  The gap is tested against
-    ||M||_F, which exceeds ``core.require_gaps``' ||lam||_2 for a non-normal
-    M, whose X^{-1} grows as a gap closes."""
-    m = as_square(m)
+def _spectral_factors(m: np.ndarray):
+    """The part of ``matrix_function_general`` that does not depend on f:
+    (X, lams, X^{-1}) with M = X diag(lams) X^{-1}.  The gap is tested
+    against ||M||_F, which exceeds ``core.require_gaps``' ||lam||_2 for a
+    non-normal M, whose X^{-1} grows as a gap closes."""
     x, lams = _eig_near_symmetric(m)
     gap = core.min_gap(lams)
     if gap <= core.GAP_RTOL * max(frob(m), 1.0):
         raise DegenerateEigenvaluesError(
             f"matrix_function_general: eigenvalues too close (min gap {gap:.3e})"
         )
+    return x, lams, core.lu_solve(x, np.eye(m.shape[0]))
+
+
+def _apply(f, x, lams, x_inv) -> np.ndarray:
+    """X f(Lambda) X^{-1}, f applied eigenvalue-wise."""
     fvals = np.array([float(f(v)) for v in lams])
-    x_inv = core.lu_solve(x, np.eye(m.shape[0]))
     return (x * fvals) @ x_inv
+
+
+def matrix_function_general(f, m) -> np.ndarray:
+    """f(M) = X f(Lambda) X^{-1} for a (possibly slightly non-symmetric)
+    real matrix with distinct real eigenvalues (``_spectral_factors``)."""
+    return _apply(f, *_spectral_factors(as_square(m)))
 
 
 def _lowner(f, f_prime, lam) -> np.ndarray:
@@ -191,20 +203,37 @@ def jacobian_matrix_function(f, s) -> np.ndarray:
     return (qq * lmat.reshape(-1, order="F")) @ qq.T
 
 
-def jacobian_matrix_function_fd(f, s) -> np.ndarray:
-    """Finite-difference Jacobian of vec(f(M)) in vec(M) at a symmetric
-    point: ``fdcheck.fd_jacobian`` of vec . f . unvec at vec(S), so column k
-    perturbs entry k of vec(M) alone (which leaves the matrix slightly
-    non-symmetric; the evaluations go through the general spectral route).
+def jacobian_matrix_functions_fd(fs, s) -> np.ndarray:
+    """Finite-difference Jacobians of vec(f(M)) in vec(M) at a symmetric
+    point, one per f in ``fs``, as a (k, n^2, n^2) stack.
+
+    ``fdcheck.fd_jacobian`` of v -> [vec f_1(M), ..., vec f_k(M)] with
+    M = unvec(v) at vec(S), so column j perturbs entry j of vec(M) alone
+    (which leaves the matrix slightly non-symmetric; the evaluations go
+    through the general spectral route).  Each of the 2 n^2 perturbed M is
+    decomposed once (``_spectral_factors``) for all k functions, and as the
+    central quotient is elementwise, each Jacobian is bitwise that of its
+    own ``jacobian_matrix_function_fd`` call.
 
     The independent check on ``jacobian_matrix_function``: 2 n^2 spectral
     evaluations instead of one eigendecomposition.
     """
+    if not fs:
+        raise ContractError("jacobian_matrix_functions_fd needs at least one function")
     s = as_square(s)
     eigsens.decompose(s)  # the point must be symmetric with distinct eigenvalues
     n = s.shape[0]
-    return fdcheck.fd_jacobian(
-        lambda v: vec(matrix_function_general(f, unvec(v, n, n))), vec(s))
+
+    def stacked(v):
+        factors = _spectral_factors(unvec(v, n, n))
+        return np.concatenate([vec(_apply(f, *factors)) for f in fs])
+
+    return fdcheck.fd_jacobian(stacked, vec(s)).reshape(len(fs), n * n, n * n)
+
+
+def jacobian_matrix_function_fd(f, s) -> np.ndarray:
+    """``jacobian_matrix_functions_fd`` of the one function f."""
+    return jacobian_matrix_functions_fd([f], s)[0]
 
 
 def theoretical_jacdet(f, f_prime, lam) -> float:
@@ -241,12 +270,17 @@ def _rel(delta: float, ref: float) -> float:
 
 def _eigen_by_size(mats: list) -> list:
     """``core.jacobi_eigen`` of every symmetric matrix in ``mats``, in order:
-    one call per distinct size, over the stack of that size's matrices."""
+    one call per distinct size, over the stack of that size's matrices, or
+    on the matrix itself where its size occurs once (a stack of one runs
+    slower than a 2-D call and gives the same bits)."""
     by_size = {}
     for i, m in enumerate(mats):
         by_size.setdefault(len(m), []).append(i)
     decs = [None] * len(mats)
     for members in by_size.values():
+        if len(members) == 1:
+            decs[members[0]] = core.jacobi_eigen(mats[members[0]])
+            continue
         dec = core.jacobi_eigen(np.array([mats[i] for i in members]))
         for i, q, lam in zip(members, dec.q, dec.lam):
             decs[i] = core.EigenDecomp(q=q, lam=lam)

@@ -13,7 +13,9 @@ ndarray or generator give one result, and any other number of outputs is
 one ContractError.  ``as_outputs`` alone decides what an output may be: an
 item that is not a number or a scalar-like with a primal ``val`` (a
 string, None, a nested list, a matrix row, a 0-d array, any other object)
-is one TypeError naming its position and type, whichever driver is asked.
+is one TypeError naming its position and type, whichever driver is asked,
+and so is a bare output that is neither a scalar-like nor iterable (None,
+a 0-d array, any other object), naming its type.
 """
 
 import dataclasses
@@ -246,3 +248,31 @@ def test_every_scalar_driver_rejects_a_non_scalar_output_with_one_type(driver, f
     prog, name = BAD_SCALAR_OUTPUTS[form]
     with pytest.raises(TypeError, match=rf"^output 0 has type {name};"):
         SCALAR_DRIVERS[driver](prog)
+
+
+# a bare output that is neither a scalar-like nor iterable, and its type name
+BARE_OUTPUTS = {
+    "None": (lambda xs: None, "NoneType"),
+    "0-d ndarray": (lambda xs: np.array(2.0), "ndarray"),
+    "object": (lambda xs: object(), "object"),
+}
+
+
+@pytest.mark.parametrize("kind", list(BARE_OUTPUTS))
+@pytest.mark.parametrize("driver", [*SCALAR_DRIVERS, *VECTOR_DRIVERS])
+def test_every_driver_rejects_a_bare_output_that_cannot_be_iterated(driver, kind):
+    """The rule's TypeError names the output's type, not Python's or
+    numpy's message from iterating it."""
+    prog, name = BARE_OUTPUTS[kind]
+    run = SCALAR_DRIVERS.get(driver) or VECTOR_DRIVERS[driver]
+    with pytest.raises(TypeError, match=rf"^the output has type {name};"):
+        run(prog)
+
+
+def test_a_type_error_inside_a_generator_keeps_its_message():
+    def prog(xs):
+        yield xs[0]
+        raise TypeError("raised by the program")
+
+    with pytest.raises(TypeError, match="^raised by the program$"):
+        forward.evaluate(prog, [0.5, -1.0])

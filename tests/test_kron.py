@@ -23,6 +23,18 @@ from matderiv.errors import (
 GOLDEN = np.array([[(i - j) ** 2 for j in range(3)] for i in range(3)],
                   dtype=float)
 
+# the three functions of ``matderiv jacdet``, whose S is GOLDEN
+JACDET_FUNCTIONS = [lambda t: t * t, math.exp, math.sin]
+
+
+def _spread_spectrum(n):
+    """A seeded symmetric n x n matrix with eigenvalue gaps of at least 0.6."""
+    rng = np.random.default_rng(100 + n)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    lam = 0.8 * (np.arange(n) - 0.5 * (n - 1)) + rng.uniform(-0.1, 0.1, n)
+    s = (q * lam) @ q.T
+    return 0.5 * (s + s.T)
+
 
 class TestVec:
     def test_column_stacking_order(self):
@@ -224,11 +236,29 @@ class TestMatrixFunctionJacobian:
             kron.jacobian_matrix_function(math.exp, np.eye(3))
 
     def test_fd_route_keeps_the_guards(self):
-        with pytest.raises(ContractError):
-            kron.jacobian_matrix_function_fd(
-                math.exp, np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(DegenerateEigenvaluesError):
-            kron.jacobian_matrix_function_fd(math.exp, np.eye(3))
+        """Both finite-difference routes, one function or several."""
+        for route in (lambda s: kron.jacobian_matrix_function_fd(math.exp, s),
+                      lambda s: kron.jacobian_matrix_functions_fd(JACDET_FUNCTIONS, s)):
+            with pytest.raises(ContractError):
+                route(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            with pytest.raises(DegenerateEigenvaluesError):
+                route(np.eye(3))
+
+    def test_fd_routes_need_a_function(self):
+        with pytest.raises(ContractError, match="at least one function"):
+            kron.jacobian_matrix_functions_fd([], GOLDEN)
+
+    @pytest.mark.parametrize("s", [GOLDEN] + [_spread_spectrum(n) for n in (3, 4, 5)],
+                             ids=["golden", "n3", "n4", "n5"])
+    def test_each_shared_jacobian_is_bitwise_its_own_call(self, s):
+        """One decomposition per perturbed point serves every function, and
+        the central quotient is elementwise, so each block of the stack has
+        the bits of its own ``jacobian_matrix_function_fd`` call."""
+        fs = JACDET_FUNCTIONS + [np.exp, lambda v: v**3 + v]
+        jacs = kron.jacobian_matrix_functions_fd(fs, s)
+        assert jacs.shape == (len(fs), s.size, s.size)
+        for f, jac in zip(fs, jacs):
+            assert jac.tobytes() == kron.jacobian_matrix_function_fd(f, s).tobytes()
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("f", [math.exp, np.exp, math.sin,
@@ -237,11 +267,7 @@ class TestMatrixFunctionJacobian:
     def test_closed_form_matches_fd_jacobian(self, n, f):
         """Daleckii-Krein against the finite-difference Jacobian on a
         symmetric matrix with eigenvalue gaps of at least 0.6."""
-        rng = np.random.default_rng(100 + n)
-        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        lam = 0.8 * (np.arange(n) - 0.5 * (n - 1)) + rng.uniform(-0.1, 0.1, n)
-        s = (q * lam) @ q.T
-        s = 0.5 * (s + s.T)
+        s = _spread_spectrum(n)
         jac = kron.jacobian_matrix_function(f, s)
         fd = kron.jacobian_matrix_function_fd(f, s)
         assert np.max(np.abs(jac - fd)) <= 1e-6
@@ -393,6 +419,23 @@ class TestIdentitySuite:
     def test_deterministic_in_seed(self):
         assert kron.kron_identity_suite(seed=7, trials=5) == \
             kron.kron_identity_suite(seed=7, trials=5)
+
+    def test_a_size_that_occurs_once_is_decomposed_as_a_matrix(self, monkeypatch):
+        """Sizes 2 and 6 occur twice and go as stacks; 3 and 8 (a size in
+        the product regime) occur once and go as 2-D calls.  Every member
+        has the bits of its own call."""
+        rng = np.random.default_rng(3)
+        raws = [rng.standard_normal((n, n)) for n in (2, 3, 2, 6, 8, 6)]
+        mats = [0.5 * (r + r.T) for r in raws]
+        shapes = []
+        jacobi_eigen = core.jacobi_eigen
+        monkeypatch.setattr(core, "jacobi_eigen",
+                            lambda s: shapes.append(np.shape(s)) or jacobi_eigen(s))
+        decs = kron._eigen_by_size(mats)
+        assert shapes == [(2, 2, 2), (3, 3), (2, 6, 6), (8, 8)]
+        for m, dec in zip(mats, decs):
+            own = jacobi_eigen(m)
+            assert (dec.q.tobytes(), dec.lam.tobytes()) == (own.q.tobytes(), own.lam.tobytes())
 
     @pytest.mark.parametrize("trials", [4, 50])
     @pytest.mark.parametrize("seed", range(5))
