@@ -150,13 +150,15 @@ def min_gap(lam) -> float:
     return float(np.min(np.diff(lam)))
 
 
-def require_gaps(lam, what: str) -> None:
+def require_gaps(lam, what: str, norm: float | None = None) -> None:
     """The gap guard: raise ``DegenerateEigenvaluesError`` naming ``what``
-    when two eigenvalues are within GAP_RTOL * max(||lam||_2, 1).  ||lam||_2
-    = ||S||_F for a symmetric S; for a non-normal M it is below ||M||_F, so
-    ``kron.matrix_function_general`` keeps its own ||M||_F test."""
+    when two eigenvalues are within GAP_RTOL * max(norm, 1).  ``norm``
+    defaults to ||lam||_2, which is ||S||_F for a symmetric S; for a
+    non-normal M it is below ||M||_F, so ``kron`` passes ||M||_F."""
+    if norm is None:
+        norm = frob(lam)
     gap = min_gap(lam)
-    if gap <= GAP_RTOL * max(frob(lam), 1.0):
+    if gap <= GAP_RTOL * max(norm, 1.0):
         raise DegenerateEigenvaluesError(
             f"{what}: eigenvalues too close (min gap {gap:.3e})"
         )
@@ -470,6 +472,11 @@ def det(a) -> float:
     return float(det_times(*pivots, 1.0))
 
 
+def _zero_diagonal(row: int) -> SingularMatrixError:
+    return SingularMatrixError(f"tridiagonal elimination hit a zero diagonal at row {row}",
+                               pivot_index=row)
+
+
 def thomas_solve(t: TridiagSym, b) -> np.ndarray:
     """Theta(n) tridiagonal solve (no pivoting).
 
@@ -498,19 +505,13 @@ def thomas_solve(t: TridiagSym, b) -> np.ndarray:
     rp = xv[0] = rhs[0]
     for i in range(1, n):
         if abs(dp) <= tol:
-            raise SingularMatrixError(
-                f"tridiagonal elimination hit a zero diagonal at row {i - 1}",
-                pivot_index=i - 1,
-            )
+            raise _zero_diagonal(i - 1)
         ei = e[i - 1]
         w = ei / dp
         dp = d[i] = diag[i] - w * ei
         rp = xv[i] = rhs[i] - w * rp
     if abs(dp) <= tol:
-        raise SingularMatrixError(
-            f"tridiagonal elimination hit a zero diagonal at row {n - 1}",
-            pivot_index=n - 1,
-        )
+        raise _zero_diagonal(n - 1)
     xp = xv[n - 1] = rp / dp
     for i in range(n - 2, -1, -1):
         xp = xv[i] = (xv[i] - e[i] * xp) / d[i]

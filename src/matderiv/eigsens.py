@@ -20,7 +20,6 @@ import numpy as np
 
 from . import core
 from .core import EigenDecomp, as_square, as_vector
-from .core import min_gap  # noqa: F401  (re-exported as part of this module's API)
 from .errors import ContractError
 
 

@@ -6,9 +6,10 @@ Kronecker Jacobians for squaring, cubing, inversion and matrix functions
 f(S) of symmetric matrices.  The matrix-function Jacobian is produced by the
 Daleckii-Krein closed form; a finite-difference Jacobian through the general
 spectral route f(M) = X f(Lambda) X^{-1} verifies it, and the product formula
-predicts its determinant.  The finite-difference route takes several f at
-once and decomposes each perturbed M once for all of them, each Jacobian
-bitwise that of its own call.
+predicts its determinant.  The finite-difference route takes one or several
+f and decomposes each perturbed M once for all of them, each Jacobian
+bitwise that of a call with its f alone.  Both spectral routes gate on
+``core.require_gaps``, the general one at the scale ||M||_F.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ import numpy as np
 
 from . import core, counting, eigsens, fdcheck
 from .core import as_square, as_vector, as_matrix, frob
-from .errors import (
-    ContractError,
-    DegenerateEigenvaluesError,
-    ShapeError,
-    SingularMatrixError,
-)
+from .errors import ContractError, ShapeError, SingularMatrixError
 
 
 def vec(a) -> np.ndarray:
@@ -112,11 +108,16 @@ def jac_inverse_vec(a) -> np.ndarray:
 
 # matrix functions ----------------------------------------------------------
 
+def _apply(f, x, lams, x_inv) -> np.ndarray:
+    """X f(Lambda) X^{-1}, f applied eigenvalue-wise."""
+    fvals = np.array([float(f(v)) for v in lams])
+    return (x * fvals) @ x_inv
+
+
 def matrix_function(f, s) -> np.ndarray:
-    """f(S) = Q f(Lambda) Q^T for symmetric S, f applied eigenvalue-wise."""
+    """f(S) = Q f(Lambda) Q^T for symmetric S (``_apply`` with X = Q)."""
     dec = core.jacobi_eigen(s)
-    fvals = np.array([float(f(v)) for v in dec.lam])
-    return (dec.q * fvals) @ dec.q.T
+    return _apply(f, dec.q, dec.lam, dec.q.T)
 
 
 def _eig_near_symmetric(m: np.ndarray):
@@ -152,22 +153,12 @@ def _eig_near_symmetric(m: np.ndarray):
 
 def _spectral_factors(m: np.ndarray):
     """The part of ``matrix_function_general`` that does not depend on f:
-    (X, lams, X^{-1}) with M = X diag(lams) X^{-1}.  The gap is tested
-    against ||M||_F, which exceeds ``core.require_gaps``' ||lam||_2 for a
-    non-normal M, whose X^{-1} grows as a gap closes."""
+    (X, lams, X^{-1}) with M = X diag(lams) X^{-1}.  ``core.require_gaps``
+    scales the gap by ||M||_F, not its default ||lam||_2: the two differ
+    for a non-normal M, whose X^{-1} grows as a gap closes."""
     x, lams = _eig_near_symmetric(m)
-    gap = core.min_gap(lams)
-    if gap <= core.GAP_RTOL * max(frob(m), 1.0):
-        raise DegenerateEigenvaluesError(
-            f"matrix_function_general: eigenvalues too close (min gap {gap:.3e})"
-        )
+    core.require_gaps(lams, "matrix_function_general", frob(m))
     return x, lams, core.lu_solve(x, np.eye(m.shape[0]))
-
-
-def _apply(f, x, lams, x_inv) -> np.ndarray:
-    """X f(Lambda) X^{-1}, f applied eigenvalue-wise."""
-    fvals = np.array([float(f(v)) for v in lams])
-    return (x * fvals) @ x_inv
 
 
 def matrix_function_general(f, m) -> np.ndarray:
@@ -212,8 +203,8 @@ def jacobian_matrix_functions_fd(fs, s) -> np.ndarray:
     (which leaves the matrix slightly non-symmetric; the evaluations go
     through the general spectral route).  Each of the 2 n^2 perturbed M is
     decomposed once (``_spectral_factors``) for all k functions, and as the
-    central quotient is elementwise, each Jacobian is bitwise that of its
-    own ``jacobian_matrix_function_fd`` call.
+    central quotient is elementwise, each Jacobian is bitwise that of a call
+    with its f alone (``jacobian_matrix_functions_fd([f], s)[0]``).
 
     The independent check on ``jacobian_matrix_function``: 2 n^2 spectral
     evaluations instead of one eigendecomposition.
@@ -229,11 +220,6 @@ def jacobian_matrix_functions_fd(fs, s) -> np.ndarray:
         return np.concatenate([vec(_apply(f, *factors)) for f in fs])
 
     return fdcheck.fd_jacobian(stacked, vec(s)).reshape(len(fs), n * n, n * n)
-
-
-def jacobian_matrix_function_fd(f, s) -> np.ndarray:
-    """``jacobian_matrix_functions_fd`` of the one function f."""
-    return jacobian_matrix_functions_fd([f], s)[0]
 
 
 def theoretical_jacdet(f, f_prime, lam) -> float:

@@ -60,7 +60,7 @@ class TestAcceptance:
             "sin": (math.sin, math.cos, 8.41346e-6, 1e-2),
         }
         for name, (f, fp, magnitude, tol) in cases.items():
-            fd_det = core.det(kron.jacobian_matrix_function_fd(f, s))
+            fd_det = core.det(kron.jacobian_matrix_functions_fd([f], s)[0])
             formula = kron.theoretical_jacdet(f, fp, lam)
             assert abs(abs(formula) - magnitude) / magnitude <= tol, name
             assert abs(abs(fd_det) - magnitude) / magnitude <= tol, name

@@ -18,6 +18,7 @@ from matderiv.forward import Dual
 from matderiv.errors import (
     ContractError,
     ConvergenceError,
+    DegenerateEigenvaluesError,
     ShapeError,
     SingularMatrixError,
 )
@@ -447,6 +448,7 @@ class TestThomas:
         with pytest.raises(SingularMatrixError) as err:
             core.thomas_solve(t, np.ones(len(diag)))
         assert err.value.pivot_index == row
+        assert str(err.value) == f"tridiagonal elimination hit a zero diagonal at row {row}"
 
     def test_inputs_unchanged(self):
         rng = np.random.default_rng(32)
@@ -512,6 +514,50 @@ def _gapped_symmetric(rng, n):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     s = (q * lam) @ q.T
     return 0.5 * (s + s.T)
+
+
+_AT_50 = core.GAP_RTOL * 50.0  # the threshold at norm 50
+
+
+class TestGapGuard:
+    """``require_gaps`` rejects a gap at or below GAP_RTOL * max(norm, 1),
+    with ``norm`` defaulting to ||lam||_2."""
+
+    @pytest.mark.parametrize("lam, norm, degenerate", [
+        ([0.0, _AT_50], 50.0, True),
+        ([0.0, np.nextafter(_AT_50, 1.0)], 50.0, False),
+        # ||lam||_2 < 1 would pass this gap; the explicit norm rejects it
+        ([_AT_50, 0.0, 30.0], 50.0, True),
+        ([0.0, core.GAP_RTOL], 0.25, True),
+        ([0.0, np.nextafter(core.GAP_RTOL, 1.0)], 0.25, False),
+        ([0.0, core.GAP_RTOL], 0.0, True),
+        ([3.0], 50.0, False),
+    ])
+    def test_explicit_norm(self, lam, norm, degenerate):
+        if degenerate:
+            gap = core.min_gap(lam)
+            with pytest.raises(DegenerateEigenvaluesError) as err:
+                core.require_gaps(lam, "probe", norm)
+            assert str(err.value) == f"probe: eigenvalues too close (min gap {gap:.3e})"
+        else:
+            core.require_gaps(lam, "probe", norm)
+
+    def test_default_norm_is_the_eigenvalue_norm(self):
+        """Without ``norm`` the guard raises exactly where min gap <=
+        GAP_RTOL * max(||lam||_2, 1), on gaps from half to twice that
+        threshold in spectra from 1e-3 to 1e3."""
+        verdicts = set()
+        for top in (1e-3, 1.0, 7.0, 40.0, 1e3):
+            for ratio in (0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0):
+                lam = [top, 0.0, core.GAP_RTOL * max(top, 1.0) * ratio]
+                degenerate = core.min_gap(lam) <= core.GAP_RTOL * max(core.frob(lam), 1.0)
+                verdicts.add(degenerate)
+                if degenerate:
+                    with pytest.raises(DegenerateEigenvaluesError):
+                        core.require_gaps(lam, "probe")
+                else:
+                    core.require_gaps(lam, "probe")
+        assert verdicts == {True, False}
 
 
 class TestJacobiEigen:

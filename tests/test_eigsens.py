@@ -49,7 +49,7 @@ class TestDecompose:
         assert len(calls) == 1
 
     def test_min_gap(self):
-        assert eigsens.min_gap([3.0, 1.0, 1.5]) == pytest.approx(0.5)
+        assert core.min_gap([3.0, 1.0, 1.5]) == pytest.approx(0.5)
 
 
 class TestDLambda:

@@ -13,7 +13,9 @@ with the files allowed to match; any other matching line fails the gate.
   other module evaluates a program through one of those;
 * scalar reader: a scalar program's one output is read by
   ``forward.scalar_output`` in every mode; indexing ``forward.evaluate``'s
-  outputs, or a second ``scalar_output``, would decide it a second way.
+  outputs, or a second ``scalar_output``, would decide it a second way;
+* gap guard: ``core.require_gaps`` alone decides when two eigenvalues are
+  too close, each caller passing its own scale.
 """
 
 import re
@@ -34,6 +36,7 @@ GATES = {
     "scalar reader": [
         (r"evaluate\(.*\)\[", SRC, set()),
         (r"def scalar_output\b|^\s*scalar_output\s*=", SRC, {"src/matderiv/forward.py"})],
+    "gap guard": [(r"eigenvalues too close", SRC, {"src/matderiv/core.py"})],
 }
 
 

@@ -177,6 +177,17 @@ class TestMatrixFunction:
         with pytest.raises(ContractError):
             kron.matrix_function(math.exp, np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bitwise_q_f_lambda_qt(self, n):
+        """f(S) is (Q * f(lam)) @ Q^T of ``jacobi_eigen``'s Q and lam, bit
+        for bit."""
+        raw = np.random.default_rng(40 + n).standard_normal((n, n))
+        s = 0.5 * (raw + raw.T)
+        dec = core.jacobi_eigen(s)
+        for f in JACDET_FUNCTIONS:
+            want = (dec.q * np.array([float(f(v)) for v in dec.lam])) @ dec.q.T
+            assert kron.matrix_function(f, s).tobytes() == want.tobytes()
+
     def test_general_route_agrees_on_symmetric_input(self):
         np.testing.assert_allclose(
             kron.matrix_function_general(math.exp, GOLDEN),
@@ -237,7 +248,7 @@ class TestMatrixFunctionJacobian:
 
     def test_fd_route_keeps_the_guards(self):
         """Both finite-difference routes, one function or several."""
-        for route in (lambda s: kron.jacobian_matrix_function_fd(math.exp, s),
+        for route in (lambda s: kron.jacobian_matrix_functions_fd([math.exp], s)[0],
                       lambda s: kron.jacobian_matrix_functions_fd(JACDET_FUNCTIONS, s)):
             with pytest.raises(ContractError):
                 route(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -253,12 +264,12 @@ class TestMatrixFunctionJacobian:
     def test_each_shared_jacobian_is_bitwise_its_own_call(self, s):
         """One decomposition per perturbed point serves every function, and
         the central quotient is elementwise, so each block of the stack has
-        the bits of its own ``jacobian_matrix_function_fd`` call."""
+        the bits of a call with its function alone."""
         fs = JACDET_FUNCTIONS + [np.exp, lambda v: v**3 + v]
         jacs = kron.jacobian_matrix_functions_fd(fs, s)
         assert jacs.shape == (len(fs), s.size, s.size)
         for f, jac in zip(fs, jacs):
-            assert jac.tobytes() == kron.jacobian_matrix_function_fd(f, s).tobytes()
+            assert jac.tobytes() == kron.jacobian_matrix_functions_fd([f], s)[0].tobytes()
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("f", [math.exp, np.exp, math.sin,
@@ -269,7 +280,7 @@ class TestMatrixFunctionJacobian:
         symmetric matrix with eigenvalue gaps of at least 0.6."""
         s = _spread_spectrum(n)
         jac = kron.jacobian_matrix_function(f, s)
-        fd = kron.jacobian_matrix_function_fd(f, s)
+        fd = kron.jacobian_matrix_functions_fd([f], s)[0]
         assert np.max(np.abs(jac - fd)) <= 1e-6
 
     @pytest.mark.parametrize("f, fp", [
@@ -359,7 +370,7 @@ class TestJacobianDeterminants:
         (math.sin, math.cos, 1e-2),
     ])
     def test_fd_determinant_matches_formula(self, f, fp, tol):
-        jac = kron.jacobian_matrix_function_fd(f, GOLDEN)
+        jac = kron.jacobian_matrix_functions_fd([f], GOLDEN)[0]
         fd_det = float(np.linalg.det(jac))
         formula = kron.theoretical_jacdet(f, fp, self._lam())
         assert fd_det == pytest.approx(formula, rel=tol)

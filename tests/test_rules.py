@@ -524,8 +524,7 @@ EXEMPT = {
         "odesens.integrate_rk4", "odesens.integrate_euler", "odesens.simpson", "odesens.loss_G",
         "odesens.loss_discrete", "odesens.reference_instance"},
     "a finite-difference reference route": {
-        "kron.jacobian_matrix_function_fd", "kron.jacobian_matrix_functions_fd",
-        "linsys_adjoint.fd_directional", "odesens.grad_G_fd", "odesens.grad_discrete_fd"},
+        "kron.jacobian_matrix_functions_fd", "linsys_adjoint.fd_directional", "odesens.grad_G_fd", "odesens.grad_discrete_fd"},
     "dlambda and dq in one conjugation, checked through both": {"eigsens.perturbation"},
     "a Taylor prediction, checked by its eps^3 remainder": {
         "eigsens.second_order_taylor", "eigsens.second_order_taylor_general"},
