@@ -5,7 +5,7 @@ primitive set, a catalog of analytic matrix derivative rules, vectorized
 Jacobians via Kronecker products, adjoint gradients for parameterized
 linear systems and ODEs, eigenvalue perturbation theory, and a
 finite-difference harness that cross-checks all of it.  The numeric core
-(LU, tridiagonal, Jacobi eigensolver, Newton) is self-contained.
+(LU, tridiagonal, Jacobi eigensolver) is self-contained.
 """
 
 __version__ = "0.1.0"

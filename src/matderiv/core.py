@@ -3,9 +3,8 @@
 The numeric substrate for everything else: partial-pivot LU, the banded
 Thomas solve, a Jacobi eigensolver for symmetric matrices (Brent-Luk
 round-robin ordering: each sweep is a sequence of rounds of disjoint
-rotations), LU-based determinants and log-determinants, and a Newton root
-finder driven by forward-mode Jacobians.  Factorizations and the
-eigensolver are written out here, each in two regimes chosen by n:
+rotations), and LU-based determinants and log-determinants.  Factorizations
+and the eigensolver are written out here, each in two regimes chosen by n:
   - small n, where numpy's fixed cost per call would outweigh the
     arithmetic: loops over Python floats (``tolist()`` rows, no numpy call
     inside) -- LU up to LU_SCALAR_MAX_N = 16 rows (its substitution while
@@ -768,36 +767,3 @@ def _jacobi_scalar(sym: np.ndarray, off_tol, member=None):
                                 [sn * x + c * y for x, y in zip(ap, ar)])
                 ap[r] = ar[p] = 0.0
     raise _not_converged(member)
-
-
-def newton_root(f, x0, tol: float = 1e-12, max_iter: int = 50,
-                history: list | None = None) -> np.ndarray:
-    """Newton's method for f(x) = 0, f: R^n -> R^n.
-
-    ``f`` follows the program convention: it takes a sequence of scalar-like
-    values and returns its outputs in any form ``forward.as_outputs`` reads
-    (one scalar-like or an iterable of them), so the same callable supplies both
-    residuals (on floats, through ``forward.evaluate``) and Jacobians (on dual
-    numbers).  Each update solves J step = f(x) by LU.  Pass a list as
-    ``history`` to capture the iterates (the converged point included).
-
-    Stops when ||f(x)||_inf <= tol; raises ``ConvergenceError`` carrying the
-    last iterate if max_iter is exhausted, and ``SingularMatrixError`` if a
-    Jacobian cannot be factored.
-    """
-    from .forward import evaluate, jacobian_forward  # deferred: forward imports core
-
-    x = as_vector(x0).copy()
-    for _ in range(max_iter):
-        if history is not None:
-            history.append(x.copy())
-        fx = evaluate(f, x)
-        if len(fx) != len(x):
-            raise ShapeError("newton_root needs a square system (len f(x) == len x)")
-        if np.max(np.abs(fx)) <= tol:
-            return x
-        jac = jacobian_forward(f, x)
-        x = x - lu_solve(jac, fx)
-    raise ConvergenceError(
-        f"newton_root: ||f||_inf > {tol} after {max_iter} iterations", last=x
-    )

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import core, forward, reverse
 from .core import frob
-from .errors import ContractError, ShapeError
+from .errors import ContractError, ConvergenceError, ShapeError
 
 HESSIAN_MAX_N = 50
 
@@ -130,6 +130,37 @@ def newton_min_step(f, x) -> NewtonStep:
     else:
         kind = "saddle"
     return NewtonStep(step=step, eigenvalues=lam, classification=kind)
+
+
+def newton_root(f, x0, tol: float = 1e-12, max_iter: int = 50,
+                history: list | None = None) -> np.ndarray:
+    """Newton's method for f(x) = 0, f: R^n -> R^n.
+
+    ``f`` follows the program convention: it takes a sequence of scalar-like
+    values and returns its outputs in any form ``forward.as_outputs`` reads
+    (one scalar-like or an iterable of them), so the same callable supplies both
+    residuals (on floats, through ``forward.evaluate``) and Jacobians (on dual
+    numbers).  Each update solves J step = f(x) by LU.  Pass a list as
+    ``history`` to capture the iterates (the converged point included).
+
+    Stops when ||f(x)||_inf <= tol; raises ``ConvergenceError`` carrying the
+    last iterate if max_iter is exhausted, and ``SingularMatrixError`` if a
+    Jacobian cannot be factored.
+    """
+    x = core.as_vector(x0).copy()
+    for _ in range(max_iter):
+        if history is not None:
+            history.append(x.copy())
+        fx = forward.evaluate(f, x)
+        if len(fx) != len(x):
+            raise ShapeError("newton_root needs a square system (len f(x) == len x)")
+        if np.max(np.abs(fx)) <= tol:
+            return x
+        jac = forward.jacobian_forward(f, x)
+        x = x - core.lu_solve(jac, fx)
+    raise ConvergenceError(
+        f"newton_root: ||f||_inf > {tol} after {max_iter} iterations", last=x
+    )
 
 
 def grad_of_grad_function(f, g, x) -> np.ndarray:

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from matderiv import cli, counting, rules
+from matderiv import cli, core, counting, eigsens, kron, linsys_adjoint, rules
 from matderiv.errors import ContractError
 
 _SUITE_NAMES = {
@@ -161,6 +161,22 @@ class TestTridiag:
         assert code == 0
         assert report["rel_err"] <= 1e-3
 
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    def test_dropped_adjoint_term_fails(self, n, capsys, monkeypatch):
+        """grad_g without its v[1:] * x[:-1] term, still in two solves, so
+        only the relative error can catch it."""
+        def dropped(prob):
+            t = prob.matrix()
+            x = core.thomas_solve(t, prob.b)
+            v = core.thomas_solve(t, (-2.0 * core.dot(prob.c, x)) * prob.c)
+            return v[:-1] * x[1:]
+
+        monkeypatch.setattr(linsys_adjoint, "grad_g", dropped)
+        code, report = _run_json(capsys, ["tridiag", "--n", str(n)])
+        assert code == 1
+        assert report["solve_count"] == 2
+        assert report["rel_err"] > 1e-3
+
 
 class TestOdegrad:
     def test_three_routes_agree(self, capsys):
@@ -201,6 +217,14 @@ class TestJacdet:
             8.413463e-6, rel=1e-4)
         assert report["cases"]["sin"]["fd_det"] > 0
 
+    def test_scaled_formula_fails(self, capsys, monkeypatch):
+        true_jacdet = kron.theoretical_jacdet
+        monkeypatch.setattr(kron, "theoretical_jacdet",
+                            lambda f, fp, lam: (1 + 2e-2) * true_jacdet(f, fp, lam))
+        code, report = _run_json(capsys, ["jacdet"])
+        assert code == 1
+        assert all(case["rel_diff"] > 1e-2 for case in report["cases"].values())
+
     def test_one_decomposition_per_point_serves_all_three_functions(self, capsys):
         """18 perturbed points, each decomposed once for square, exp and sin:
         7 solves apiece (two inverse-iteration steps per eigenvalue and
@@ -230,7 +254,7 @@ class TestEig:
         assert code == 0
         assert report["passed"] is True
         assert len(report["rows"]) == 5
-        assert report["residuals"]["worst_rel_err"] <= 1e-4
+        assert report["residuals"]["rel_err"] <= 1e-4
 
     def test_large_n_difference_is_not_roundoff_bound(self, capsys):
         """A fixed step of 1e-6 along a dS whose norm grows like n left the
@@ -240,7 +264,28 @@ class TestEig:
         code, report = _run_json(capsys, ["eig", "--n", "120", "--seed", "4",
                                           "--format", "json"])
         assert code == 0
-        assert report["residuals"]["worst_rel_err"] <= 1e-4
+        assert report["residuals"]["rel_err"] <= 1e-4
+
+    @pytest.mark.parametrize("n, seed", [(4, 1655698776), (8, 1205), (16, 374)])
+    def test_judged_normwise_not_per_component(self, n, seed, capsys):
+        """Each of these failed when every component was judged by its own
+        relative error: a small dlambda_i carries the central difference's
+        roundoff, which is spread over the whole output, so at n = 4 the
+        third component read 1.25e-4 while ||dl - fd|| / ||fd|| is far below
+        the tolerance."""
+        code, report = _run_json(capsys, ["eig", "--n", str(n), "--seed", str(seed),
+                                          "--format", "json"])
+        assert code == 0
+        assert report["passed"] is True
+        assert report["residuals"]["rel_err"] <= 1e-5
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_scaled_dlambda_fails(self, n, capsys, monkeypatch):
+        true_dlambda = eigsens.dlambda
+        monkeypatch.setattr(eigsens, "dlambda", lambda dec, ds: (1 + 1e-3) * true_dlambda(dec, ds))
+        code, report = _run_json(capsys, ["eig", "--n", str(n), "--format", "json"])
+        assert code == 1
+        assert report["passed"] is False
 
 
 class TestHessianDemo:

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matderiv import core, counting, fdcheck, rules, scalarfn as sf
-from matderiv.forward import Dual
+from matderiv import core, counting, fdcheck, rules
 from matderiv.errors import (
     ContractError,
     ConvergenceError,
@@ -944,57 +943,3 @@ class TestNormRange:
             tol[i] = np.nextafter(tol[i], 0.0)
             with pytest.raises(ContractError, match=rf"stack member {i}\)"):
                 core._require_within(x, tol, "test")
-
-
-class TestNewtonRoot:
-    def test_scalar_square_root(self):
-        root = core.newton_root(lambda xs: [xs[0] * xs[0] - 4.0], [3.0])
-        np.testing.assert_allclose(root, [2.0], rtol=1e-12)
-
-    def test_coupled_system(self):
-        def f(xs):
-            x, y = xs
-            return [x * x + y * y - 4.0, x - y]
-
-        root = core.newton_root(f, [1.0, 0.5])
-        np.testing.assert_allclose(root, [np.sqrt(2.0), np.sqrt(2.0)],
-                                   rtol=1e-12)
-
-    def test_history_records_iterates(self):
-        hist = []
-        core.newton_root(lambda xs: [xs[0] * xs[0] - 4.0], [3.0], history=hist)
-        assert len(hist) >= 2
-        np.testing.assert_allclose(hist[0], [3.0])
-
-    def test_quadratic_convergence(self):
-        """Error roughly squares from one iterate to the next near the root."""
-        hist = []
-        core.newton_root(lambda xs: [xs[0] * xs[0] - 2.0], [1.5], history=hist)
-        errs = [abs(h[0] - np.sqrt(2.0)) for h in hist]
-        mid = [e for e in errs if 1e-12 < e < 1e-2]
-        for e_prev, e_next in zip(mid, mid[1:]):
-            assert e_next <= 10.0 * e_prev**2
-
-    def test_max_iter_exhaustion(self):
-        """exp has no root; each Newton step only walks x down by 1."""
-        with pytest.raises(ConvergenceError) as err:
-            core.newton_root(lambda xs: [sf.exp(xs[0])], [1.0], max_iter=8)
-        assert err.value.last is not None
-
-    def test_singular_jacobian(self):
-        with pytest.raises(SingularMatrixError):
-            core.newton_root(lambda xs: [xs[0] * xs[0] - 4.0], [0.0])
-
-    def test_non_square_system_rejected(self):
-        with pytest.raises(ShapeError):
-            core.newton_root(lambda xs: [xs[0], xs[0]], [1.0])
-
-    def test_residuals_run_on_python_floats(self):
-        seen = set()
-        core.newton_root(lambda xs: seen.update(map(type, xs)) or [xs[0] * xs[0] - 4.0], [3.0])
-        assert seen - {Dual} == {float}  # Duals carry the Jacobian
-
-    def test_residual_division_by_zero_raises(self):
-        """As in float evaluation: ZeroDivisionError, not numpy's RuntimeWarning."""
-        with pytest.raises(ZeroDivisionError):
-            core.newton_root(lambda xs: [1.0 / xs[0] - 2.0], [0.0])

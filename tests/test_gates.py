@@ -15,7 +15,9 @@ with the files allowed to match; any other matching line fails the gate.
   ``forward.scalar_output`` in every mode; indexing ``forward.evaluate``'s
   outputs, or a second ``scalar_output``, would decide it a second way;
 * gap guard: ``core.require_gaps`` alone decides when two eigenvalues are
-  too close, each caller passing its own scale.
+  too close, each caller passing its own scale;
+* relative error: ``fdcheck.relative_error`` alone divides an error by its
+  scale, so no module divides by a component's own magnitude, ``/ abs(...)``.
 """
 
 import re
@@ -37,6 +39,7 @@ GATES = {
         (r"evaluate\(.*\)\[", SRC, set()),
         (r"def scalar_output\b|^\s*scalar_output\s*=", SRC, {"src/matderiv/forward.py"})],
     "gap guard": [(r"eigenvalues too close", SRC, {"src/matderiv/core.py"})],
+    "relative error": [(r"/ ?abs\(", SRC, set())],
 }
 
 

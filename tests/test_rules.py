@@ -521,6 +521,7 @@ EXEMPT = {
         "linsys_adjoint.solve_state", "linsys_adjoint.g_eval", "linsys_adjoint.partial_dA",
         "linsys_adjoint.random_instance", "second_order.bilinear_identity_check",
         "second_order.quadratic_model_check", "second_order.newton_min_step",
+        "second_order.newton_root",
         "odesens.integrate_rk4", "odesens.integrate_euler", "odesens.simpson", "odesens.loss_G",
         "odesens.loss_discrete", "odesens.reference_instance"},
     "a finite-difference reference route": {

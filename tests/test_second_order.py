@@ -13,13 +13,16 @@ import pytest
 import progen
 from matderiv import fdcheck, reverse, scalarfn as sf
 from matderiv.core import frob
-from matderiv.errors import ContractError, DivisionByZeroError, ShapeError, SingularMatrixError
+from matderiv.errors import (ContractError, ConvergenceError, DivisionByZeroError, ShapeError,
+                             SingularMatrixError)
+from matderiv.forward import Dual
 from matderiv.second_order import (
     bilinear_identity_check,
     grad_of_grad_function,
     hessian,
     hvp,
     newton_min_step,
+    newton_root,
     quadratic_model_check,
 )
 
@@ -299,6 +302,60 @@ class TestNewtonStep:
         with pytest.raises(SingularMatrixError):
             newton_min_step(lambda xs: xs[0] * xs[1] * 0.0 + xs[0],
                             np.array([1.0, 1.0]))
+
+
+class TestNewtonRoot:
+    def test_scalar_square_root(self):
+        root = newton_root(lambda xs: [xs[0] * xs[0] - 4.0], [3.0])
+        np.testing.assert_allclose(root, [2.0], rtol=1e-12)
+
+    def test_coupled_system(self):
+        def f(xs):
+            x, y = xs
+            return [x * x + y * y - 4.0, x - y]
+
+        root = newton_root(f, [1.0, 0.5])
+        np.testing.assert_allclose(root, [np.sqrt(2.0), np.sqrt(2.0)],
+                                   rtol=1e-12)
+
+    def test_history_records_iterates(self):
+        hist = []
+        newton_root(lambda xs: [xs[0] * xs[0] - 4.0], [3.0], history=hist)
+        assert len(hist) >= 2
+        np.testing.assert_allclose(hist[0], [3.0])
+
+    def test_quadratic_convergence(self):
+        """Error roughly squares from one iterate to the next near the root."""
+        hist = []
+        newton_root(lambda xs: [xs[0] * xs[0] - 2.0], [1.5], history=hist)
+        errs = [abs(h[0] - np.sqrt(2.0)) for h in hist]
+        mid = [e for e in errs if 1e-12 < e < 1e-2]
+        for e_prev, e_next in zip(mid, mid[1:]):
+            assert e_next <= 10.0 * e_prev**2
+
+    def test_max_iter_exhaustion(self):
+        """exp has no root; each Newton step only walks x down by 1."""
+        with pytest.raises(ConvergenceError) as err:
+            newton_root(lambda xs: [sf.exp(xs[0])], [1.0], max_iter=8)
+        assert err.value.last is not None
+
+    def test_singular_jacobian(self):
+        with pytest.raises(SingularMatrixError):
+            newton_root(lambda xs: [xs[0] * xs[0] - 4.0], [0.0])
+
+    def test_non_square_system_rejected(self):
+        with pytest.raises(ShapeError):
+            newton_root(lambda xs: [xs[0], xs[0]], [1.0])
+
+    def test_residuals_run_on_python_floats(self):
+        seen = set()
+        newton_root(lambda xs: seen.update(map(type, xs)) or [xs[0] * xs[0] - 4.0], [3.0])
+        assert seen - {Dual} == {float}  # Duals carry the Jacobian
+
+    def test_residual_division_by_zero_raises(self):
+        """As in float evaluation: ZeroDivisionError, not numpy's RuntimeWarning."""
+        with pytest.raises(ZeroDivisionError):
+            newton_root(lambda xs: [1.0 / xs[0] - 2.0], [0.0])
 
 
 class TestGradOfGradFunction:
