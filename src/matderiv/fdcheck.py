@@ -5,10 +5,10 @@ relative-error rule, step-size suggestion, log-log error sweeps (``matderiv
 fdsweep`` writes one as CSV), and a "triple check" that pits an analytic
 derivative, an AD derivative and a finite difference against each other along
 random directions.  A failed comparison is a *result*, not an exception: the
-report says so and callers decide what to do.  The CLI forms every relative
-error through ``relative_error``: ``eig`` is judged normwise (residual
-``rel_err``; its table's per-component column is for reading) and ``tridiag``
-against ||grad|| ||dp||.
+report says so and callers decide what to do.  Every verdict of the CLI
+forms its relative error through ``relative_error``: ``eig`` is judged
+normwise (residual ``rel_err``), its table's per-component column being for
+reading only.
 """
 
 from __future__ import annotations
@@ -56,22 +56,20 @@ def fd_jacobian(f, x) -> np.ndarray:
     return np.stack([directional_fd(f, x, e) for e in np.eye(len(x))], axis=-1)
 
 
-def relative_error(approx, exact, scale=None) -> float:
-    """||approx - exact||_F / scale, the scale ||exact||_F by default: a
-    central difference's roundoff is spread over the whole output, so no
-    component is judged alone.  A directional derivative grad . dp passes
-    ||grad||_F ||dp||_F, the Cauchy-Schwarz bound on |grad . dp|, which does
-    not vanish where grad . dp cancels.  A zero scale is a ``DomainError``."""
+def relative_error(approx, exact) -> float:
+    """||approx - exact||_F / ||exact||_F; undefined for exact == 0.  The
+    whole output is the scale: a central difference's roundoff is spread over
+    it, so no component is judged alone."""
     approx = np.asarray(approx, dtype=float)
     exact = np.asarray(exact, dtype=float)
     if approx.shape != exact.shape:
         raise ContractError(
             f"relative_error: shapes differ ({approx.shape} vs {exact.shape})"
         )
-    scale = frob(exact) if scale is None else scale
-    if scale == 0.0:
-        raise DomainError("relative_error against a zero scale")
-    return frob(approx - exact) / scale
+    denom = frob(exact)
+    if denom == 0.0:
+        raise DomainError("relative_error against an exactly-zero reference")
+    return frob(approx - exact) / denom
 
 
 RULE_TOL = 1e-6

@@ -7,7 +7,6 @@ import pytest
 
 import progen
 from matderiv import reverse
-from matderiv.core import frob
 from matderiv.errors import ContractError, DomainError, ShapeError
 from matderiv.fdcheck import (
     best_scale,
@@ -126,19 +125,6 @@ class TestRelativeError:
     def test_zero_reference_rejected(self):
         with pytest.raises(DomainError):
             relative_error(np.zeros(2), np.zeros(2))
-
-    def test_directional_scale_passes_orthogonal_direction(self):
-        """grad . dp = 0 has no relative error of its own; against the
-        Cauchy-Schwarz scale ||grad|| ||dp|| a 1e-12 miss is roundoff."""
-        grad, dp = np.array([1.0, 2.0]), np.array([2.0, -1.0])
-        exact = float(grad @ dp)
-        assert exact == 0.0
-        err = relative_error(exact + 1e-12, exact, frob(grad) * frob(dp))
-        assert err == pytest.approx(1e-12 / 5.0, rel=1e-12)
-
-    def test_zero_scale_rejected(self):
-        with pytest.raises(DomainError):
-            relative_error([1.0], [2.0], scale=0.0)
 
 
 class TestSuggestStep:
