@@ -18,12 +18,18 @@ The two LU regimes are bitwise equal; the Jacobi regimes agree to roundoff.
 The cuts are measured crossovers, not options.  The Thomas sweeps always
 run on Python floats (over memoryviews).
 
-``jacobi_eigen`` also takes a (k, n, n) stack of symmetric matrices.  The
-regime is still chosen by n alone: below the cut the members are swept one
-by one, above it all together, each round's products stacked so numpy's
-fixed cost is paid once per stack.  A member leaves the stack at the sweep
-where its own stopping test passes, so its q and lam are bitwise those of
-its own call.
+``jacobi_eigen``, ``lu_solve`` and ``det`` also take a (k, n, n) stack of
+matrices, so numpy's fixed cost per call is paid once per stack, and each
+member's output is bitwise that of its own call:
+  - above JACOBI_SCALAR_MAX_N a Jacobi stack's rounds are stacked products;
+    a Jacobi stack at n <= 5 sweeps elementwise, bitwise each member's own
+    call: the Python-float regime's operations, each made over all live
+    members at once.  A member leaves the stack at the sweep where its own
+    stopping test passes;
+  - the stacked elimination is bitwise the 2-D regimes: each member picks
+    its own pivot against its own tolerance and swaps its own rows, and
+    leaves the stack at a failing pivot.
+A 2-D call keeps the 2-D code, which a stack of one does not beat.
 
 Conventions fixed by this module:
   - vectors are 1-D float64 arrays, matrices 2-D float64 arrays;
@@ -259,7 +265,8 @@ def _eliminate(a: np.ndarray, tol: float):
     Up to LU_SCALAR_MAX_N rows it runs on Python floats
     (``_eliminate_scalar``), above on rank-1 array updates.  Both regimes
     make the same operations in the same order, so their results are
-    bitwise equal; neither raises nor counts.
+    bitwise equal; neither raises nor counts.  ``_eliminate_stack`` is the
+    array regime over a stack.
     """
     n = a.shape[0]
     if n <= LU_SCALAR_MAX_N:
@@ -314,6 +321,50 @@ def _eliminate_scalar(a: np.ndarray, tol: float):
             for j in range(step + 1, n):
                 row[j] -= l * top[j]
     return np.array(rows).reshape(n, n), np.array(perm, dtype=np.intp), sign, k
+
+
+def _eliminate_stack(a: np.ndarray, tol: np.ndarray):
+    """``_eliminate``'s array regime over a (k, n, n) stack, with one ``tol``
+    per member: (packed LUs, permutations, pivot signs, steps), where
+    steps[i] is member i's k.  Each member picks its own pivot as
+    ``np.argmax`` does (the first largest |a|, or the first NaN), swaps its
+    own rows and takes the same division and rank-1 update, elementwise, so
+    its outputs are bitwise those of its own 2-D call; a member whose pivot
+    fails leaves the stack at that step, as its own call returns there.
+    Overflow gives inf and NaN silently, as on Python floats."""
+    k, n = a.shape[:2]
+    # column n holds each row's original index, so one swap moves both
+    rows = np.broadcast_to(np.arange(n, dtype=float)[:, None], (k, n, 1))
+    out = (np.concatenate((a, rows), axis=2), np.ones(k))
+    steps = [None] * k
+    live, (lu, sign) = np.arange(k), out
+    at = np.arange(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n):
+            col = np.abs(lu[:, step:, step])
+            p = col.argmax(axis=1)
+            # |pivot|: max is NaN exactly where argmax picks the first NaN
+            failed = col.max(axis=1) <= tol
+            if failed.any():
+                for whole, w in zip(out, (lu, sign)):
+                    whole[live[failed]] = w[failed]
+                for i in live[failed].tolist():
+                    steps[i] = step
+                keep = ~failed
+                live, tol, p, lu, sign = live[keep], tol[keep], p[keep], lu[keep], sign[keep]
+                at = at[:len(live)]
+            if step + 1 == n:  # one row left: no swap and nothing below it
+                break
+            np.negative(sign, out=sign, where=p != 0)
+            p += step
+            pivot_rows = lu[at, p]
+            lu[at, p] = lu[:, step]
+            lu[:, step] = pivot_rows
+            lu[:, step + 1:, step] /= lu[:, step, step, None]
+            lu[:, step + 1:, step + 1:n] -= lu[:, step + 1:, step, None] * lu[:, step, None, step + 1:n]
+    if lu is not out[0]:
+        out[0][live], out[1][live] = lu, sign
+    return out[0][..., :n], out[0][..., n].astype(np.intp), out[1], steps
 
 
 def _lu_factor_flops(n: int) -> int:
@@ -408,9 +459,40 @@ def lu_solve_pivots(a, b) -> tuple[np.ndarray, float, np.ndarray]:
 def lu_solve(a, b) -> np.ndarray:
     """Solve a x = b by partial-pivot LU; one solve event on the counter.
 
-    ``b`` may be a vector or a matrix of right-hand-side columns.
+    ``b`` may be a vector or a matrix of right-hand-side columns.  ``a`` may
+    also be a (k, n, n) stack, with ``b`` of shape (k, n) or (k, n, m): one
+    elimination (``_eliminate_stack``) and one substitution over the whole
+    stack, each member's x bitwise that of its own call, and k solve events
+    with k times one member's flops.  A member singular to its own tolerance
+    PIVOT_RTOL * ||A_i||_F raises ``SingularMatrixError``, naming the lowest
+    such member and its own failing step.
     """
-    return lu_solve_pivots(a, b)[0]
+    if getattr(a, "ndim", 2) != 3:
+        return lu_solve_pivots(a, b)[0]
+    a = _as_square_stack(np.asarray(a, dtype=float), "lu_solve")
+    b = np.asarray(b, dtype=float)
+    k, n = a.shape[:2]
+    if b.ndim not in (2, 3) or b.shape[:2] != (k, n):
+        raise ShapeError(f"lu_solve: rhs of shape {b.shape} for a stack of shape {a.shape}")
+    if not _all_finite(b):
+        raise ContractError("rhs contains non-finite entries")
+    lu, perm, _, steps = _eliminate_stack(a, PIVOT_RTOL * np.array([frob(m) for m in a]))
+    for i, step in enumerate(steps):
+        if step is not None:
+            raise SingularMatrixError(
+                f"lu_solve{_member(i)}: matrix singular to tolerance at elimination step {step}",
+                pivot_index=step,
+            )
+    x = (b if b.ndim == 3 else b[..., None])[np.arange(k)[:, None], perm]  # a copy
+    # lu_solve_factored's array regime, stacked, without its empty updates
+    for j in range(n - 1):
+        x[:, j + 1:] -= lu[:, j + 1:, j, None] * x[:, j, None]
+    for j in range(n - 1, -1, -1):
+        x[:, j] /= lu[:, j, j, None]
+        if j:
+            x[:, :j] -= lu[:, :j, j, None] * x[:, j, None]
+    counting.add(flops=k * (_lu_factor_flops(n) + 2 * n * n * x.shape[2]), solves=k)
+    return x if b.ndim == 3 else x[..., 0]
 
 
 def _signed_pivots(a):
@@ -457,18 +539,36 @@ def det_times(sign: float, piv: np.ndarray, x):
         return sign * np.sign(x) * np.exp(logabs + np.log(np.abs(x)))
 
 
-def det(a) -> float:
+def det(a):
     """Determinant from the LU pivots, ``det_times(..., 1.0)``: their signed
     product where every partial product is a normal float, else through
     log|det|.
 
     Unlike ``lu_solve`` this does not raise on singular input: an exactly
-    zero pivot column simply yields 0.0.  Nothing is counted.
+    zero pivot column simply yields 0.0.  Nothing is counted.  A (k, n, n)
+    stack gives an array of k determinants from one elimination over the
+    stack (``_eliminate_stack``), each bitwise that of its own call.
     """
-    pivots = _signed_pivots(a)
-    if pivots is None:
-        return 0.0
-    return float(det_times(*pivots, 1.0))
+    if getattr(a, "ndim", 2) != 3:
+        pivots = _signed_pivots(a)
+        if pivots is None:
+            return 0.0
+        return float(det_times(*pivots, 1.0))
+    a = _as_square_stack(np.asarray(a, dtype=float), "det")
+    lu, _, sign, steps = _eliminate_stack(a, np.zeros(len(a)))
+    piv = lu.diagonal(0, 1, 2)
+    with np.errstate(over="ignore"):
+        # det_times' test, member by member: the product where every partial
+        # product is a normal float, else det_times itself (through logs)
+        out = sign * np.multiply.reduce(piv, axis=1)
+        normal = (np.abs(np.multiply.accumulate(piv, axis=1)) >= _TINY_NORMAL).all(axis=1)
+    through_logs = ~(normal & (np.abs(out) < np.inf))
+    failed = [i for i, step in enumerate(steps) if step is not None]
+    through_logs[failed] = False
+    for i in np.flatnonzero(through_logs).tolist():
+        out[i] = det_times(sign[i], piv[i], 1.0)
+    out[failed] = 0.0
+    return out
 
 
 def _zero_diagonal(row: int) -> SingularMatrixError:
@@ -553,9 +653,20 @@ def _jacobi_plan(n: int) -> tuple[np.ndarray, ...]:
 
 
 def _member(i) -> str:
-    """How ``jacobi_eigen``'s errors name member i of a stack ('' for a
+    """How a stacked kernel's errors name member i of a stack ('' for a
     single matrix, i = None)."""
     return "" if i is None else f" (stack member {i})"
+
+
+def _as_square_stack(s: np.ndarray, what: str) -> np.ndarray:
+    """The (k, n, n) float stack ``s`` after the checks of ``as_square``,
+    whose errors name ``what`` and the first non-finite member."""
+    if s.shape[1] != s.shape[2]:
+        raise ShapeError(f"expected a stack of square matrices, got shape {s.shape}")
+    bad = np.flatnonzero(~np.isfinite(s).all(axis=(1, 2)))
+    if len(bad):
+        raise ContractError(f"{what}{_member(bad[0])}: matrix contains non-finite entries")
+    return s
 
 
 def _require_within(x: np.ndarray, tol, what: str) -> None:
@@ -602,11 +713,12 @@ def jacobi_eigen(s) -> EigenDecomp:
     pairs.  The rotations of a round commute, so they are all computed from
     the same matrix and applied together: A <- J^T A J, with the rotated
     a_pr and a_rp set to exactly zero, and Q <- Q J, where J is the round's
-    block rotation.  The regime is chosen by n alone.  Above
-    JACOBI_SCALAR_MAX_N rows a round is two matrix products with J
-    (``_jacobi_products``; for a stack, stacked products over all of it);
-    up to it, column-pair and row-pair updates on Python floats
-    (``_jacobi_scalar``, member by member).  Sweeps run until the
+    block rotation.  Above JACOBI_SCALAR_MAX_N rows a round is two matrix
+    products with J (``_jacobi_products``; for a stack, stacked products
+    over all of it); up to it, column-pair and row-pair updates on Python
+    floats (``_jacobi_scalar``).  A Jacobi stack at n <= 5 sweeps
+    elementwise, bitwise each member's own call (``_jacobi_elementwise``:
+    each of those updates made over all live members).  Sweeps run until the
     off-diagonal Frobenius norm falls below JACOBI_OFF_RTOL * ||S||_F, and a
     member leaves its stack at the sweep where its own test passes.  An S
     with ||S||_F outside 2^(+-400) is swept as the exactly scaled S / 2^e,
@@ -622,12 +734,8 @@ def jacobi_eigen(s) -> EigenDecomp:
     if not stack:
         s = as_square(s)
         sym, norm, e = _jacobi_input(s)
-    elif s.shape[1] != s.shape[2]:
-        raise ShapeError(f"expected a stack of square matrices, got shape {s.shape}")
     else:
-        bad = np.flatnonzero(~np.isfinite(s).all(axis=(1, 2)))
-        if len(bad):
-            raise ContractError(f"jacobi_eigen{_member(bad[0])}: matrix contains non-finite entries")
+        _as_square_stack(s, "jacobi_eigen")
         parts = [_jacobi_input(m, "jacobi_eigen" + _member(i)) for i, m in enumerate(s)]
         sym = np.array([p[0] for p in parts]).reshape(s.shape)
         norm = np.array([p[1] for p in parts])
@@ -635,7 +743,10 @@ def jacobi_eigen(s) -> EigenDecomp:
     n = s.shape[-1]
     if n == 0:
         return EigenDecomp(q=np.zeros(s.shape), lam=np.zeros(s.shape[:-1]))
-    sweeps = _jacobi_scalar if n <= JACOBI_SCALAR_MAX_N else _jacobi_products
+    if n > JACOBI_SCALAR_MAX_N:
+        sweeps = _jacobi_products
+    else:
+        sweeps = _jacobi_elementwise if stack else _jacobi_scalar
     lam, q = sweeps(sym, JACOBI_OFF_RTOL * norm)
     # ascending eigenvalues (stable sort), then deterministic column signs:
     # each column's largest-magnitude entry > 0; the columns are worked on
@@ -659,8 +770,10 @@ def _rotation(app, arr, apr, hypot, copysign, fmax):
       t = sign(d) 2 a_pr / (|d| + hypot(d, 2 a_pr)),  sign(0) = 1.
     It cannot overflow, and is 0 (the identity) when a_pr = 0; the _TINY
     floor only replaces the 0/0 of a_pr = d = 0.  The same formula serves a
-    round's arrays (numpy's hypot, copysign, fmax) and one pair's Python
-    floats (``math.hypot``, ``math.copysign``, ``max``)."""
+    round's arrays (numpy's hypot, copysign, fmax), one pair's Python floats
+    (``math.hypot``, ``math.copysign``, ``max``) and a stack round's arrays
+    with ``math.hypot`` entry by entry (``_hypot_each``), which has the bits
+    of the Python floats."""
     apr2 = apr + apr
     d = arr - app
     t = apr2 / copysign(fmax(abs(d) + hypot(d, apr2), _TINY), d)
@@ -728,17 +841,11 @@ def _jacobi_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple(zip(p.tolist(), r.tolist())) for p, r in _jacobi_schedule(n))
 
 
-def _jacobi_scalar(sym: np.ndarray, off_tol, member=None):
-    """``_jacobi_products`` on lists of Python-float rows, where numpy's fixed
-    cost per call would outweigh the arithmetic, member by member for a
-    stack.  A round computes all its rotations from the same A, then applies
-    them as column-pair updates of the rows of A and Q and row-pair updates
-    of A."""
-    if sym.ndim == 3:
-        lam, vecs = np.empty(sym.shape[:2]), np.empty(sym.shape)
-        for i in range(len(sym)):
-            lam[i], vecs[i] = _jacobi_scalar(sym[i], off_tol[i], i)
-        return lam, vecs
+def _jacobi_scalar(sym: np.ndarray, off_tol: float):
+    """``_jacobi_products`` for one matrix on lists of Python-float rows,
+    where numpy's fixed cost per call would outweigh the arithmetic.  A
+    round computes all its rotations from the same A, then applies them as
+    column-pair updates of the rows of A and Q and row-pair updates of A."""
     n = sym.shape[0]
     a = sym.tolist()
     q = np.eye(n).tolist()
@@ -747,10 +854,15 @@ def _jacobi_scalar(sym: np.ndarray, off_tol, member=None):
     for _ in range(JACOBI_MAX_SWEEPS):
         # the off-diagonal norm over Python floats, its own sum rather than
         # frob's: the data is already scaled into range, and a numpy call
-        # per sweep would cost more than the sum itself
-        off = math.sqrt(sum([x * x for i, row in enumerate(a)
-                             for j, x in enumerate(row) if i != j]))
-        if off <= off_tol:
+        # per sweep would cost more than the sum itself.  The squares are
+        # added left to right, row by row, as ``_jacobi_elementwise`` adds
+        # them (``sum`` is compensated from Python 3.12 on)
+        off = 0.0
+        for i, row in enumerate(a):
+            for j, x in enumerate(row):
+                if i != j:
+                    off += x * x
+        if math.sqrt(off) <= off_tol:
             return np.array([a[i][i] for i in range(n)]), np.array(q)
         for pairs in rounds:
             rots = [(p, r, *_rotation(a[p][p], a[r][r], a[p][r],
@@ -766,4 +878,79 @@ def _jacobi_scalar(sym: np.ndarray, off_tol, member=None):
                 ap[:], ar[:] = ([c * x - sn * y for x, y in zip(ap, ar)],
                                 [sn * x + c * y for x, y in zip(ap, ar)])
                 ap[r] = ar[p] = 0.0
-    raise _not_converged(member)
+    raise _not_converged(None)
+
+
+_HYPOT_OBJECTS = np.frompyfunc(math.hypot, 2, 1)
+
+
+def _hypot_each(x, y) -> np.ndarray:
+    """``math.hypot`` entry by entry over broadcast arrays, for
+    ``_jacobi_elementwise``: ``np.hypot`` rounds differently in the last bit
+    on some pairs."""
+    return _HYPOT_OBJECTS(x, y).astype(float)
+
+
+@functools.cache
+def _jacobi_partners(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The pair updates of each round of ``_jacobi_schedule`` as gathers,
+    built once per n for ``_jacobi_elementwise``: (partner, slots) per round.
+
+    The round's (c x - s y, s x + c y) on a pair (p, r) is
+    C_j v_j - S_j v_partner(j) at j = p and at j = r, with C = c, S = s at p
+    and S = -s at r (c y - (-s) x is s x + c y exactly).  The index that
+    sits out at odd n is its own partner with C = 1 and S = -0, which gives
+    v_j back bit for bit, signed zeros included.  ``partner`` holds
+    partner(j); ``slots`` holds where C_j and S_j sit in the round's row
+    [c (m entries), s (m), -s (m), 1, -0].
+    """
+    out = []
+    for p, r in _jacobi_schedule(n):
+        m = len(p)
+        partner, slots = np.arange(n), np.empty((2, n), dtype=np.intp)
+        slots[:] = ((3 * m,), (3 * m + 1,))
+        partner[p], partner[r] = r, p
+        slots[0, p] = slots[0, r] = np.arange(m)
+        slots[1, p], slots[1, r] = m + np.arange(m), 2 * m + np.arange(m)
+        out.append((partner, slots))
+    return tuple(out)
+
+
+def _jacobi_elementwise(sym: np.ndarray, off_tol: np.ndarray):
+    """``_jacobi_scalar`` over a (k, n, n) stack at once, each of its
+    operations made elementwise over the live members, so each member gets
+    the bits of its own call: per round, the rotations from the same A
+    (``_rotation`` with ``math.hypot``), the column pairs of [A; Q], the
+    row pairs of A, then a_pr = a_rp = 0; per sweep, the squares of the
+    off-diagonal entries added left to right in row-major order.  A member
+    leaves the stack at the sweep where its own stopping test passes."""
+    k, n = sym.shape[:2]
+    live = np.arange(k)
+    lam, vecs = np.empty(sym.shape[:2]), np.empty(sym.shape)
+    aq = np.concatenate((sym, np.broadcast_to(np.eye(n), sym.shape)), axis=1)  # [A; Q]
+    off_diagonal = np.flatnonzero(1.0 - np.eye(n))
+    rounds = tuple(zip(_jacobi_plan(n), _jacobi_partners(n)))
+    for _ in range(JACOBI_MAX_SWEEPS):
+        x = aq.reshape(len(live), 2 * n * n)[:, off_diagonal]
+        # a zero in front: the sum of no squares is 0.0, as in the scalar loop
+        sums = np.add.accumulate(np.concatenate((np.zeros((len(x), 1)), x * x), axis=1), axis=1)
+        done = np.sqrt(sums[:, -1]) <= off_tol
+        if done.any():
+            lam[live[done]] = aq[done, :n].diagonal(0, 1, 2)
+            vecs[live[done]] = aq[done, n:]
+            keep = ~done
+            aq, live, off_tol = aq[keep], live[keep], off_tol[keep]
+        if not len(live):
+            return lam, vecs
+        sit_out = np.broadcast_to((1.0, -0.0), (len(live), 2))
+        for idx, (partner, slots) in rounds:
+            # idx: flat positions of (p, p), (r, r), (p, r), (r, p)
+            app, arr, apr = aq.reshape(len(live), 2 * n * n).take(idx[:3], axis=1).transpose(1, 0, 2)
+            c, sn = _rotation(app, arr, apr, _hypot_each, np.copysign, np.fmax)
+            cs = np.concatenate((c, sn, -sn, sit_out), axis=1).take(slots, axis=1)
+            # columns of [A; Q], then rows of A: C_j v_j - S_j v_partner(j)
+            aq = aq * cs[:, None, 0] - aq.take(partner, axis=2) * cs[:, None, 1]
+            a = aq[:, :n]
+            a[...] = a * cs[:, 0, :, None] - a.take(partner, axis=1) * cs[:, 1, :, None]
+            aq.reshape(len(live), 2 * n * n)[:, idx[2:]] = 0.0
+    raise _not_converged(live[0])

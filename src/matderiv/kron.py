@@ -9,7 +9,9 @@ spectral route f(M) = X f(Lambda) X^{-1} verifies it, and the product formula
 predicts its determinant.  The finite-difference route takes one or several
 f and decomposes each perturbed M once for all of them, each Jacobian
 bitwise that of a call with its f alone.  Both spectral routes gate on
-``core.require_gaps``, the general one at the scale ||M||_F.
+``core.require_gaps``, the general one at the scale ||M||_F.  The identity
+suite runs its kernels once per distinct size over all its trials
+(``_by_size``), each result bitwise that of its own 2-D call.
 """
 
 from __future__ import annotations
@@ -254,34 +256,59 @@ def _rel(delta: float, ref: float) -> float:
     return delta / (1.0 + ref)
 
 
-def _eigen_by_size(mats: list) -> list:
-    """``core.jacobi_eigen`` of every symmetric matrix in ``mats``, in order:
-    one call per distinct size, over the stack of that size's matrices, or
-    on the matrix itself where its size occurs once (a stack of one runs
-    slower than a 2-D call and gives the same bits)."""
+# The fewest matrices of one size that ``_by_size`` passes to a kernel as
+# one stack; a size with fewer goes as 2-D calls.  Each is the measured
+# crossover at the suite's sizes (the table is in CHANGES.md): with fewer
+# members the stack is slower than the calls it replaces.  jacobi_eigen has
+# one per regime: its elementwise sweeps (n <= JACOBI_SCALAR_MAX_N) pay a
+# fixed numpy cost per round that member-by-member Python floats do not,
+# while its stacked matrix products beat separate calls from two members.
+_STACK_MIN = {"inverse": 5, "det": 7, "jacobi_eigen": 8, "jacobi_eigen products": 2}
+
+
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """A^-1, or the inverse of each member of a stack: ``core.lu_solve``
+    against the identity."""
+    eye = np.eye(a.shape[-1])
+    return core.lu_solve(a, eye if a.ndim == 2 else np.broadcast_to(eye, a.shape))
+
+
+def _by_size(mats: list, kernel: str) -> list:
+    """``kernel`` ("jacobi_eigen", "inverse" or "det") of every square
+    matrix in ``mats``, in order, each bitwise its own 2-D call: one call
+    per distinct size over the stack of that size's matrices, or 2-D calls
+    where a size has fewer than its ``_STACK_MIN`` entry."""
+    call = {"jacobi_eigen": core.jacobi_eigen, "inverse": _inverse, "det": core.det}[kernel]
     by_size = {}
     for i, m in enumerate(mats):
         by_size.setdefault(len(m), []).append(i)
-    decs = [None] * len(mats)
-    for members in by_size.values():
-        if len(members) == 1:
-            decs[members[0]] = core.jacobi_eigen(mats[members[0]])
+    out = [None] * len(mats)
+    for n, members in by_size.items():
+        products = kernel == "jacobi_eigen" and n > core.JACOBI_SCALAR_MAX_N
+        if len(members) < _STACK_MIN[f"{kernel} products" if products else kernel]:
+            for i in members:
+                out[i] = call(mats[i])
             continue
-        dec = core.jacobi_eigen(np.array([mats[i] for i in members]))
-        for i, q, lam in zip(members, dec.q, dec.lam):
-            decs[i] = core.EigenDecomp(q=q, lam=lam)
-    return decs
+        res = call(np.array([mats[i] for i in members]))
+        if kernel == "jacobi_eigen":
+            res = [core.EigenDecomp(q=q, lam=lam) for q, lam in zip(res.q, res.lam)]
+        elif kernel == "det":
+            res = res.tolist()
+        for i, r in zip(members, res):
+            out[i] = r
+    return out
 
 
 def kron_identity_suite(seed: int = 0, trials: int = 50) -> dict:
     """Randomized check of seven Kronecker-product identities; returns the
     worst relative residual seen per identity.
 
-    Each trial draws its matrices and notes the five identities that need
-    no eigendecomposition.  The symmetric parts S_a, S_b and S_a (x) S_b of
-    all trials are then decomposed together, one ``core.jacobi_eigen`` call
-    per distinct size (each member bitwise as its own call), and the
-    orthogonality and eigenpair identities are noted trial by trial.
+    Every trial's matrices are drawn first.  The kernels then run once per
+    distinct size over all trials (``_by_size``): the inverses of the
+    shifted A, B and their Kronecker product, the determinants of A (x) B,
+    A and B, and the eigendecompositions of S_a, S_b and S_a (x) S_b, each
+    bitwise its own 2-D call.  The identities are then noted trial by
+    trial, so each worst residual is that of one call per matrix.
     """
     rng = np.random.default_rng(seed)
     worst = {name: 0.0 for name in KRON_IDENTITIES}
@@ -289,15 +316,32 @@ def kron_identity_suite(seed: int = 0, trials: int = 50) -> dict:
     def note(name, delta, ref):
         worst[name] = max(worst[name], _rel(delta, ref))
 
-    spectral = []  # S_a, S_b, S_a (x) S_b of each trial in turn
+    draws = []
     for _ in range(trials):
         n = int(rng.integers(2, 5))
         m = int(rng.integers(2, 5))
-        a = rng.uniform(-1.0, 1.0, size=(n, n))
-        b = rng.uniform(-1.0, 1.0, size=(m, m))
-        c = rng.uniform(-1.0, 1.0, size=(n, n))
-        d = rng.uniform(-1.0, 1.0, size=(m, m))
-        ab = _kron(a, b)
+        draws.append([rng.uniform(-1.0, 1.0, size=(s, s)) for s in (n, m, n, m)])
+
+    shifted, dets, spectral = [], [], []  # three matrices a trial, in turn
+    for a, b, _, _ in draws:
+        # shifted to guarantee invertibility
+        a1 = a + (len(a) + 1.0) * np.eye(len(a))
+        b1 = b + (len(b) + 1.0) * np.eye(len(b))
+        shifted += (a1, b1, _kron(a1, b1))
+        dets += (_kron(a, b), a, b)
+        # one eigendecomposition per symmetric part serves the orthogonality
+        # and the eigenpair checks: a + a^T = 2 sa exactly, and a power-of-two
+        # scaling changes no rotation, so the q of sa is the q of a + a^T
+        sa = 0.5 * (a + a.T)
+        sb = 0.5 * (b + b.T)
+        spectral += (sa, sb, _kron(sa, sb))
+    inverses = _by_size(shifted, "inverse")
+    determinants = _by_size(dets, "det")
+    decs = _by_size(spectral, "jacobi_eigen")
+
+    for t, (a, b, c, d) in enumerate(draws):
+        n, m = len(a), len(b)
+        ab = dets[3 * t]
 
         # (A (x) B)^T = A^T (x) B^T
         note("transpose", frob(ab.T - _kron(a.T, b.T)), frob(ab))
@@ -307,18 +351,13 @@ def kron_identity_suite(seed: int = 0, trials: int = 50) -> dict:
         rhs = _kron(a @ c, b @ d)
         note("mixed_product", frob(lhs - rhs), frob(rhs))
 
-        # (A (x) B)^-1 = A^-1 (x) B^-1 (shift to guarantee invertibility)
-        a1 = a + (n + 1.0) * np.eye(n)
-        b1 = b + (m + 1.0) * np.eye(m)
-        inv_a = core.lu_solve(a1, np.eye(n))
-        inv_b = core.lu_solve(b1, np.eye(m))
-        big = _kron(a1, b1)
-        inv_big = core.lu_solve(big, np.eye(n * m))
+        # (A (x) B)^-1 = A^-1 (x) B^-1
+        inv_a, inv_b, inv_big = inverses[3 * t:3 * t + 3]
         note("inverse", frob(inv_big - _kron(inv_a, inv_b)), frob(inv_big))
 
         # det(A (x) B) = det(A)^m det(B)^n
-        lhs_d = core.det(ab)
-        rhs_d = core.det(a) ** m * core.det(b) ** n
+        lhs_d, det_a, det_b = determinants[3 * t:3 * t + 3]
+        rhs_d = det_a ** m * det_b ** n
         note("determinant", abs(lhs_d - rhs_d), abs(rhs_d))
 
         # tr(A (x) B) = tr(A) tr(B)
@@ -328,15 +367,7 @@ def kron_identity_suite(seed: int = 0, trials: int = 50) -> dict:
             abs(float(np.trace(a)) * float(np.trace(b))),
         )
 
-        # one eigendecomposition per symmetric part serves the orthogonality
-        # and the eigenpair checks: a + a^T = 2 sa exactly, and a power-of-two
-        # scaling changes no rotation, so the q of sa is the q of a + a^T
-        sa = 0.5 * (a + a.T)
-        sb = 0.5 * (b + b.T)
-        spectral += (sa, sb, _kron(sa, sb))
-
-    decs = _eigen_by_size(spectral)
-    for dec_a, dec_b, dec_ab in zip(decs[0::3], decs[1::3], decs[2::3]):
+        dec_a, dec_b, dec_ab = decs[3 * t:3 * t + 3]
         nm = dec_ab.lam.size
 
         # orthogonal (x) orthogonal is orthogonal

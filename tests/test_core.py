@@ -229,6 +229,25 @@ def _lu_outputs(a, b):
     return out
 
 
+def _lu_cases(rng, n):
+    """[random, +-1, duplicate row, zero column, near-overflow] n x n
+    matrices drawn from ``rng``: the LU edge cases."""
+    dup = rng.integers(-3, 4, (n, n)).astype(float)
+    dup[-1] = dup[0]
+    zero_col = rng.standard_normal((n, n))
+    zero_col[:, n // 2] = 0.0
+    # entries near the float maximum: the elimination overflows to inf
+    # and NaN, where np.argmax's pivot is the first NaN
+    overflow = rng.choice([-1.7e308, 1.7e308], (n, n))
+    return [
+        rng.standard_normal((n, n)),
+        rng.choice([-1.0, 1.0], (n, n)),       # pivot ties in every column
+        dup,                                   # exactly singular
+        zero_col,                              # det 0.0, slogdet (0, -inf)
+        overflow,
+    ]
+
+
 class TestLURegimes:
     """The Python-float and array regimes of the elimination and the
     substitution give bitwise-equal results at every n up to just above the
@@ -237,20 +256,8 @@ class TestLURegimes:
     @pytest.mark.parametrize("n", range(1, core.LU_SCALAR_MAX_N + 2))
     def test_bitwise_equal(self, monkeypatch, n):
         rng = np.random.default_rng(90 + n)
-        dup = rng.integers(-3, 4, (n, n)).astype(float)
-        dup[-1] = dup[0]
-        zero_col = rng.standard_normal((n, n))
-        zero_col[:, n // 2] = 0.0
-        # entries near the float maximum: the elimination overflows to inf
-        # and NaN, where np.argmax's pivot is the first NaN
-        overflow = rng.choice([-1.7e308, 1.7e308], (n, n))
-        cases = [
-            rng.standard_normal((n, n)),
-            rng.choice([-1.0, 1.0], (n, n)),       # pivot ties in every column
-            dup,                                   # exactly singular
-            zero_col,                              # det 0.0, slogdet (0, -inf)
-            overflow,
-        ]
+        cases = _lu_cases(rng, n)
+        _, _, dup, zero_col, overflow = cases
         for a in cases:
             for b in (rng.standard_normal(n), rng.standard_normal((n, n))):
                 scalar, array = _in_both_regimes(monkeypatch, "LU_SCALAR_MAX_N",
@@ -285,6 +292,106 @@ class TestLURegimes:
         monkeypatch.setattr(core, "_substitute_scalar", None)
         wide = core.lu_solve_factored(lu, perm, b)
         np.testing.assert_allclose(a @ wide, b, atol=1e-12)
+
+
+def _solves_alone(a) -> bool:
+    try:
+        core.lu_solve(a, np.ones(len(a)))
+    except SingularMatrixError:
+        return False
+    return True
+
+
+class TestLUStack:
+    """``lu_solve`` and ``det`` of a (k, n, n) stack: one stacked
+    elimination, each member with the bits and the counts of its own 2-D
+    call, on either side of the LU cut."""
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 40])
+    @pytest.mark.parametrize("n", range(1, core.LU_SCALAR_MAX_N + 3))
+    def test_members_are_their_own_calls(self, n, k):
+        rng = np.random.default_rng(1000 + 50 * n + k)
+        cases = []
+        while len(cases) < k:
+            cases += _lu_cases(rng, n)
+        stack = np.array(cases[:k])
+        with np.errstate(all="ignore"):
+            lu, perm, sign, steps = core._eliminate_stack(stack, np.zeros(k))
+            dets = core.det(stack)
+            for i, a in enumerate(stack):
+                own = core._eliminate(a, 0.0)
+                assert (lu[i].tobytes(), perm[i].tobytes(), sign[i], steps[i]) == \
+                    (own[0].tobytes(), own[1].tobytes(), own[2], own[3])
+                assert dets[i].tobytes() == np.float64(core.det(a)).tobytes()
+            solvable = stack[[_solves_alone(a) for a in stack]]
+        for shape in [(n,), (n, 3)]:
+            b = rng.standard_normal((len(solvable), *shape))
+            with counting.tally() as together:
+                x = core.lu_solve(solvable, b)
+            with counting.tally() as alone:
+                own = [core.lu_solve(a, bi) for a, bi in zip(solvable, b)]
+            assert x.shape == b.shape
+            assert [xi.tobytes() for xi in x] == [xi.tobytes() for xi in own]
+            assert together == alone
+
+    @pytest.mark.parametrize("n", [2, 5, core.LU_SCALAR_MAX_N + 1])
+    def test_singular_member_named(self, n):
+        """Members 2 (a duplicate row) and 3 (zero) are singular: lu_solve
+        names member 2 with its own pivot_index and counts nothing; det
+        gives both 0.0 and the others their own values."""
+        rng = np.random.default_rng(1100 + n)
+        stack = rng.standard_normal((5, n, n)) + n * np.eye(n)
+        stack[2, -1] = stack[2, 0]
+        stack[3] = 0.0
+        with pytest.raises(SingularMatrixError) as own:
+            core.lu_solve(stack[2], np.ones(n))
+        with counting.tally() as c, pytest.raises(SingularMatrixError, match="stack member 2") as err:
+            core.lu_solve(stack, np.ones((5, n)))
+        assert err.value.pivot_index == own.value.pivot_index
+        assert c == counting.Counter()
+        dets = core.det(stack)
+        assert dets[2] == dets[3] == 0.0
+        assert [dets[i] for i in (0, 1, 4)] == [core.det(stack[i]) for i in (0, 1, 4)]
+
+    def test_det_members_past_the_float_range(self):
+        """TestDet's partial overflow, partial underflow and subnormal
+        partial products, and a determinant that overflows to -inf, beside a
+        plain member: each takes its own call's route, with no warning."""
+        stack = np.array([np.diag(d) for d in (
+            [1e200, -1e200, 1e-200], [1e-200, 1e-200, 1e300], [1e-160, 1e-160, 1e200],
+            [1e300, -1e300, 1e300], [2.0, 3.0, 0.5])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dets = core.det(stack)
+            own = [core.det(a) for a in stack]
+        assert dets.tolist() == own
+        assert own[3] == -np.inf and own[4] == 3.0
+
+    @pytest.mark.parametrize("kernel", [core.det, lambda a: core.lu_solve(a, np.ones(a.shape[:2]))])
+    def test_non_finite_member_named(self, kernel):
+        stack = np.array([np.eye(3)] * 4)
+        stack[1, 2, 0] = np.inf
+        stack[3, 0, 0] = np.nan
+        with pytest.raises(ContractError, match="stack member 1"):
+            kernel(stack)
+
+    @pytest.mark.parametrize("rhs", [(4,), (4, 2), (2, 4), (3, 4, 2, 1), (3, 5)])
+    def test_rhs_without_the_stack_axis_rejected(self, rhs):
+        stack = np.array([np.eye(4)] * 3)
+        assert core.lu_solve(stack, np.ones((3, 4, 2))).shape == (3, 4, 2)
+        with pytest.raises(ShapeError, match="rhs of shape"):
+            core.lu_solve(stack, np.ones(rhs))
+
+    def test_non_finite_rhs_rejected(self):
+        b = np.ones((3, 4))
+        b[2, 1] = np.nan
+        with pytest.raises(ContractError):
+            core.lu_solve(np.array([np.eye(4)] * 3), b)
+
+    @pytest.mark.parametrize("kernel", [core.det, lambda a: core.lu_solve(a, np.ones(a.shape[:2]))])
+    def test_non_square_stack_rejected(self, kernel):
+        with pytest.raises(ShapeError, match="stack of square matrices"):
+            kernel(np.ones((2, 3, 4)))
 
 
 class TestDet:
@@ -717,6 +824,10 @@ class TestJacobiEigen:
             core.jacobi_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+# Jacobi stacks at these n are swept elementwise; one more is the products regime
+_SMALL_N = list(range(1, core.JACOBI_SCALAR_MAX_N + 2))
+
+
 class TestJacobiStack:
     """A (k, n, n) stack gives each member's q and lam bitwise as its own
     call does, in either regime, whichever sweep each member stops at."""
@@ -736,13 +847,13 @@ class TestJacobiStack:
         raw = rng.uniform(-1.0, 1.0, (k, n, n))
         return 0.5 * (raw + raw.transpose(0, 2, 1))
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 12, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 12, 16])
     def test_random_stacks(self, n):
         rng = np.random.default_rng(200 + n)
-        for k in (1, 2, 7):
+        for k in (1, 2, 7, 40):
             self._assert_members_are_single_calls(self._symmetric_stack(rng, k, n))
 
-    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("n", [*_SMALL_N, 8])
     def test_members_stop_at_different_sweeps(self, n):
         """A diagonal member stops before the first round, beside dense
         members and members scaled by 1e+-8, each stopping against its own
@@ -753,7 +864,7 @@ class TestJacobiStack:
         stack[4] *= 1e-8
         self._assert_members_are_single_calls(stack)
 
-    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("n", _SMALL_N)
     def test_zero_and_scaled_members(self, n):
         """A zero member gives (I, 0); members past 2^(+-400) are swept
         scaled, as alone."""
@@ -779,20 +890,21 @@ class TestJacobiStack:
         dec = core.jacobi_eigen(np.zeros((0, 3, 3)))
         assert dec.q.shape == (0, 3, 3) and dec.lam.shape == (0, 3)
 
-    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("n", _SMALL_N[1:])
     def test_asymmetric_member_named(self, n):
         stack = self._symmetric_stack(np.random.default_rng(600 + n), 4, n)
         stack[2, 0, 1] += 0.5
         with pytest.raises(ContractError, match="stack member 2"):
             core.jacobi_eigen(stack)
 
-    def test_non_finite_member_named(self):
-        stack = self._symmetric_stack(np.random.default_rng(700), 3, 4)
-        stack[1, 2, 2] = np.nan
+    @pytest.mark.parametrize("n", _SMALL_N)
+    def test_non_finite_member_named(self, n):
+        stack = self._symmetric_stack(np.random.default_rng(700 + n), 3, n)
+        stack[1, n - 1, n - 1] = np.nan
         with pytest.raises(ContractError, match="stack member 1"):
             core.jacobi_eigen(stack)
 
-    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("n", _SMALL_N[1:])
     def test_unconverged_member_named(self, monkeypatch, n):
         """With one sweep allowed, the diagonal member 0 stops and the dense
         member 1 is the first left above its tolerance."""
@@ -806,6 +918,59 @@ class TestJacobiStack:
     def test_other_shapes_rejected(self, shape):
         with pytest.raises(ShapeError):
             core.jacobi_eigen(np.ones(shape))
+
+    def test_small_stacks_sweep_all_members_at_once(self, monkeypatch):
+        """Up to JACOBI_SCALAR_MAX_N a stack is swept elementwise over its
+        members, not member by member through the 2-D sweeps."""
+        def no_member_by_member(*args):
+            raise AssertionError("a stack member went through _jacobi_scalar")
+        stack = self._symmetric_stack(np.random.default_rng(900), 4, core.JACOBI_SCALAR_MAX_N)
+        own = [core.jacobi_eigen(m) for m in stack]
+        monkeypatch.setattr(core, "_jacobi_scalar", no_member_by_member)
+        dec = core.jacobi_eigen(stack)
+        assert [q.tobytes() for q in dec.q] == [d.q.tobytes() for d in own]
+        with pytest.raises(AssertionError, match="_jacobi_scalar"):
+            core.jacobi_eigen(stack[0])
+
+    def test_hypot_sensitive_member(self):
+        """A 2 x 2 member whose rotation numpy's hypot would round
+        differently from ``math.hypot`` in the last bit keeps the bits of
+        its own call beside other members."""
+        stack = self._symmetric_stack(np.random.default_rng(901), 5, 2)
+        stack[3] = _hypot_sensitive_2x2()
+        self._assert_members_are_single_calls(stack)
+
+    def test_numpy_hypot_would_change_that_member(self, monkeypatch):
+        """The check above has teeth: with np.hypot in the elementwise
+        rotations, the member's q is no longer that of its own call."""
+        s = _hypot_sensitive_2x2()
+        own = core.jacobi_eigen(s)
+        monkeypatch.setattr(core, "_hypot_each", np.hypot)
+        assert core.jacobi_eigen(s[None]).q[0].tobytes() != own.q.tobytes()
+
+    def test_stopping_sum_does_not_use_builtin_sum(self, monkeypatch):
+        """The 2-D sweeps add the off-diagonal squares left to right, as the
+        stacked sweeps do: the builtin ``sum`` is compensated from Python
+        3.12 on, which could stop a 2-D call one sweep away from its stack
+        member."""
+        def compensated(*args):
+            raise AssertionError("the stopping test called sum")
+        monkeypatch.setattr(core, "sum", compensated, raising=False)
+        raw = np.random.default_rng(902).uniform(-1.0, 1.0, (4, 4))
+        s = 0.5 * (raw + raw.T)
+        assert core.jacobi_eigen(s).q.tobytes() == core.jacobi_eigen(s[None]).q[0].tobytes()
+
+
+def _hypot_sensitive_2x2() -> np.ndarray:
+    """The first symmetric 2 x 2 of a seeded search whose Jacobi rotation
+    (c, s) differs in the last bit between ``math.hypot`` and ``np.hypot``."""
+    rng = np.random.default_rng(903)
+    while True:
+        app, arr, apr = rng.uniform(-1.0, 1.0, 3).tolist()
+        exact = core._rotation(app, arr, apr, math.hypot, math.copysign, max)
+        numpy = core._rotation(app, arr, apr, np.hypot, np.copysign, np.fmax)
+        if exact != tuple(map(float, numpy)):
+            return np.array([[app, apr], [apr, arr]])
 
 
 def _exact_frob(a) -> float:

@@ -432,26 +432,56 @@ class TestIdentitySuite:
             kron.kron_identity_suite(seed=7, trials=5)
 
     def test_a_size_that_occurs_once_is_decomposed_as_a_matrix(self, monkeypatch):
-        """Sizes 2 and 6 occur twice and go as stacks; 3 and 8 (a size in
-        the product regime) occur once and go as 2-D calls.  Every member
-        has the bits of its own call."""
+        """Sizes 2 (the elementwise regime) and 6 (stacked products) occur
+        often enough to go as stacks; 3, with one member fewer than its
+        regime's threshold, and 8, which occurs once, go as 2-D calls.
+        Every member has the bits of its own call."""
+        few = kron._STACK_MIN["jacobi_eigen"]
         rng = np.random.default_rng(3)
-        raws = [rng.standard_normal((n, n)) for n in (2, 3, 2, 6, 8, 6)]
-        mats = [0.5 * (r + r.T) for r in raws]
+        sizes = [2, 3] * (few - 1) + [2, 6, 8, 6]
+        mats = [0.5 * (r + r.T) for r in (rng.standard_normal((n, n)) for n in sizes)]
         shapes = []
         jacobi_eigen = core.jacobi_eigen
         monkeypatch.setattr(core, "jacobi_eigen",
                             lambda s: shapes.append(np.shape(s)) or jacobi_eigen(s))
-        decs = kron._eigen_by_size(mats)
-        assert shapes == [(2, 2, 2), (3, 3), (2, 6, 6), (8, 8)]
+        decs = kron._by_size(mats, "jacobi_eigen")
+        assert shapes == [(few, 2, 2)] + [(3, 3)] * (few - 1) + [(2, 6, 6), (8, 8)]
         for m, dec in zip(mats, decs):
             own = jacobi_eigen(m)
             assert (dec.q.tobytes(), dec.lam.tobytes()) == (own.q.tobytes(), own.lam.tobytes())
 
-    @pytest.mark.parametrize("trials", [4, 50])
-    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kernel", ["inverse", "det"])
+    def test_lu_kernels_grouped_by_size(self, monkeypatch, kernel):
+        """A size with _STACK_MIN[kernel] members goes as one stack, one
+        with fewer as 2-D calls; each result is bitwise its own call, and the
+        counts are those of one call per matrix."""
+        few = kron._STACK_MIN[kernel]
+        rng = np.random.default_rng(4)
+        sizes = [3] * few + [5] * (few - 1) + [17] * few
+        mats = [rng.standard_normal((n, n)) + n * np.eye(n) for n in sizes]
+        name = "det" if kernel == "det" else "lu_solve"
+        shapes = []
+        original = getattr(core, name)
+        monkeypatch.setattr(core, name,
+                            lambda a, *b: shapes.append(np.shape(a)) or original(a, *b))
+        with counting.tally() as together:
+            got = kron._by_size(mats, kernel)
+        with counting.tally() as alone:
+            own = [original(m) if kernel == "det" else original(m, np.eye(len(m))) for m in mats]
+        assert shapes == [(few, 3, 3)] + [(5, 5)] * (few - 1) + [(few, 17, 17)]
+        assert together == alone
+        assert [np.float64(g).tobytes() for g in got] == [np.float64(o).tobytes() for o in own]
+        if kernel == "det":
+            assert all(type(g) is float for g in got)
+
+    @pytest.mark.parametrize("trials", [4, 7, 12, 50])
+    @pytest.mark.parametrize("seed", range(10))
     def test_matches_per_trial_reference(self, seed, trials):
-        """Decomposing every trial's matrices in one call per size changes
-        no residual: the dicts are equal float for float."""
-        assert kron.kron_identity_suite(seed=seed, trials=trials) == \
-            _per_trial_suite(seed, trials)
+        """Running every trial's kernels in one call per size changes no
+        residual and no count: the dicts are equal float for float."""
+        with counting.tally() as together:
+            worst = kron.kron_identity_suite(seed=seed, trials=trials)
+        with counting.tally() as alone:
+            reference = _per_trial_suite(seed, trials)
+        assert worst == reference
+        assert together == alone
