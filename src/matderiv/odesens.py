@@ -1,38 +1,47 @@
 """Parameter gradients of ODE-constrained objectives.
 
-Two independent routes for d/dp of G(p) = int_0^T g(u, p, t) dt subject to
+Three routes for d/dp of G(p) = int_0^T g(u, p, t) dt subject to
 du/dt = f(u, p, t), u(0) = u0(p):
 
 * forward sensitivity — integrate the augmented system (u, S) with
   S = du/dp, dS/dt = (df/du) S + df/dp, then quadrature
   G' = int (S^T dg/du + dg/dp) dt;
-* adjoint — integrate v backward from v(T) = 0 with
+* continuous adjoint — integrate v backward from v(T) = 0 with
   dv/dt = (dg/du)^T - (df/du)^T v, then
-  grad G = -(du0/dp)^T v(0) + int [(dg/dp)^T - (df/dp)^T v] dt.
+  grad G = -(du0/dp)^T v(0) + int [(dg/dp)^T - (df/dp)^T v] dt;
+* discrete adjoint — the transpose of the derivative of the discrete map
+  itself: the RK4 steps and the Simpson sum that compute the loss.
+
+Forward sensitivity steps the augmented system with the same RK4 stages as
+the state, so it is the exact derivative of the discrete loss.  The discrete
+adjoint is the transpose of that same linear map, so the two agree to
+roundoff at any step count.  The continuous adjoint discretizes another
+equation and agrees with them only to O(h^4).
 
 Every pass -- the plain trajectory, the augmented forward system
-y = [u, vec S] and the backward adjoint sweeps -- runs through one classical
-RK4 stepper on a fixed grid.  It steps the state, stage slopes and kicks
-as Python floats, and its right-hand sides take and return lists of Python
-floats: each route converts the problem's callables in one place
-(``_checked``: float64 and a shape check, then ``tolist()``) and forms
-the products f'(u) S + df/dp, (dg/du)^T - (df/du)^T v and (df/dp)^T v on
-floats (``_vecmat``).  On
-the few-number states of these passes that is cheaper than numpy's per-call
-overhead, and at one state it is bitwise equal to the same arithmetic on
-float64 arrays.  The backward sweeps read u(t) at interval midpoints from
-cubic Hermite interpolation of the stored states and slopes.  Quadratures
-are composite Simpson (even step count required).
+y = [u, vec S] and the continuous adjoint's backward sweeps -- runs through
+one classical RK4 stepper on a fixed grid; the discrete adjoint's backward
+sweep transposes the stages that stepper recorded.  The stepper steps the
+state, stage slopes and kicks as Python floats, and its right-hand sides
+take and return lists of Python floats: each route converts the problem's
+callables in one place (``_checked``: float64 and a shape check, then
+``tolist()``) and forms the products f'(u) S + df/dp, (dg/du)^T -
+(df/du)^T v and (df/dp)^T v on floats (``_vecmat``).  On the few-number
+states of these passes that is cheaper than numpy's per-call overhead, and
+at one state it is bitwise equal to the same arithmetic on float64 arrays.
+The continuous adjoint's sweeps read u(t) at interval midpoints from cubic
+Hermite interpolation of the stored states and slopes.  Quadratures are
+composite Simpson (even step count required).
 
 The problem's callables must be pure: the same arguments give the same
-value.  The backward sweeps evaluate the coefficients once per distinct
-stage position and reuse that value at the stage that repeats it.  Every
-callable's result is checked against its shape, and a mismatch raises
+value.  The continuous adjoint's sweeps evaluate the coefficients once per
+distinct stage position and reuse that value at the stage that repeats it.
+Every callable's result is checked against its shape, and a mismatch raises
 ShapeError naming it instead of being broadcast.
 
-A third variant handles sums of point-in-time data misfits: the adjoint
-jumps by (dg_k/du)^T at each data time while an accumulator integrates the
--(df/dp)^T v term.
+A variant of the continuous adjoint handles sums of point-in-time data
+misfits: the adjoint jumps by (dg_k/du)^T at each data time while an
+accumulator integrates the -(df/dp)^T v term.
 """
 
 from __future__ import annotations
@@ -342,17 +351,22 @@ def forward_sensitivity(prob: OdeProblem, n_steps: int):
     return Trajectory(times, ys[:, :n], slopes[:, :n]), sens
 
 
-def simpson(vals, dt: float):
-    """Composite Simpson over equally spaced node values (scalar or
-    vector-valued); needs an even, >= 2 number of intervals."""
-    vals = np.asarray(vals, dtype=float)
-    m = vals.shape[0] - 1
+def _simpson_weights(m: int) -> np.ndarray:
+    """Composite Simpson's node weights 1, 4, 2, 4, ..., 2, 4, 1 over m
+    intervals (to be scaled by dt/3); m must be even and >= 2."""
     if m < 2 or m % 2 != 0:
         raise ContractError(f"Simpson needs an even number of steps, got {m}")
     w = np.ones(m + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    out = (dt / 3.0) * np.tensordot(w, vals, axes=(0, 0))
+    return w
+
+
+def simpson(vals, dt: float):
+    """Composite Simpson over equally spaced node values (scalar or
+    vector-valued); needs an even, >= 2 number of intervals."""
+    vals = np.asarray(vals, dtype=float)
+    out = (dt / 3.0) * np.tensordot(_simpson_weights(vals.shape[0] - 1), vals, axes=(0, 0))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -436,6 +450,92 @@ def grad_G_adjoint(prob: OdeProblem, n_steps: int) -> np.ndarray:
             prob.dfdp(u, p, t), (n, n_par), "dfdp").T @ v[i]
     s0 = _checked(prob.du0dp(p), (n, n_par), "du0dp")
     return -s0.T @ v[0] + simpson(vals, traj.dt)
+
+
+def _transposed_step(y, h: float, c1, c2, c3, c4):
+    """One RK4 step of ``_rk4`` with step h, transposed, applied to the
+    adjoint y = [lam, mu] of the node it arrived at.  c_j is the rows of
+    [J_j | P_j], df/du and df/dp at stage j; with kappa_j the adjoint of the
+    slope k_j,
+
+        kappa4 = (h/6) lam,   kappa3 = (h/3) lam + h J4^T kappa4,
+        kappa2 = (h/3) lam + (h/2) J3^T kappa3,
+        kappa1 = (h/6) lam + (h/2) J2^T kappa2,
+
+    and the result is y + sum_j [J_j^T kappa_j, P_j^T kappa_j], on Python
+    floats (each [J_j^T kappa_j, P_j^T kappa_j] is one ``_vecmat``)."""
+    lam = y[:len(c1)]
+    sixth, third, half = h / 6.0, h / 3.0, 0.5 * h
+    a4 = _vecmat([sixth * x for x in lam], c4)
+    a3 = _vecmat([third * x + h * a for x, a in zip(lam, a4)], c3)
+    a2 = _vecmat([third * x + half * a for x, a in zip(lam, a3)], c2)
+    a1 = _vecmat([sixth * x + half * a for x, a in zip(lam, a2)], c1)
+    return [v + a + b + c + d for v, a, b, c, d in zip(y, a1, a2, a3, a4)]
+
+
+def grad_G_discrete_adjoint(prob: OdeProblem, n_steps: int) -> np.ndarray:
+    """The gradient of the discrete loss ``loss_G`` (Simpson over the RK4
+    nodes) as the exact transpose of the RK4 map and the quadrature, so it
+    equals ``grad_G_forward`` to roundoff at any step count.
+
+    One forward ``_rk4`` pass records every stage argument.  Then, with
+    w_i the Simpson weights of ``simpson`` (dt/3 times 1, 4, 2, ..., 4, 1),
+    the adjoint y = [lam, mu] starts at w_m [dg/du, dg/dp](u_m) and each
+    step back from node i + 1 to node i is ``_transposed_step`` at the
+    stages of step i, then adds w_i [dg/du, dg/dp](u_i).  The gradient is
+
+        (du0/dp)^T lam_0 + mu_0,
+
+    where mu_0 holds sum_j P_j^T kappa_j over every step and
+    sum_i w_i dg/dp(u_i).  A non-finite adjoint raises BlowUpError with the
+    index of the node its step started from.
+
+    Counts, for m steps and n states: 4 n m rhs components and one
+    integration for the forward pass, 4 n m for the transposed stages and
+    one integration for the backward sweep (8 n m and 2 in all).  The
+    problem is called f, dfdu and dfdp 4m times each (the four stages sit
+    at four distinct states), dgdu and dgdp m + 1 times, u0 and du0dp once.
+    """
+    times, dt = _grid(prob, n_steps)
+    weights = ((dt / 3.0) * _simpson_weights(n_steps)).tolist()
+    p = prob.p
+    n_par = len(p)
+    u = _initial_state(prob)
+    n = len(u)
+    s0 = _checked(prob.du0dp(p), (n, n_par), "du0dp").tolist()
+    f = _state_slope(prob, n)
+    stages = []
+
+    def recorded(y, t, _k):
+        stages.append((y, t))
+        return f(y, t)
+
+    states, _ = _rk4(recorded, u, times, dt, "state", n)
+    ts = times.tolist()
+
+    def coefficients(y, t):
+        u = np.array(y)
+        return [a + b for a, b in zip(_checked(prob.dfdu(u, p, t), (n, n), "dfdu").tolist(),
+                                      _checked(prob.dfdp(u, p, t), (n, n_par), "dfdp").tolist())]
+
+    def node_term(i):
+        u, t, w = states[i], ts[i], weights[i]
+        dg = (_checked(prob.dgdu(u, p, t), (n,), "dgdu").tolist()
+              + _checked(prob.dgdp(u, p, t), (n_par,), "dgdp").tolist())
+        return [w * x for x in dg]
+
+    y = node_term(n_steps)
+    steps = integrations = 0
+    try:
+        for steps, i in enumerate(range(n_steps - 1, -1, -1), 1):
+            c = [coefficients(*stage) for stage in stages[4 * i:4 * i + 4]]
+            y = [v + w for v, w in zip(_transposed_step(y, dt, *c), node_term(i))]
+            if not all(map(isfinite, y)):
+                raise _blow_up("adjoint state", i + 1)
+        integrations = 1
+    finally:
+        counting.add(rhs_components=4 * n * steps, integrations=integrations)
+    return np.array([a + b for a, b in zip(_vecmat(y[:n], s0), y[n:])])
 
 
 @dataclass

@@ -35,7 +35,12 @@ def test_tiny_corpus_repeats(bitwise, manifests, capsys):
         names = json.load(fh)
     assert {name.split("/")[0] for name in names} == {
         "cli.check", "cli.jacdet", "kron.kron_identity_suite",
-        "core.lu_solve", "core.det", "core.slogdet", "core.jacobi_eigen"}
+        "core.lu_solve", "core.det", "core.slogdet", "core.jacobi_eigen",
+        *(f"odesens.{route}" for route in (
+            "integrate_rk4", "forward_sensitivity", "grad_G_forward", "grad_G_adjoint",
+            "grad_G_discrete_adjoint", "grad_G_discrete_data", "grad_G_fd"))}
+    # an ODE route's numbers end with its rhs-component and integration counts
+    assert names["odesens.grad_G_discrete_adjoint/steps16/seed0"]["values"][-2:] == [128.0, 2.0]
     # the exactly singular member is an error with its pivot_index
     assert names["core.lu_solve/n2/duplicate_row"]["error"][0] == "SingularMatrixError"
     assert names["core.lu_solve/n2/duplicate_row"]["error"][2] == 1

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from matderiv import cli, core, counting, eigsens, kron, linsys_adjoint, rules
+from matderiv import cli, core, counting, eigsens, kron, linsys_adjoint, odesens, rules
 from matderiv.errors import ContractError
 
 _SUITE_NAMES = {
@@ -58,6 +58,53 @@ class TestCheck:
         assert report["suites"]["matrix_rules_fd"]["passed"] is False
         untouched = _SUITE_NAMES - {"matrix_rules_fd"}
         assert all(report["suites"][name]["passed"] for name in untouched)
+
+    @staticmethod
+    def _step_without_j4_term(y, h, c1, c2, c3, c4):
+        """``odesens._transposed_step`` with kappa3 = (h/3) lam, the
+        h J4^T kappa4 term dropped."""
+        lam = y[:len(c1)]
+        a4 = odesens._vecmat([h / 6.0 * x for x in lam], c4)
+        a3 = odesens._vecmat([h / 3.0 * x for x in lam], c3)
+        a2 = odesens._vecmat([h / 3.0 * x + 0.5 * h * a for x, a in zip(lam, a3)], c2)
+        a1 = odesens._vecmat([h / 6.0 * x + 0.5 * h * a for x, a in zip(lam, a2)], c1)
+        return [v + a + b + c + d for v, a, b, c, d in zip(y, a1, a2, a3, a4)]
+
+    def test_dropped_discrete_adjoint_term_fails_ode_suite(self, capsys, monkeypatch):
+        """The dropped term moves the gradient by a few 1e-4 relative: far
+        outside the discrete tolerance, though inside the continuous
+        adjoint's 1e-3."""
+        monkeypatch.setattr(odesens, "_transposed_step", self._step_without_j4_term)
+        code, report = _run_json(capsys, ["check"])
+        assert code == 1
+        ode = report["suites"]["ode_gradients"]
+        assert ode["passed"] is False
+        assert 1e-12 < ode["detail"]["forward_vs_discrete_adjoint"] < 1e-3
+        untouched = _SUITE_NAMES - {"ode_gradients"}
+        assert all(report["suites"][name]["passed"] for name in untouched)
+
+    def test_missed_continuous_tolerance_fails_ode_suite(self, capsys, monkeypatch):
+        """The continuous adjoint is still judged at _ODE_TOL, folded into
+        the residual as 1.0."""
+        true_adjoint = odesens.grad_G_adjoint
+        monkeypatch.setattr(odesens, "grad_G_adjoint",
+                            lambda prob, m: (1 + 2e-3) * true_adjoint(prob, m))
+        code, report = _run_json(capsys, ["check"])
+        assert code == 1
+        ode = report["suites"]["ode_gradients"]
+        assert (ode["passed"], ode["worst_residual"]) == (False, 1.0)
+
+    def test_ode_suite_reads_the_seed(self, capsys):
+        """Each seed draws its own p, and both pairs are reported."""
+        details = []
+        for seed in (0, 1):
+            _, report = _run_json(capsys, ["check", "--seed", str(seed)])
+            ode = report["suites"]["ode_gradients"]
+            assert ode["tolerance"] == 1e-12
+            assert ode["worst_residual"] == ode["detail"]["forward_vs_discrete_adjoint"]
+            assert ode["detail"]["forward_vs_adjoint"] <= 1e-3
+            details.append(ode["detail"])
+        assert details[0]["forward_vs_adjoint"] != details[1]["forward_vs_adjoint"]
 
 
 class TestUsageErrors:

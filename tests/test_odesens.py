@@ -139,6 +139,18 @@ class TestExactCounts:
         assert (c.rhs_components, c.integrations) == \
             ((4 * self.N + 1) + 4 * self.N, 2) == (161, 2)
 
+    def test_grad_G_discrete_adjoint(self):
+        """Four stages a step forward and four transposed stages a step
+        back, with no final slope."""
+        with counting.tally() as c:
+            odesens.grad_G_discrete_adjoint(reference_instance(), self.N)
+        assert (c.rhs_components, c.integrations) == (4 * self.N + 4 * self.N, 2) == (160, 2)
+
+    def test_discrete_adjoint_counts_two_states(self):
+        with counting.tally() as c:
+            odesens.grad_G_discrete_adjoint(_two_state_problem(), self.N)
+        assert (c.rhs_components, c.integrations) == (8 * self.N * 2, 2) == (320, 2)
+
     def test_blow_up_counts_the_stages_it_ran(self):
         """The rhs of ``TestBlowUpStepIndex.test_integrate_rk4``: steps 0-3
         and the failing step 4 each evaluate four stages, and no integration
@@ -234,6 +246,25 @@ class TestBlowUpStepIndex:
             odesens.adjoint_solve(prob, traj)
         assert err.value.step_index == 6
 
+    def test_discrete_adjoint_forward_pass(self):
+        prob = self._problem(f=lambda u, p, t: np.array(
+            [u[0] * (np.nan if t > 0.42 else 1.0)]))
+        with counting.tally() as c, pytest.raises(BlowUpError, match="^state") as err:
+            odesens.grad_G_discrete_adjoint(prob, 10)
+        assert err.value.step_index == 4
+        assert (c.rhs_components, c.integrations) == (20, 0)
+
+    def test_discrete_adjoint_backward_sweep(self):
+        """The transposed step leaving node 6 reads df/du at the stages of
+        forward step 5, at 0.5, 0.55, 0.55 and 0.6: the first below 0.58.
+        Steps 10 to 6 each transpose four stages."""
+        prob = self._problem(dfdu=lambda u, p, t: np.array(
+            [[np.nan if t < 0.58 else p[0]]]))
+        with counting.tally() as c, pytest.raises(BlowUpError, match="^adjoint state") as err:
+            odesens.grad_G_discrete_adjoint(prob, 10)
+        assert err.value.step_index == 6
+        assert (c.rhs_components, c.integrations) == (40 + 4 * 5, 1)
+
 
 def _two_state_problem():
     """du/dt = (p0 u1 + sin t, -p1 u0 - p2 u0 u1), u(0) = (1, 0),
@@ -290,6 +321,13 @@ class TestStageCoefficientReuse:
             counted, [0.5], [DataTerm(dgdu=lambda u, p: np.array([2.0 * u[0]]))],
             self.M)
         assert calls == {"dfdu": 2 * self.M + 1, "dgdu": 0, "dfdp": 2 * self.M + 1}
+
+    def test_discrete_adjoint_calls(self):
+        """The exact transpose reads df/du and df/dp at the four distinct
+        stage states of every step, and dg/du at every node."""
+        counted, calls = self._counted(reference_instance())
+        odesens.grad_G_discrete_adjoint(counted, self.M)
+        assert calls == {"dfdu": 4 * self.M, "dgdu": self.M + 1, "dfdp": 4 * self.M}
 
     @staticmethod
     def _adjoint_every_stage(prob, traj):
@@ -694,6 +732,7 @@ class TestSlopeShapeContract:
         "integrate_euler": odesens.integrate_euler,
         "forward_sensitivity": odesens.forward_sensitivity,
         "grad_G_adjoint": odesens.grad_G_adjoint,
+        "grad_G_discrete_adjoint": odesens.grad_G_discrete_adjoint,
     }
     BAD_F = {
         "length_2": lambda u, p, t: np.array([u[0], u[0]]),
@@ -752,18 +791,23 @@ class TestCoefficientShapeContract:
         "grad_G_adjoint": lambda prob: odesens.grad_G_adjoint(prob, 8),
         "grad_G_discrete_data": lambda prob: odesens.grad_G_discrete_data(
             prob, [0.5], [DataTerm(dgdu=lambda u, p: 2.0 * u)], 8),
+        "grad_G_discrete_adjoint": lambda prob: odesens.grad_G_discrete_adjoint(prob, 8),
     }
-    U0_ROUTES = ["integrate_rk4", "integrate_euler", "forward_sensitivity"]
+    U0_ROUTES = ["integrate_rk4", "integrate_euler", "forward_sensitivity",
+                 "grad_G_discrete_adjoint"]
+    COEFFICIENT_ROUTES = ["forward_sensitivity", "grad_G_adjoint", "grad_G_discrete_data",
+                          "grad_G_discrete_adjoint"]
+    COST_ROUTES = ["grad_G_forward", "grad_G_adjoint", "grad_G_discrete_adjoint"]
     CASES = [
         ("u0", (2, 1), U0_ROUTES),
         ("u0", (), U0_ROUTES),
-        ("dfdu", (2,), ["forward_sensitivity", "grad_G_adjoint", "grad_G_discrete_data"]),
-        ("dfdu", (2, 1), ["forward_sensitivity", "grad_G_adjoint", "grad_G_discrete_data"]),
-        ("dfdp", (3,), ["forward_sensitivity", "grad_G_adjoint", "grad_G_discrete_data"]),
-        ("dfdp", (1, 3), ["forward_sensitivity", "grad_G_adjoint", "grad_G_discrete_data"]),
-        ("dgdu", (1,), ["grad_G_forward", "grad_G_adjoint"]),
-        ("dgdp", (1,), ["grad_G_forward", "grad_G_adjoint"]),
-        ("du0dp", (2,), ["forward_sensitivity", "grad_G_adjoint", "grad_G_discrete_data"]),
+        ("dfdu", (2,), COEFFICIENT_ROUTES),
+        ("dfdu", (2, 1), COEFFICIENT_ROUTES),
+        ("dfdp", (3,), COEFFICIENT_ROUTES),
+        ("dfdp", (1, 3), COEFFICIENT_ROUTES),
+        ("dgdu", (1,), COST_ROUTES),
+        ("dgdp", (1,), COST_ROUTES),
+        ("du0dp", (2,), COEFFICIENT_ROUTES),
     ]
 
     @pytest.mark.parametrize("name, shape, route", [
@@ -928,3 +972,124 @@ class TestReferenceInstanceFloats:
                 got = np.asarray(fn(u, p, t_as))
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+
+def _three_state_problem(seed=33):
+    """du/dt = p0 A u + p1 sin(t) c, u(0) = p0 b + p1 (1, 1, 1) and
+    g = |u - t|^2 + p0 p1 u0 on a seeded A, b and c: three states, two
+    parameters, and a start and running cost that both depend on p."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((3, 3)) / math.sqrt(3) - np.eye(3)
+    b, c = rng.standard_normal(3), rng.standard_normal(3)
+    e0 = np.eye(3)[0]
+    return odesens.OdeProblem(
+        f=lambda u, p, t: p[0] * (a @ u) + p[1] * math.sin(t) * c,
+        dfdu=lambda u, p, t: p[0] * a,
+        dfdp=lambda u, p, t: np.column_stack((a @ u, math.sin(t) * c)),
+        u0=lambda p: p[0] * b + p[1],
+        du0dp=lambda p: np.column_stack((b, np.ones(3))),
+        g=lambda u, p, t: float((u - t) @ (u - t)) + p[0] * p[1] * u[0],
+        dgdu=lambda u, p, t: 2.0 * (u - t) + p[0] * p[1] * e0,
+        dgdp=lambda u, p, t: np.array([p[1] * u[0], p[0] * u[0]]),
+        t_final=1.0,
+        p=rng.uniform(0.5, 1.5, size=2),
+    )
+
+
+def _discrete_adjoint_arrays(prob, m):
+    """``grad_G_discrete_adjoint``'s recurrence written out on float64
+    arrays: the stage arguments recorded through ``_rk4_arrays``, every
+    transposed product summed row by row from the first, then the Simpson
+    weights' node terms."""
+    times, dt = odesens._grid(prob, m)
+    p = prob.p
+    u0 = np.asarray(prob.u0(p), dtype=float)
+    n = len(u0)
+    stages = []
+
+    def f(y, t, _k):
+        stages.append((y, t))
+        return np.asarray(prob.f(y, p, t), dtype=float)
+
+    states, _ = _rk4_arrays(f, u0, times, dt)
+    w = np.ones(m + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w = (dt / 3.0) * w
+
+    def node(i):
+        u, t = states[i], times[i]
+        return w[i] * np.concatenate((np.asarray(prob.dgdu(u, p, t), dtype=float),
+                                      np.asarray(prob.dgdp(u, p, t), dtype=float)))
+
+    def transposed(k, rows):    # k^T rows
+        acc = k[0] * rows[0]
+        for r in range(1, len(k)):
+            acc = acc + k[r] * rows[r]
+        return acc
+
+    h = float(dt)
+    y = node(m)
+    for i in range(m - 1, -1, -1):
+        c1, c2, c3, c4 = (np.hstack((np.asarray(prob.dfdu(u, p, t), dtype=float),
+                                     np.asarray(prob.dfdp(u, p, t), dtype=float)))
+                          for u, t in stages[4 * i:4 * i + 4])
+        lam = y[:n]
+        a4 = transposed(h / 6.0 * lam, c4)
+        a3 = transposed(h / 3.0 * lam + h * a4[:n], c3)
+        a2 = transposed(h / 3.0 * lam + 0.5 * h * a3[:n], c2)
+        a1 = transposed(h / 6.0 * lam + 0.5 * h * a2[:n], c1)
+        y = y + a1 + a2 + a3 + a4 + node(i)
+    return transposed(y[:n], np.asarray(prob.du0dp(p), dtype=float)) + y[n:]
+
+
+class TestDiscreteAdjoint:
+    """``grad_G_discrete_adjoint`` transposes the RK4 map and the Simpson
+    loss exactly, so it is ``grad_G_forward`` to roundoff at any step count,
+    where the continuous adjoint agrees only to O(h^4)."""
+
+    PROBLEMS = {
+        "reference": reference_instance,
+        "reference_seeded_p": lambda: reference_instance(p=(1.31, 0.07, -0.55)),
+        "three_states": _three_state_problem,
+    }
+
+    @pytest.mark.parametrize("m", [2, 16, 64])
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_equals_forward_sensitivity(self, name, m):
+        prob = self.PROBLEMS[name]()
+        got = odesens.grad_G_discrete_adjoint(prob, m)
+        assert fdcheck.relative_error(got, odesens.grad_G_forward(prob, m)) <= 1e-13
+
+    @pytest.mark.parametrize("m", [16, 64])
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_matches_central_difference_of_the_loss(self, name, m):
+        """The tolerance that ``grad_G_forward`` meets against the same
+        reference in ``TestGradientRoutes``."""
+        prob = self.PROBLEMS[name]()
+        got = odesens.grad_G_discrete_adjoint(prob, m)
+        assert fdcheck.relative_error(got, odesens.grad_G_fd(prob, m)) <= 1e-7
+
+    @pytest.mark.parametrize("m", [2, 16, 64])
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_bitwise_equals_array_recurrence(self, name, m):
+        prob = self.PROBLEMS[name]()
+        got = odesens.grad_G_discrete_adjoint(prob, m)
+        assert got.tobytes() == _discrete_adjoint_arrays(prob, m).tobytes()
+
+    def test_constant_state_reaches_p_through_u0(self):
+        """With f = 0 the state stays at u0(p), so G = T g(u0(p)) for a g
+        with dg/du = (1, 1, 1) and no dg/dp, and the whole gradient is the
+        u0 term T (du0/dp)^T (1, 1, 1); the Simpson weights sum to T = 1."""
+        base = _three_state_problem()
+        prob = replace(base, f=lambda u, p, t: np.zeros(3),
+                       dfdu=lambda u, p, t: np.zeros((3, 3)),
+                       dfdp=lambda u, p, t: np.zeros((3, 2)),
+                       dgdu=lambda u, p, t: np.ones(3), dgdp=lambda u, p, t: np.zeros(2))
+        got = odesens.grad_G_discrete_adjoint(prob, 8)
+        np.testing.assert_allclose(got, base.du0dp(base.p).T @ np.ones(3), rtol=1e-14)
+
+    def test_odd_step_count_rejected_before_integrating(self):
+        with counting.tally() as c, pytest.raises(ContractError, match="even number"):
+            odesens.grad_G_discrete_adjoint(reference_instance(), 7)
+        assert c.rhs_components == 0

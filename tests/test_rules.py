@@ -531,9 +531,11 @@ EXEMPT = {
         "eigsens.second_order_taylor", "eigsens.second_order_taylor_general"},
     "hvp composed, pinned against fd_jacobian in test_second_order": {
         "second_order.hessian", "second_order.grad_of_grad_function"},
-    "an ODE route, waiting on an exact discrete RK4 adjoint": {
+    "an ODE route, judged against the others and grad_G_fd in test_odesens and by check's "
+    "ode_gradients; no table entry yet, which would add FD work to matrix_rules_fd": {
         "odesens.forward_sensitivity", "odesens.grad_G_forward", "odesens.adjoint_solve",
-        "odesens.grad_G_adjoint", "odesens.grad_G_discrete_data"},
+        "odesens.grad_G_adjoint", "odesens.grad_G_discrete_data",
+        "odesens.grad_G_discrete_adjoint"},
 }
 
 

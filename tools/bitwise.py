@@ -11,7 +11,12 @@ An output that raises is recorded as its error type, message and
   - 2-D ``core.lu_solve``, ``det``, ``slogdet`` and ``jacobi_eigen`` on
     seeded matrices at n = 1-20, with the LU and Jacobi edge cases: pivot
     ties, exactly singular and zero-column matrices, entries near the float
-    maximum, diagonal, zero and 2^(+-500)-scaled symmetric matrices.
+    maximum, diagonal, zero and 2^(+-500)-scaled symmetric matrices;
+  - the ODE routes ``odesens.integrate_rk4``, ``forward_sensitivity``,
+    ``grad_G_forward``, ``grad_G_adjoint``, ``grad_G_discrete_adjoint``,
+    ``grad_G_discrete_data`` and ``grad_G_fd``, with their rhs-component
+    and integration counts, on the reference problem at three seeded p at
+    16, 64, 400 and 2000 steps.
 
 Run it once in each checkout, then compare (the script imports matderiv
 from the ``src`` next to it):
@@ -40,7 +45,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from matderiv import cli, core, counting, kron  # noqa: E402
+from matderiv import cli, core, counting, kron, odesens  # noqa: E402
 from matderiv.errors import MatDerivError  # noqa: E402
 
 
@@ -128,11 +133,48 @@ def _kernels(n: int):
         yield f"core.jacobi_eigen/n{n}/{case}", eigen
 
 
+_ODE_ROUTES = ("integrate_rk4", "forward_sensitivity", "grad_G_forward", "grad_G_adjoint",
+               "grad_G_discrete_adjoint", "grad_G_fd")
+_DATA_TIMES = (0.25, 0.5, 0.75, 1.0)
+
+
+def _ode_problem(seed: int):
+    """The reference problem at a seeded p (``perfbench``'s ``make_ode``
+    ranges) and point-data terms at _DATA_TIMES for it."""
+    rng = np.random.default_rng(9000 + seed)
+    prob = odesens.reference_instance(
+        p=(rng.uniform(0.5, 1.5), rng.uniform(0.0, 1.0), rng.uniform(-0.6, -0.1)))
+    terms = [odesens.DataTerm(dgdu=lambda u, p, y=y: np.array([2.0 * (u[0] - y)]))
+             for y in rng.uniform(0.0, 1.0, len(_DATA_TIMES)).tolist()]
+    return prob, terms
+
+
+def _arrays(out) -> list:
+    """A route's output as arrays: a Trajectory as its states and slopes, a
+    tuple item by item."""
+    if isinstance(out, tuple):
+        return [a for item in out for a in _arrays(item)]
+    if isinstance(out, odesens.Trajectory):
+        return [out.states, out.slopes]
+    return [out]
+
+
+def _ode_route(route, *args) -> np.ndarray:
+    """A route's outputs, flattened, then its rhs-component and integration
+    counts."""
+    with counting.tally() as c:
+        out = route(*args)
+    return np.concatenate([np.ravel(a) for a in _arrays(out)]
+                          + [[c.rhs_components, c.integrations]])
+
+
 def corpus(tiny: bool = False):
     """(name, produce) for every output of the manifest, in order."""
     seeds, suite_seeds, trials, sizes = range(10), range(40), (4, 7, 12, 50), range(1, 21)
+    ode_seeds, ode_steps = range(3), (16, 64, 400, 2000)
     if tiny:
         seeds, suite_seeds, trials, sizes = range(1), range(2), (4,), (1, 2, 5, 17)
+        ode_seeds, ode_steps = range(1), (16,)
     for seed in seeds:
         yield f"cli.check/seed{seed}", lambda seed=seed: _cli("check", "--seed", seed)
         yield f"cli.jacdet/seed{seed}", lambda seed=seed: _cli("jacdet", "--seed", seed)
@@ -142,6 +184,16 @@ def corpus(tiny: bool = False):
                    lambda seed=seed, t=t: _suite(seed, t))
     for n in sizes:
         yield from _kernels(n)
+    for seed in ode_seeds:
+        prob, terms = _ode_problem(seed)
+        for m in ode_steps:
+            for name in _ODE_ROUTES:
+                yield (f"odesens.{name}/steps{m}/seed{seed}",
+                       lambda route=getattr(odesens, name), prob=prob, m=m:
+                       _ode_route(route, prob, m))
+            yield (f"odesens.grad_G_discrete_data/steps{m}/seed{seed}",
+                   lambda prob=prob, terms=terms, m=m:
+                   _ode_route(odesens.grad_G_discrete_data, prob, _DATA_TIMES, terms, m))
 
 
 def write(path: str, tiny: bool = False) -> None:
