@@ -281,6 +281,9 @@ def run_odegrad(args):
 # jacdet
 
 def run_jacdet(args):
+    """FD Jacobian determinants of square, exp and sin against the product
+    formula, at the fixed 3x3 S = [(i - j)^2]: ``--seed`` only fills the
+    report's seed field."""
     s = np.array([[float((i - j) ** 2) for j in range(3)] for i in range(3)])
     cases = {
         "square": (lambda t: t * t, lambda t: 2.0 * t),

@@ -28,7 +28,8 @@ member's output is bitwise that of its own call:
     stopping test passes;
   - the stacked elimination is bitwise the 2-D regimes: each member picks
     its own pivot against its own tolerance and swaps its own rows, and
-    leaves the stack at a failing pivot.
+    leaves the stack at a failing pivot.  ``lu_solve`` raises for such a
+    member; ``lu_solve_stack`` reports it and solves the others.
 A 2-D call keeps the 2-D code, which a stack of one does not beat.
 
 Conventions fixed by this module:
@@ -456,6 +457,59 @@ def lu_solve_pivots(a, b) -> tuple[np.ndarray, float, np.ndarray]:
     return x, sign, lu.diagonal()
 
 
+def _eliminate_rhs(a, b):
+    """The stack path of ``lu_solve`` up to its substitution: the checks of
+    the (k, n, n) stack ``a`` and its right-hand sides ``b``, of shape (k, n)
+    or (k, n, m), then one elimination over the stack (``_eliminate_stack``),
+    each member against its own PIVOT_RTOL * ||A_i||_F.  Returns (packed
+    LUs, permutations, steps, b) as ``_eliminate_stack`` and the checked b."""
+    a = _as_square_stack(np.asarray(a, dtype=float), "lu_solve")
+    b = np.asarray(b, dtype=float)
+    k, n = a.shape[:2]
+    if b.ndim not in (2, 3) or b.shape[:2] != (k, n):
+        raise ShapeError(f"lu_solve: rhs of shape {b.shape} for a stack of shape {a.shape}")
+    if not _all_finite(b):
+        raise ContractError("rhs contains non-finite entries")
+    lu, perm, _, steps = _eliminate_stack(a, PIVOT_RTOL * np.array([frob(m) for m in a]))
+    return lu, perm, steps, b
+
+
+def _substitute_stack(lu, perm, steps, b) -> np.ndarray:
+    """``lu_solve_factored``'s array regime over a stack, without its empty
+    updates, for the members whose elimination finished (steps[i] is None):
+    one solve event and one member's flops each.  The other members are not
+    substituted, and their x is NaN."""
+    rhs = b if b.ndim == 3 else b[..., None]
+    done = [i for i, step in enumerate(steps) if step is None]
+    if len(done) < len(steps):
+        lu, perm, rhs = lu[done], perm[done], rhs[done]
+    n = lu.shape[1]
+    x = rhs[np.arange(len(done))[:, None], perm]  # a copy
+    for j in range(n - 1):
+        x[:, j + 1:] -= lu[:, j + 1:, j, None] * x[:, j, None]
+    for j in range(n - 1, -1, -1):
+        x[:, j] /= lu[:, j, j, None]
+        if j:
+            x[:, :j] -= lu[:, :j, j, None] * x[:, j, None]
+    counting.add(flops=len(done) * (_lu_factor_flops(n) + 2 * n * n * x.shape[2]),
+                 solves=len(done))
+    if len(done) < len(steps):
+        full = np.full((len(steps),) + x.shape[1:], np.nan)
+        full[done] = x
+        x = full
+    return x if b.ndim == 3 else x[..., 0]
+
+
+def lu_solve_stack(a, b) -> tuple[np.ndarray, list]:
+    """``lu_solve`` of a (k, n, n) stack that reports a singular member
+    instead of raising: (x, steps), where steps[i] is None when member i
+    eliminated fully and else its failing step.  Only the members that
+    eliminated fully are substituted and counted, each x bitwise that of its
+    own call; a singular member's x is NaN."""
+    lu, perm, steps, b = _eliminate_rhs(a, b)
+    return _substitute_stack(lu, perm, steps, b), steps
+
+
 def lu_solve(a, b) -> np.ndarray:
     """Solve a x = b by partial-pivot LU; one solve event on the counter.
 
@@ -465,34 +519,19 @@ def lu_solve(a, b) -> np.ndarray:
     stack, each member's x bitwise that of its own call, and k solve events
     with k times one member's flops.  A member singular to its own tolerance
     PIVOT_RTOL * ||A_i||_F raises ``SingularMatrixError``, naming the lowest
-    such member and its own failing step.
+    such member and its own failing step, and nothing is counted
+    (``lu_solve_stack`` reports it instead).
     """
     if getattr(a, "ndim", 2) != 3:
         return lu_solve_pivots(a, b)[0]
-    a = _as_square_stack(np.asarray(a, dtype=float), "lu_solve")
-    b = np.asarray(b, dtype=float)
-    k, n = a.shape[:2]
-    if b.ndim not in (2, 3) or b.shape[:2] != (k, n):
-        raise ShapeError(f"lu_solve: rhs of shape {b.shape} for a stack of shape {a.shape}")
-    if not _all_finite(b):
-        raise ContractError("rhs contains non-finite entries")
-    lu, perm, _, steps = _eliminate_stack(a, PIVOT_RTOL * np.array([frob(m) for m in a]))
+    lu, perm, steps, b = _eliminate_rhs(a, b)
     for i, step in enumerate(steps):
         if step is not None:
             raise SingularMatrixError(
                 f"lu_solve{_member(i)}: matrix singular to tolerance at elimination step {step}",
                 pivot_index=step,
             )
-    x = (b if b.ndim == 3 else b[..., None])[np.arange(k)[:, None], perm]  # a copy
-    # lu_solve_factored's array regime, stacked, without its empty updates
-    for j in range(n - 1):
-        x[:, j + 1:] -= lu[:, j + 1:, j, None] * x[:, j, None]
-    for j in range(n - 1, -1, -1):
-        x[:, j] /= lu[:, j, j, None]
-        if j:
-            x[:, :j] -= lu[:, :j, j, None] * x[:, j, None]
-    counting.add(flops=k * (_lu_factor_flops(n) + 2 * n * n * x.shape[2]), solves=k)
-    return x if b.ndim == 3 else x[..., 0]
+    return _substitute_stack(lu, perm, steps, b)
 
 
 def _signed_pivots(a):

@@ -48,12 +48,36 @@ def directional_fd(f, x, d):
     return central_diff(f, x, h * d) / h
 
 
-def fd_jacobian(f, x) -> np.ndarray:
-    """Central-difference Jacobian of f at a 1-D x: ``directional_fd`` along
-    each unit vector.  The last axis indexes the coordinates of x, so a
-    scalar f gives its gradient and an m-vector f an m-by-n matrix."""
+def fd_jacobian_stacked(F, x) -> np.ndarray:
+    """Central-difference Jacobian at a 1-D x from one call of the stack
+    evaluator F, which maps a (2n, n) array of points to their 2n values, in
+    order.  The points are x + h e_0, x - h e_0, x + h e_1, ... with
+    h = eps^(1/3) (1 + ||x||_F), ``directional_fd``'s step along a unit
+    vector, and column j is (F_+ - F_-) / 2 / h of the pair at e_j, so the
+    Jacobian is bitwise ``directional_fd`` along each unit vector, stacked.
+    F may evaluate its points together (``kron`` factors every perturbed
+    matrix of a point stack at once).  The last axis indexes the
+    coordinates of x, so a scalar f gives its gradient and an m-vector f an
+    m-by-n matrix; an empty x gives the (..., 0) Jacobian, shaped by F's
+    value at x alone."""
     x = as_vector(x)
-    return np.stack([directional_fd(f, x, e) for e in np.eye(len(x))], axis=-1)
+    n = len(x)
+    if n == 0:
+        return np.zeros(np.shape(F(x[None])[0]) + (0,))
+    h = np.cbrt(EPS) * (1.0 + frob(x))
+    dx = h * np.eye(n)
+    points = np.empty((2 * n, n))
+    points[0::2] = x + dx
+    points[1::2] = x - dx
+    values = np.asarray(F(points))
+    cols = (values[0::2] - values[1::2]) / 2.0 / h
+    return np.ascontiguousarray(np.moveaxis(cols, 0, -1))
+
+
+def fd_jacobian(f, x) -> np.ndarray:
+    """``fd_jacobian_stacked`` of f called point by point, in its order:
+    f(x + h e_0), f(x - h e_0), f(x + h e_1), ..."""
+    return fd_jacobian_stacked(lambda points: [f(p) for p in points], x)
 
 
 def relative_error(approx, exact) -> float:

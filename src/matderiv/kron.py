@@ -8,7 +8,11 @@ Daleckii-Krein closed form; a finite-difference Jacobian through the general
 spectral route f(M) = X f(Lambda) X^{-1} verifies it, and the product formula
 predicts its determinant.  The finite-difference route takes one or several
 f and decomposes each perturbed M once for all of them, each Jacobian
-bitwise that of a call with its f alone.  Both spectral routes gate on
+bitwise that of a call with its f alone.  It hands its 2 n^2 points to the
+general route as one (2 n^2, n, n) stack (``fdcheck.fd_jacobian_stacked``):
+the symmetric parts go through ``_by_size``, each inverse-iteration step of
+all pairs is one stacked solve and every X^{-1} comes from one inversion,
+each member bitwise its own stack of one.  Both spectral routes gate on
 ``core.require_gaps``, the general one at the scale ||M||_F.  The identity
 suite runs its kernels once per distinct size over all its trials
 (``_by_size``), each result bitwise that of its own 2-D call.
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import core, counting, eigsens, fdcheck
 from .core import as_square, as_vector, as_matrix, frob
-from .errors import ContractError, ShapeError, SingularMatrixError
+from .errors import ContractError, ShapeError
 
 
 def vec(a) -> np.ndarray:
@@ -123,50 +127,61 @@ def matrix_function(f, s) -> np.ndarray:
 
 
 def _eig_near_symmetric(m: np.ndarray):
-    """Eigendecomposition M = X diag(lams) X^{-1} for a real matrix whose
-    asymmetric part is a small perturbation of a symmetric matrix with
-    well-separated eigenvalues.
+    """Eigendecompositions M_i = X_i diag(lams_i) X_i^{-1} of a (k, n, n)
+    stack of real matrices whose asymmetric parts are small perturbations of
+    symmetric matrices with well-separated eigenvalues: (X, lams), stacked.
 
-    Starts from the rotations of the symmetric part and sharpens each pair
-    with shifted inverse iteration + a Rayleigh-quotient update; the shift is
-    offset from the eigenvalue estimate so the shifted matrix stays
-    comfortably invertible.
+    Starts from the rotations of each symmetric part (``_by_size``) and
+    sharpens each of the k n pairs with two steps of shifted inverse
+    iteration + a Rayleigh-quotient update; the shift is offset from the
+    eigenvalue estimate so the shifted matrix stays comfortably invertible.
+    Each step solves every pair still iterating in one stacked solve
+    (``core.lu_solve_stack``); a pair whose shifted matrix is singular keeps
+    its current estimate and stops.  So each member is bitwise its own stack
+    of one.
     """
-    n = m.shape[0]
-    dec = core.jacobi_eigen(0.5 * (m + m.T))
-    eye = np.eye(n)
-    cols = np.empty((n, n))
-    lams = np.empty(n)
-    for i in range(n):
-        lam = float(dec.lam[i])
-        v = dec.q[:, i].copy()
-        for _ in range(2):
-            delta = 1e-8 * (1.0 + abs(lam))
-            try:
-                w = core.lu_solve(m - (lam + delta) * eye, v)
-            except SingularMatrixError:
-                break
-            v = w / frob(w)
-            lam = float(v @ (m @ v))
-        cols[:, i] = v
-        lams[i] = lam
-    return cols, lams
+    k, n = m.shape[:2]
+    decs = _by_size(0.5 * (m + m.swapaxes(1, 2)), "jacobi_eigen")
+    # row i n + j holds pair j of member i: its eigenvector and eigenvalue
+    vs = np.array([dec.q.T for dec in decs]).reshape(k * n, n)
+    lams = np.array([dec.lam for dec in decs]).reshape(k * n)
+    owner = np.repeat(np.arange(k), n)
+    live = np.arange(k * n)
+    for _ in range(2):
+        lam = lams[live]
+        shifted = m[owner[live]] - (lam + 1e-8 * (1.0 + np.abs(lam)))[:, None, None] * np.eye(n)
+        w, steps = core.lu_solve_stack(shifted, vs[live])
+        solved = [step is None for step in steps]
+        live, w = live[solved], w[solved]
+        for r, wr in zip(live.tolist(), w):
+            v = vs[r] = wr / frob(wr)
+            lams[r] = float(v @ (m[owner[r]] @ v))
+    return np.ascontiguousarray(vs.reshape(k, n, n).swapaxes(1, 2)), lams.reshape(k, n)
 
 
 def _spectral_factors(m: np.ndarray):
-    """The part of ``matrix_function_general`` that does not depend on f:
-    (X, lams, X^{-1}) with M = X diag(lams) X^{-1}.  ``core.require_gaps``
-    scales the gap by ||M||_F, not its default ||lam||_2: the two differ
-    for a non-normal M, whose X^{-1} grows as a gap closes."""
+    """The part of ``matrix_function_general`` that does not depend on f,
+    for a (k, n, n) stack: (X, lams, X^{-1}) with M_i = X_i diag(lams_i)
+    X_i^{-1}, each member bitwise its own stack of one.  ``core.require_gaps``
+    scales member i's gap by ||M_i||_F, not its default ||lam||_2: the two
+    differ for a non-normal M, whose X^{-1} grows as a gap closes.  Every
+    X^{-1} comes from one ``_by_size`` inversion.  Each step runs over the
+    whole stack, so of several failing members the one that raises is the
+    first in step order (symmetric parts, inverse iteration, gaps, X^{-1}),
+    and a stack of more than one names it."""
     x, lams = _eig_near_symmetric(m)
-    core.require_gaps(lams, "matrix_function_general", frob(m))
-    return x, lams, core.lu_solve(x, np.eye(m.shape[0]))
+    for i, (mi, lam) in enumerate(zip(m, lams)):
+        what = "matrix_function_general" + (core._member(i) if len(m) > 1 else "")
+        core.require_gaps(lam, what, frob(mi))
+    return x, lams, _by_size(x, "inverse")
 
 
 def matrix_function_general(f, m) -> np.ndarray:
     """f(M) = X f(Lambda) X^{-1} for a (possibly slightly non-symmetric)
-    real matrix with distinct real eigenvalues (``_spectral_factors``)."""
-    return _apply(f, *_spectral_factors(as_square(m)))
+    real matrix with distinct real eigenvalues (``_spectral_factors`` of the
+    stack of one)."""
+    x, lams, x_inv = _spectral_factors(as_square(m)[None])
+    return _apply(f, x[0], lams[0], x_inv[0])
 
 
 def _lowner(f, f_prime, lam) -> np.ndarray:
@@ -200,13 +215,15 @@ def jacobian_matrix_functions_fd(fs, s) -> np.ndarray:
     """Finite-difference Jacobians of vec(f(M)) in vec(M) at a symmetric
     point, one per f in ``fs``, as a (k, n^2, n^2) stack.
 
-    ``fdcheck.fd_jacobian`` of v -> [vec f_1(M), ..., vec f_k(M)] with
-    M = unvec(v) at vec(S), so column j perturbs entry j of vec(M) alone
+    ``fdcheck.fd_jacobian_stacked`` of v -> [vec f_1(M), ..., vec f_k(M)]
+    with M = unvec(v) at vec(S), so column j perturbs entry j of vec(M) alone
     (which leaves the matrix slightly non-symmetric; the evaluations go
-    through the general spectral route).  Each of the 2 n^2 perturbed M is
-    decomposed once (``_spectral_factors``) for all k functions, and as the
-    central quotient is elementwise, each Jacobian is bitwise that of a call
-    with its f alone (``jacobian_matrix_functions_fd([f], s)[0]``).
+    through the general spectral route).  The 2 n^2 perturbed M are
+    decomposed together, as one stack (``_spectral_factors``), once for all
+    k functions, and as the central quotient is elementwise, each Jacobian
+    is bitwise that of a call with its f alone
+    (``jacobian_matrix_functions_fd([f], s)[0]``) and of the evaluation of
+    its points one by one.
 
     The independent check on ``jacobian_matrix_function``: 2 n^2 spectral
     evaluations instead of one eigendecomposition.
@@ -217,11 +234,12 @@ def jacobian_matrix_functions_fd(fs, s) -> np.ndarray:
     eigsens.decompose(s)  # the point must be symmetric with distinct eigenvalues
     n = s.shape[0]
 
-    def stacked(v):
-        factors = _spectral_factors(unvec(v, n, n))
-        return np.concatenate([vec(_apply(f, *factors)) for f in fs])
+    def stacked(points):
+        factors = _spectral_factors(np.array([unvec(v, n, n) for v in points]))
+        return [np.concatenate([vec(_apply(f, *member)) for f in fs])
+                for member in zip(*factors)]
 
-    return fdcheck.fd_jacobian(stacked, vec(s)).reshape(len(fs), n * n, n * n)
+    return fdcheck.fd_jacobian_stacked(stacked, vec(s)).reshape(len(fs), n * n, n * n)
 
 
 def theoretical_jacdet(f, f_prime, lam) -> float:

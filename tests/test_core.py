@@ -353,6 +353,33 @@ class TestLUStack:
         assert dets[2] == dets[3] == 0.0
         assert [dets[i] for i in (0, 1, 4)] == [core.det(stack[i]) for i in (0, 1, 4)]
 
+    @pytest.mark.parametrize("n", [2, 5, core.LU_SCALAR_MAX_N + 1])
+    def test_singular_member_reported(self, n):
+        """``lu_solve_stack`` reports what ``lu_solve`` raises: members 2 and
+        3 of ``test_singular_member_named`` get their own failing steps and
+        NaN, unsubstituted (no warning), and the others their own x and
+        counts."""
+        rng = np.random.default_rng(1100 + n)
+        stack = rng.standard_normal((5, n, n)) + n * np.eye(n)
+        stack[2, -1] = stack[2, 0]
+        stack[3] = 0.0
+        b = rng.standard_normal((5, n, 2))
+        own_steps = []
+        for a in stack[2:4]:
+            with pytest.raises(SingularMatrixError) as err:
+                core.lu_solve(a, np.ones(n))
+            own_steps.append(err.value.pivot_index)
+        with counting.tally() as together:
+            x, steps = core.lu_solve_stack(stack, b)
+        with counting.tally() as alone:
+            own = [core.lu_solve(stack[i], b[i]) for i in (0, 1, 4)]
+        assert steps == [None, None, *own_steps, None]
+        assert [x[i].tobytes() for i in (0, 1, 4)] == [xi.tobytes() for xi in own]
+        assert np.isnan(x[2:4]).all() and x.shape == b.shape
+        assert together == alone
+        vector, _ = core.lu_solve_stack(stack, b[..., 0])
+        assert vector.tobytes() == x[..., 0].tobytes()
+
     def test_det_members_past_the_float_range(self):
         """TestDet's partial overflow, partial underflow and subnormal
         partial products, and a determinant that overflows to -inf, beside a

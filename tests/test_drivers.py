@@ -20,6 +20,7 @@ a 0-d array, any other object), naming its type.
 
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,6 +36,10 @@ def _scalar(xs):
 
 def _vector(xs):
     return [xs[0] * xs[1], sf.exp(xs[1])]
+
+
+def _sum_and_one(xs):
+    return [2.5 + sum(xs), 1.0]
 
 
 # each driver as call(x, v); v is its direction (the weight vector of vjp)
@@ -127,6 +132,23 @@ def test_every_output_form_gives_one_jacobian(form):
         report = fdcheck.triple_check(prog, lambda d: 2.0 * d, mode, x)
         assert report.passed, report.summary()
         assert max(r.ad_vs_analytic for r in report.rows) == 0.0
+
+
+@pytest.mark.parametrize("f, prog, ad_routes", [
+    (partial(forward.evaluate, _sum_and_one), _sum_and_one,
+     (forward.jacobian_forward, reverse.jacobian_reverse)),
+    (lambda y: 2.5 + float(np.sum(y)), lambda xs: 2.5 + sum(xs), (reverse.gradient,)),
+], ids=["vector", "scalar"])
+def test_fd_jacobian_at_an_empty_point(f, prog, ad_routes):
+    """At a point with no entries fd_jacobian gives the (m, 0) Jacobian of a
+    vector f and the (0,) gradient of a scalar one, as the AD drivers do,
+    shaped by one evaluation at the point; it raised numpy's "need at least
+    one array to stack"."""
+    calls = []
+    fd = fdcheck.fd_jacobian(lambda y: calls.append(y) or f(y), [])
+    assert len(calls) == 1
+    assert fd.shape == np.shape(f([])) + (0,)
+    assert [route(prog, []).shape for route in ad_routes] == [fd.shape] * len(ad_routes)
 
 
 # every driver of a scalar program as call(prog) at one point; prog maps a

@@ -7,13 +7,16 @@ import pytest
 
 import progen
 from matderiv import reverse
+from matderiv.core import frob
 from matderiv.errors import ContractError, DomainError, ShapeError
 from matderiv.fdcheck import (
+    EPS,
     best_scale,
     central_diff,
     directional_fd,
     error_sweep,
     fd_jacobian,
+    fd_jacobian_stacked,
     forward_diff,
     gaussian_direction,
     relative_error,
@@ -111,6 +114,57 @@ class TestSharedStep:
         jac = fd_jacobian(lambda y: a @ y, x)
         assert jac.shape == (4, 3)
         np.testing.assert_allclose(jac, a, rtol=1e-9)
+
+
+# f of each output kind for the stacked Jacobian; the arctan2 in the vector
+# one tells +0.0 from -0.0, so a point entry x_i + 0.0 differs from x_i there
+STACK_FUNCTIONS = {
+    "scalar": lambda y: y[0] ** 2 + math.sin(y[-1]) * y[0],
+    "vector": lambda y: np.arctan2(y, -1.0) + y * y[0],
+    "matrix": lambda y: np.outer(y, np.cos(y)),
+}
+STACK_POINTS = {
+    "seeded": np.random.default_rng(3).standard_normal(4),
+    "negative zero": np.array([0.5, -0.0, 2.0, -0.0]),
+}
+
+
+class TestStackedJacobian:
+    """``fd_jacobian`` evaluates its 2n points through one call of a stack
+    evaluator (``fd_jacobian_stacked``), and each column is bitwise
+    ``directional_fd`` along its unit vector."""
+
+    @pytest.mark.parametrize("point", sorted(STACK_POINTS))
+    @pytest.mark.parametrize("kind", sorted(STACK_FUNCTIONS))
+    def test_bitwise_the_directional_columns(self, kind, point):
+        f, x = STACK_FUNCTIONS[kind], STACK_POINTS[point]
+        want = np.stack([directional_fd(f, x, e) for e in np.eye(len(x))], axis=-1)
+        got = fd_jacobian(f, x)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    def test_points_in_the_documented_order(self):
+        """x + h e_0, x - h e_0, x + h e_1, ..., h = eps^(1/3) (1 + ||x||_F),
+        each point once; an entry -0.0 stays -0.0 only where it is
+        subtracted from."""
+        x = STACK_POINTS["negative zero"]
+        seen = []
+        fd_jacobian(lambda y: seen.append(y.copy()) or float(y @ y), x)
+        h = np.cbrt(EPS) * (1.0 + frob(x))
+        want = [x + sign * h * e for e in np.eye(len(x)) for sign in (1.0, -1.0)]
+        assert [p.tobytes() for p in seen] == [p.tobytes() for p in want]
+        assert not np.signbit(seen[0][1]) and np.signbit(seen[1][1])
+
+    def test_one_call_of_the_stack_evaluator(self):
+        calls = []
+
+        def stacked(points):
+            calls.append(points.shape)
+            return points @ np.arange(1.0, 4.0)
+
+        jac = fd_jacobian_stacked(stacked, [1.0, -2.0, 0.5])
+        assert calls == [(6, 3)]
+        np.testing.assert_allclose(jac, [1.0, 2.0, 3.0], rtol=1e-9)
 
 
 class TestRelativeError:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matderiv import core, counting, kron
+from matderiv import core, counting, fdcheck, kron
 from matderiv.errors import (
     ContractError,
     DegenerateEigenvaluesError,
@@ -213,6 +213,73 @@ class TestMatrixFunction:
         m[2, 3], m[3, 2] = 4.0, -4.0
         with pytest.raises(DegenerateEigenvaluesError):
             kron.matrix_function_general(math.exp, m)
+
+
+def _jacdet_points():
+    """The 2 n^2 = 18 perturbed matrices of ``matderiv jacdet``, in the
+    order ``fdcheck.fd_jacobian`` evaluates them."""
+    seen = []
+    fdcheck.fd_jacobian_stacked(lambda pts: seen.extend(pts) or np.zeros(len(pts)),
+                                kron.vec(GOLDEN))
+    return np.array([kron.unvec(p, 3, 3) for p in seen])
+
+
+def _near_symmetric(n, k, seed):
+    """k seeded matrices _spread_spectrum(n) + 1e-6 G, G Gaussian."""
+    rng = np.random.default_rng(seed)
+    return np.array([_spread_spectrum(n) + 1e-6 * rng.standard_normal((n, n))
+                     for _ in range(k)])
+
+
+def _bits(factors):
+    """(X, lams, X^{-1}) member by member, as bytes."""
+    return [[np.asarray(a).tobytes() for a in member] for member in zip(*factors)]
+
+
+class TestStackedSpectralFactors:
+    """``_spectral_factors`` of a (k, n, n) stack: the symmetric parts through
+    ``_by_size``, each inverse-iteration step as one stacked solve and X^{-1}
+    from one inversion, each member bitwise its own stack of one and with
+    its counts (jacdet's 126 solves and 4554 flops are pinned in
+    test_cli)."""
+
+    @pytest.mark.parametrize("stack", [
+        pytest.param(_jacdet_points, id="jacdet"),
+        *(pytest.param(lambda n=n, k=k: _near_symmetric(n, k, 60 + n), id=f"n{n}-k{k}")
+          for n in (2, 3, 4, 5) for k in (3, 9)),
+    ])
+    def test_members_are_their_own_stacks_of_one(self, stack):
+        ms = stack()
+        with counting.tally() as together:
+            got = _bits(kron._spectral_factors(ms))
+        with counting.tally() as alone:
+            own = [_bits(kron._spectral_factors(m[None]))[0] for m in ms]
+        assert got == own
+        assert together == alone
+
+    def test_singular_shift_keeps_its_jacobi_pair(self):
+        """Member 0 is diag(1, d) with d = 1 + 1e-8 (1 + 1), exactly the
+        shift of its first pair, so that pair's shifted matrix is singular:
+        the pair stays the Jacobi (e_0, 1.0) and makes no solve, while its
+        other pair and the other members iterate as in their own stacks."""
+        d = 1.0 + 1e-8 * (1.0 + abs(1.0))
+        ms = np.concatenate(([np.diag([1.0, d])], _near_symmetric(2, 3, 7)))
+        with counting.tally() as c:
+            x, lams = kron._eig_near_symmetric(ms)
+        assert c.solves == 2 * ms.shape[0] * 2 - 2
+        assert x[0, :, 0].tolist() == [1.0, 0.0] and lams[0, 0] == 1.0
+        assert lams[0, 1] == d
+        for i, m in enumerate(ms):
+            own = kron._eig_near_symmetric(m[None])
+            assert (x[i].tobytes(), lams[i].tobytes()) == (own[0][0].tobytes(), own[1][0].tobytes())
+
+    def test_stacked_gap_error_names_its_member(self):
+        ms = _near_symmetric(3, 4, 8)
+        ms[2] = np.diag([1.0, 1.0, 2.0])
+        with pytest.raises(DegenerateEigenvaluesError, match=r"stack member 2\)"):
+            kron._spectral_factors(ms)
+        with pytest.raises(DegenerateEigenvaluesError, match=r"^matrix_function_general:"):
+            kron._spectral_factors(ms[2:3])
 
 
 @pytest.mark.parametrize("route", [kron.matrix_function,

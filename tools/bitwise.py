@@ -8,6 +8,12 @@ An output that raises is recorded as its error type, message and
   - ``matderiv check`` and ``matderiv jacdet`` JSON at seeds 0-9;
   - ``kron.kron_identity_suite`` dicts with their flop and solve counts at
     seeds 0-39 and 4, 7, 12 and 50 trials;
+  - the general spectral route: ``kron.jacobian_matrix_functions_fd`` of
+    five functions, with its flop and solve counts, on seeded symmetric S
+    with eigenvalue gaps of at least 0.6, and
+    ``kron.matrix_function_general`` of the same five on seeded
+    near-symmetric M (such an S plus 1e-6 times a Gaussian matrix), three
+    seeds each at n = 2-5;
   - 2-D ``core.lu_solve``, ``det``, ``slogdet`` and ``jacobi_eigen`` on
     seeded matrices at n = 1-20, with the LU and Jacobi edge cases: pivot
     ties, exactly singular and zero-column matrices, entries near the float
@@ -92,6 +98,34 @@ def _suite(seed: int, trials: int) -> list[float]:
     return [*worst.values(), c.flops, c.solves]
 
 
+# five functions of a float: jacdet's three and two more, one a numpy ufunc
+_FUNCTIONS = (lambda t: t * t, math.exp, math.sin, np.exp, lambda t: t ** 3 + t)
+
+
+def _spread_spectrum(rng, n: int) -> np.ndarray:
+    """A symmetric n x n matrix with eigenvalue gaps of at least 0.6."""
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    s = (q * (0.8 * (np.arange(n) - 0.5 * (n - 1)) + rng.uniform(-0.1, 0.1, n))) @ q.T
+    return 0.5 * (s + s.T)
+
+
+def _fd_jacobians(s) -> np.ndarray:
+    """The five functions' FD Jacobians at s, then the flop and solve counts."""
+    with counting.tally() as c:
+        jacs = kron.jacobian_matrix_functions_fd(list(_FUNCTIONS), s)
+    return np.concatenate((jacs.ravel(), [c.flops, c.solves]))
+
+
+def _spectral(n: int, seed: int):
+    """(name, produce) for the general spectral route at size n."""
+    rng = np.random.default_rng(8000 + 10 * n + seed)
+    s = _spread_spectrum(rng, n)
+    m = s + 1e-6 * rng.standard_normal((n, n))
+    yield (f"kron.jacobian_matrix_functions_fd/n{n}/seed{seed}", lambda: _fd_jacobians(s))
+    yield (f"kron.matrix_function_general/n{n}/seed{seed}",
+           lambda: [kron.matrix_function_general(f, m) for f in _FUNCTIONS])
+
+
 def _square_cases(rng, n: int) -> dict:
     dup = rng.integers(-3, 4, (n, n)).astype(float)
     dup[-1] = dup[0]
@@ -171,9 +205,11 @@ def _ode_route(route, *args) -> np.ndarray:
 def corpus(tiny: bool = False):
     """(name, produce) for every output of the manifest, in order."""
     seeds, suite_seeds, trials, sizes = range(10), range(40), (4, 7, 12, 50), range(1, 21)
+    spectral_sizes, spectral_seeds = range(2, 6), range(3)
     ode_seeds, ode_steps = range(3), (16, 64, 400, 2000)
     if tiny:
         seeds, suite_seeds, trials, sizes = range(1), range(2), (4,), (1, 2, 5, 17)
+        spectral_sizes, spectral_seeds = (2, 3), range(1)
         ode_seeds, ode_steps = range(1), (16,)
     for seed in seeds:
         yield f"cli.check/seed{seed}", lambda seed=seed: _cli("check", "--seed", seed)
@@ -182,6 +218,9 @@ def corpus(tiny: bool = False):
         for t in trials:
             yield (f"kron.kron_identity_suite/seed{seed}/trials{t}",
                    lambda seed=seed, t=t: _suite(seed, t))
+    for n in spectral_sizes:
+        for seed in spectral_seeds:
+            yield from _spectral(n, seed)
     for n in sizes:
         yield from _kernels(n)
     for seed in ode_seeds:
